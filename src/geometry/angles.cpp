@@ -8,7 +8,10 @@
 namespace hipo::geom {
 
 double norm_angle(double a) {
-  a = std::fmod(a, kTwoPi);
+  // fmod is exact and returns `a` itself when |a| < 2π, so skipping the
+  // call there changes no bits. The difference of two normalized angles —
+  // every angle_distance of the point-case sweep — always takes this path.
+  if (!(std::abs(a) < kTwoPi)) a = std::fmod(a, kTwoPi);
   if (a < 0.0) a += kTwoPi;
   // fmod can return exactly 2π after the correction when a was a tiny
   // negative number; fold it back.

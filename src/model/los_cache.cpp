@@ -23,15 +23,14 @@ bool LosCache::line_of_sight(geom::Vec2 charger_pos, std::size_t j) {
   const Key key{std::bit_cast<std::uint64_t>(charger_pos.x),
                 std::bit_cast<std::uint64_t>(charger_pos.y),
                 static_cast<std::uint64_t>(j)};
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
+  if (const bool* hit = cache_.find(key)) {
     ++hits_;
-    return it->second;
+    return *hit;
   }
   ++misses_;
   const bool los =
       scenario_->line_of_sight(charger_pos, scenario_->device(j).pos);
-  cache_.emplace(key, los);
+  cache_.insert(key, los);
   return los;
 }
 

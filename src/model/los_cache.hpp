@@ -1,21 +1,20 @@
 // Per-device line-of-sight memoization for repeated power evaluations.
 //
-// The rotational sweep of Algorithm 1 re-runs the full Eq. (1) gating —
-// including the obstacle segment trace — once per (orientation, device)
-// pair, although line of sight depends only on the charger *position* and
-// the device. The same (position, device) pairs also recur across the pair
-// tasks of Algorithm 4 (a ring×ring intersection constructed for pair
-// (i, j) reappears for (i, k)) and across the strategies of a placement in
-// the exact-utility evaluation (several selected strategies often share a
+// Line of sight depends only on the charger *position* and the device, and
+// the same (position, device) pairs recur: across the pair tasks of
+// Algorithm 4 (o_i's ring circles meet the same obstacle edges in every
+// pair (i, j)) and across the strategies of a placement in the
+// exact-utility evaluation (several selected strategies often share a
 // position and differ only in orientation). LosCache memoizes the LOS
 // verdict keyed on the charger position's exact bit pattern plus the device
 // index, so every repeat is a hash lookup instead of a segment trace.
 //
 // Keys use the exact double bits (not a quantized grid): two positions that
-// differ in any bit are cached separately, so cached results are
-// bit-identical to calling Scenario directly. Candidate positions are
-// already deduplicated at ~1e-6 resolution upstream (PositionSink), which
-// keeps the cache small.
+// differ in any bit are cached separately (+0.0 and -0.0 included), so
+// cached results are bit-identical to calling Scenario directly. Candidate
+// positions are already deduplicated at ~1e-6 resolution upstream
+// (PositionSink), which keeps the cache small. The memo is a flat
+// open-addressing table (util::FlatMap): no per-entry allocation.
 //
 // Not thread-safe; create one per extraction task / evaluation thread.
 #pragma once
@@ -23,10 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
 #include "src/model/scenario.hpp"
 #include "src/parallel/thread_pool.hpp"
+#include "src/util/flat_hash.hpp"
 
 namespace hipo::model {
 
@@ -78,16 +77,16 @@ class LosCache {
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
-    std::size_t operator()(const Key& k) const {
+    std::uint64_t operator()(const Key& k) const {
       std::uint64_t h = k.x_bits * 0x9e3779b97f4a7c15ULL;
       h ^= k.y_bits + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       h ^= k.device + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
+      return h;
     }
   };
 
   const Scenario* scenario_;
-  std::unordered_map<Key, bool, KeyHash> cache_;
+  util::FlatMap<Key, bool, KeyHash> cache_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

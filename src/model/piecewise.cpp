@@ -49,6 +49,9 @@ RingLadder::RingLadder(double a, double b, double d_min, double d_max,
   outer_.push_back(d_max_);
   powers_.reserve(outer_.size());
   for (double r : outer_) powers_.push_back(exact_power(r));
+  boundaries_.reserve(outer_.size() + 1);
+  boundaries_.push_back(d_min_);
+  boundaries_.insert(boundaries_.end(), outer_.begin(), outer_.end());
   // Rings must be strictly increasing for ring_index's binary search.
   HIPO_ASSERT(std::is_sorted(outer_.begin(), outer_.end()));
 }

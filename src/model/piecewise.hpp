@@ -33,6 +33,8 @@ class RingLadder {
   /// inner(0) == d_min. All radii lie in (d_min, d_max].
   const std::vector<double>& outer_radii() const { return outer_; }
   std::size_t num_rings() const { return outer_.size(); }
+  /// Every ring boundary, ascending: d_min followed by outer_radii().
+  const std::vector<double>& boundaries() const { return boundaries_; }
 
   /// Ring index containing distance d, or nullopt outside [d_min, d_max].
   std::optional<std::size_t> ring_index(double d) const;
@@ -51,6 +53,7 @@ class RingLadder {
   double eps1_ = 0.0;
   std::vector<double> outer_;
   std::vector<double> powers_;
+  std::vector<double> boundaries_;
 };
 
 }  // namespace hipo::model

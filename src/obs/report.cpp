@@ -89,6 +89,21 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
        << "% (" << seg_eo << "/" << seg_q << ")\n";
   }
 
+  // The extraction candidate funnel: candidate positions → per-position
+  // maximal sets (point-case rows) → per-task survivors → global survivors.
+  std::uint64_t positions = 0, rows = 0, raw = 0, kept = 0;
+  for (const auto& c : snapshot.counters) {
+    if (c.name == "extract.positions") positions = c.value;
+    if (c.name == "extract.point_case_rows") rows = c.value;
+    if (c.name == "extract.candidates_raw") raw = c.value;
+    if (c.name == "extract.candidates_kept") kept = c.value;
+  }
+  if (positions > 0) {
+    os << "extract funnel: " << positions << " positions -> " << rows
+       << " point-case rows -> " << raw << " task survivors -> " << kept
+       << " kept\n";
+  }
+
   // Derived dirty-gain cache effectiveness (the flat-CSR incremental
   // greedy): share of gain evaluations served from the cache instead of
   // recomputed — the fraction of argmax work the dirty set eliminated.

@@ -256,13 +256,16 @@ bool CoverageMatrix::same_as(const CoverageMatrix& other) const {
     return false;
   }
   if (device_arena_.size() != other.device_arena_.size()) return false;
-  if (std::memcmp(device_arena_.data(), other.device_arena_.data(),
+  // An empty arena may have a null data(), which memcmp must not see.
+  if (!device_arena_.empty() &&
+      std::memcmp(device_arena_.data(), other.device_arena_.data(),
                   device_arena_.size() * sizeof(std::uint32_t)) != 0) {
     return false;
   }
   // Powers compared bitwise (memcmp), not numerically: the delta contract
   // is bit-identity, and -0.0 == 0.0 must not mask a divergence.
-  if (std::memcmp(power_arena_.data(), other.power_arena_.data(),
+  if (!power_arena_.empty() &&
+      std::memcmp(power_arena_.data(), other.power_arena_.data(),
                   power_arena_.size() * sizeof(double)) != 0) {
     return false;
   }

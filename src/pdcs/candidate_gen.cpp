@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/circle.hpp"
+#include "src/model/los_cache.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/pdcs/point_case.hpp"
 #include "src/util/error.hpp"
+#include "src/util/flat_hash.hpp"
 
 namespace hipo::pdcs {
 
@@ -15,39 +17,40 @@ using geom::Circle;
 using geom::Segment;
 using geom::Vec2;
 
-std::vector<double> ring_radii(const model::Scenario& scenario, std::size_t q,
-                               std::size_t j) {
-  const auto& lad = scenario.ladder_for_device(q, j);
-  std::vector<double> radii;
-  radii.reserve(lad.num_rings() + 1);
-  radii.push_back(lad.d_min());
-  for (double r : lad.outer_radii()) radii.push_back(r);
-  return radii;
+const std::vector<double>& ring_radii(const model::Scenario& scenario,
+                                      std::size_t q, std::size_t j) {
+  return scenario.ladder_for_device(q, j).boundaries();
 }
 
 namespace {
 
 /// Deduplicating position collector with feasibility and range filters.
+/// One sink serves every construction of a task: reset() starts a new
+/// anchor pair and appends that pair's positions to `out`, deduplicated
+/// among themselves in first-insertion order.
 class PositionSink {
  public:
-  PositionSink(const model::Scenario& scenario, Vec2 anchor_a, Vec2 anchor_b,
-               double range)
-      : scenario_(scenario), a_(anchor_a), b_(anchor_b), range_(range) {}
+  void reset(const model::Scenario& scenario, Vec2 anchor_a, Vec2 anchor_b,
+             double range, std::vector<Vec2>& out) {
+    scenario_ = &scenario;
+    a_ = anchor_a;
+    b_ = anchor_b;
+    range_ = range;
+    out_ = &out;
+    seen_.clear();
+  }
 
   void add(Vec2 p) {
     if (geom::distance(p, a_) > range_ + geom::kCoverEps &&
         geom::distance(p, b_) > range_ + geom::kCoverEps)
       return;
-    if (!scenario_.position_feasible(p)) return;
-    const auto key = quantize(p);
-    if (seen_.insert(key).second) positions_.push_back(p);
+    if (!scenario_->position_feasible(p)) return;
+    if (seen_.insert(quantize(p), true)) out_->push_back(p);
   }
 
   void add_all(const std::vector<Vec2>& ps) {
     for (Vec2 p : ps) add(p);
   }
-
-  std::vector<Vec2> take() { return std::move(positions_); }
 
  private:
   static std::uint64_t quantize(Vec2 p) {
@@ -62,13 +65,16 @@ class PositionSink {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(qx)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(qy));
   }
+  struct KeyHash {
+    std::uint64_t operator()(std::uint64_t key) const { return key; }
+  };
 
-  const model::Scenario& scenario_;
+  const model::Scenario* scenario_ = nullptr;
   Vec2 a_;
   Vec2 b_;
-  double range_;
-  std::unordered_set<std::uint64_t> seen_;
-  std::vector<Vec2> positions_;
+  double range_ = 0.0;
+  std::vector<Vec2>* out_ = nullptr;
+  util::FlatMap<std::uint64_t, bool, KeyHash> seen_;
 };
 
 /// Axis-aligned box covering the disks of `range` around both anchors.
@@ -79,13 +85,22 @@ geom::BBox anchor_box(Vec2 a, Vec2 b, double range) {
   return box;
 }
 
-/// Obstacle edges within `range` of either anchor. The obstacle index
-/// prunes to polygons near the anchors; the exact per-edge distance filter
-/// (and hence the resulting edge list and its order) matches the full scan.
-std::vector<Segment> nearby_obstacle_edges(const model::Scenario& scenario,
-                                           Vec2 a, Vec2 b, double range) {
-  const auto& index = scenario.obstacle_index();
+/// Buffers the position constructions reuse between calls.
+struct PositionScratch {
+  PositionSink sink;
   std::vector<Segment> edges;
+  std::vector<Circle> circles;
+  std::vector<double> dirs;
+};
+
+/// Obstacle edges within `range` of either anchor, into `edges`. The
+/// obstacle index prunes to polygons near the anchors; the exact per-edge
+/// distance filter (and hence the resulting edge list and its order)
+/// matches the full scan.
+void nearby_obstacle_edges(const model::Scenario& scenario, Vec2 a, Vec2 b,
+                           double range, std::vector<Segment>& edges) {
+  const auto& index = scenario.obstacle_index();
+  edges.clear();
   for (std::size_t pi : index.polygons_in_box(anchor_box(a, b, range))) {
     const auto& h = index.polygons()[pi];
     for (std::size_t e = 0; e < h.size(); ++e) {
@@ -96,27 +111,27 @@ std::vector<Segment> nearby_obstacle_edges(const model::Scenario& scenario,
       }
     }
   }
-  return edges;
 }
 
-}  // namespace
-
-std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
-                                           std::size_t q, std::size_t i,
-                                           std::size_t j,
-                                           const ExtractOptions& opt) {
+/// pair_candidate_positions, appended to `out`.
+void append_pair_positions(const model::Scenario& scenario, std::size_t q,
+                           std::size_t i, std::size_t j,
+                           const ExtractOptions& opt, PositionScratch& scratch,
+                           std::vector<Vec2>& out) {
   const Vec2 oi = scenario.device(i).pos;
   const Vec2 oj = scenario.device(j).pos;
   const auto& ct = scenario.charger_type(q);
-  PositionSink sink(scenario, oi, oj, ct.d_max);
+  PositionSink& sink = scratch.sink;
+  sink.reset(scenario, oi, oj, ct.d_max, out);
 
-  const std::vector<double> ri = ring_radii(scenario, q, i);
-  const std::vector<double> rj = ring_radii(scenario, q, j);
-  const auto edges = nearby_obstacle_edges(scenario, oi, oj, ct.d_max);
+  const std::vector<double>& ri = ring_radii(scenario, q, i);
+  const std::vector<double>& rj = ring_radii(scenario, q, j);
+  const std::vector<Segment>& edges = scratch.edges;
+  nearby_obstacle_edges(scenario, oi, oj, ct.d_max, scratch.edges);
 
   // Ring circles of both devices.
-  std::vector<Circle> circles;
-  circles.reserve(ri.size() + rj.size());
+  std::vector<Circle>& circles = scratch.circles;
+  circles.clear();
   for (double r : ri)
     if (r > geom::kEps) circles.emplace_back(oi, r);
   for (double r : rj)
@@ -199,23 +214,26 @@ std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
       }
     }
   }
-
-  return sink.take();
 }
 
-std::vector<Vec2> singleton_candidate_positions(
-    const model::Scenario& scenario, std::size_t q, std::size_t i,
-    const ExtractOptions& opt) {
+/// singleton_candidate_positions, appended to `out`.
+void append_singleton_positions(const model::Scenario& scenario,
+                                std::size_t q, std::size_t i,
+                                const ExtractOptions& opt,
+                                PositionScratch& scratch,
+                                std::vector<Vec2>& out) {
   const auto& dev = scenario.device(i);
   const auto& ct = scenario.charger_type(q);
-  PositionSink sink(scenario, dev.pos, dev.pos, ct.d_max);
+  PositionSink& sink = scratch.sink;
+  sink.reset(scenario, dev.pos, dev.pos, ct.d_max, out);
 
   // Directions: evenly spaced azimuths across the receiving sector
   // (boundaries included) plus obstacle-vertex (hole boundary) directions
   // within range.
   const double alpha_o = scenario.device_type(dev.type).angle;
   const int n_az = std::max(2, opt.singleton_azimuths);
-  std::vector<double> dirs;
+  std::vector<double>& dirs = scratch.dirs;
+  dirs.clear();
   if (alpha_o >= geom::kTwoPi) {
     for (int k = 0; k < n_az; ++k) {
       dirs.push_back(geom::kTwoPi * static_cast<double>(k) / n_az);
@@ -243,46 +261,95 @@ std::vector<Vec2> singleton_candidate_positions(
       sink.add(dev.pos + geom::unit_vector(a) * r);
     }
   }
-  return sink.take();
+}
+
+/// Everything an extraction task reuses between its positions.
+struct TaskScratch {
+  std::vector<std::size_t> neighbors;
+  std::vector<std::size_t> pool;
+  std::vector<Vec2> positions;
+  PositionScratch gen;
+  PointSweep sweep;
+  RowArena rows;
+  DominanceFilter filter;
+};
+
+}  // namespace
+
+std::vector<Vec2> pair_candidate_positions(const model::Scenario& scenario,
+                                           std::size_t q, std::size_t i,
+                                           std::size_t j,
+                                           const ExtractOptions& opt) {
+  PositionScratch scratch;
+  std::vector<Vec2> out;
+  append_pair_positions(scenario, q, i, j, opt, scratch, out);
+  return out;
+}
+
+std::vector<Vec2> singleton_candidate_positions(
+    const model::Scenario& scenario, std::size_t q, std::size_t i,
+    const ExtractOptions& opt) {
+  PositionScratch scratch;
+  std::vector<Vec2> out;
+  append_singleton_positions(scenario, q, i, opt, scratch, out);
+  return out;
 }
 
 std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
                                            const spatial::GridIndex& devices,
                                            std::size_t i,
                                            const ExtractOptions& opt) {
+  // Per task, not per thread: keeping the buffers alive between tasks held
+  // every worker's largest task in memory and measured slower.
+  TaskScratch s;
   std::vector<Candidate> out;
   const Vec2 oi = scenario.device(i).pos;
   // One LOS memo for the whole task: candidate positions recur across pair
-  // constructions and the Algorithm 1 sweep re-tests LOS per orientation.
+  // constructions (the rings of o_i meet the same obstacle edges in every
+  // pair).
   model::LosCache los_cache(scenario);
+  std::size_t num_positions = 0;
+  std::size_t num_rows = 0;
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
     const auto& ct = scenario.charger_type(q);
     // Neighbor set O^k_i: devices within 2·d^k_max (Algorithm 4 step 1).
-    const auto neighbors = devices.query_radius(oi, 2.0 * ct.d_max);
+    devices.query_radius(oi, 2.0 * ct.d_max, s.neighbors);
 
-    std::vector<Vec2> positions;
+    s.positions.clear();
     if (opt.use_singleton) {
-      auto single = singleton_candidate_positions(scenario, q, i, opt);
-      positions.insert(positions.end(), single.begin(), single.end());
+      append_singleton_positions(scenario, q, i, opt, s.gen, s.positions);
     }
-    for (std::size_t j : neighbors) {
+    for (std::size_t j : s.neighbors) {
       if (j <= i) continue;  // larger indices only — no duplicate tasks
-      auto pts = pair_candidate_positions(scenario, q, i, j, opt);
-      positions.insert(positions.end(), pts.begin(), pts.end());
+      append_pair_positions(scenario, q, i, j, opt, s.gen, s.positions);
     }
 
-    std::vector<Candidate> type_candidates;
-    for (Vec2 p : positions) {
+    // Algorithm 1 at every position (all already feasible: the sink
+    // filters), each position's maximal sets appended to the task arena.
+    s.rows.clear();
+    for (Vec2 p : s.positions) {
       // Pool: devices within charging range of the position (exact pool for
       // the rotational sweep; sorted by GridIndex contract).
-      const auto pool = devices.query_radius(p, ct.d_max + geom::kCoverEps);
-      auto cands = extract_point_case(scenario, q, p, pool, &los_cache);
-      for (auto& c : cands) type_candidates.push_back(std::move(c));
+      devices.query_radius(p, ct.d_max + geom::kCoverEps, s.pool);
+      s.sweep.gather(scenario, q, p, s.pool, &los_cache);
+      s.sweep.sweep(s.rows);
     }
-    auto filtered =
-        filter_dominated(std::move(type_candidates), scenario.num_devices());
-    for (auto& c : filtered) out.push_back(std::move(c));
+    num_positions += s.positions.size();
+    num_rows += s.rows.size();
+
+    // The per-task filter; only its survivors become Candidates.
+    const auto row_at = [&](std::size_t r) { return s.rows.view(r); };
+    for (std::size_t r : s.filter.run(RowSource(s.rows.size(), row_at),
+                                      scenario.num_devices())) {
+      out.push_back(s.rows.materialize(r));
+    }
+  }
+  if (obs::metrics_enabled()) [[unlikely]] {
+    static obs::Counter& positions = obs::counter("extract.positions");
+    static obs::Counter& rows = obs::counter("extract.point_case_rows");
+    positions.bump(num_positions);
+    rows.bump(num_rows);
   }
   return out;
 }

@@ -52,9 +52,10 @@ struct ExtractOptions {
 };
 
 /// Ring boundary radii of device j w.r.t. charger type q: the ladder's
-/// d_min plus all outer rung radii (ascending).
-std::vector<double> ring_radii(const model::Scenario& scenario, std::size_t q,
-                               std::size_t j);
+/// d_min plus all outer rung radii (ascending). Computed once per ladder,
+/// i.e. per (charger type, device type).
+const std::vector<double>& ring_radii(const model::Scenario& scenario,
+                                      std::size_t q, std::size_t j);
 
 /// Candidate charger positions for the pair (i, j) under charger type q.
 /// Positions are deduplicated and filtered to feasible placements within

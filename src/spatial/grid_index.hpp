@@ -21,15 +21,20 @@ class GridIndex {
   GridIndex(const geom::BBox& bounds, std::vector<geom::Vec2> points,
             double target_per_cell = 2.0);
 
-  /// Indices of points within `radius` of `center` (exact post-filter).
+  /// Indices of points within `radius` of `center` (exact post-filter),
+  /// ascending.
   std::vector<std::size_t> query_radius(geom::Vec2 center,
                                         double radius) const;
+  /// The same query into a caller-owned buffer: `out` is cleared, then
+  /// filled with exactly what the vector form returns. Hot loops reuse one
+  /// buffer across queries instead of allocating per call.
+  void query_radius(geom::Vec2 center, double radius,
+                    std::vector<std::size_t>& out) const;
 
   /// Indices of points inside the axis-aligned box (exact post-filter).
   std::vector<std::size_t> query_box(const geom::BBox& box) const;
 
-  std::size_t size() const { return points_.size(); }
-  const std::vector<geom::Vec2>& points() const { return points_; }
+  std::size_t size() const { return cell_ids_.size(); }
 
  private:
   std::size_t cell_of(geom::Vec2 p) const;
@@ -37,12 +42,16 @@ class GridIndex {
                   std::size_t& y0, std::size_t& y1) const;
 
   geom::BBox bounds_;
-  std::vector<geom::Vec2> points_;
   std::size_t nx_ = 1;
   std::size_t ny_ = 1;
   double cell_w_ = 1.0;
   double cell_h_ = 1.0;
-  std::vector<std::vector<std::size_t>> cells_;
+  /// Cells in CSR form: cell c holds entries [cell_start_[c],
+  /// cell_start_[c + 1]) of cell_ids_ (ascending point indices) and
+  /// cell_points_ (their coordinates, so a scan reads one contiguous run).
+  std::vector<std::size_t> cell_start_;
+  std::vector<std::size_t> cell_ids_;
+  std::vector<geom::Vec2> cell_points_;
 };
 
 }  // namespace hipo::spatial

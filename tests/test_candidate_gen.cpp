@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
+#include <span>
 
 #include "src/geometry/angles.hpp"
 #include "src/pdcs/extract.hpp"
+#include "src/pdcs/point_case.hpp"
 #include "src/util/rng.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -201,6 +205,288 @@ TEST(CandidateGen, ChargerOnObstacleVertexInfeasiblePositionsFiltered) {
   const auto positions = pair_candidate_positions(s, 0, 0, 1, opt);
   for (const geom::Vec2& p : positions) {
     EXPECT_TRUE(s.position_feasible(p)) << p;
+  }
+}
+
+// --- Reference oracle ------------------------------------------------------
+//
+// The literal per-position path: the gating of orientable_covers, then
+// Scenario::approx_power for every (orientation, device) pair — the full
+// Eq. (1) gating each time, without a memo — and the general
+// filter_dominated at every position and again per task. The task pass
+// hoists the orientation-independent geometry and filters positions on
+// bitmasks; it must reproduce this byte for byte.
+
+std::vector<Candidate> reference_point_case(const model::Scenario& s,
+                                            std::size_t q, Vec2 pos,
+                                            std::span<const std::size_t> pool) {
+  std::vector<Candidate> out;
+  if (!s.position_feasible(pos)) return out;
+  const auto& ct = s.charger_type(q);
+  std::vector<std::size_t> coverable;
+  for (std::size_t j : pool) {
+    const auto& dev = s.device(j);
+    const Vec2 so = dev.pos - pos;
+    const double d = so.norm();
+    if (d < ct.d_min - geom::kCoverEps || d > ct.d_max + geom::kCoverEps)
+      continue;
+    if (d <= geom::kEps) continue;
+    const double recv = s.device_type(dev.type).angle;
+    if (recv < geom::kTwoPi &&
+        geom::angle_distance((-so).angle(), dev.orientation) >
+            recv / 2.0 + geom::kCoverEps / std::max(d, 1e-12))
+      continue;
+    if (!s.line_of_sight(pos, dev.pos)) continue;
+    coverable.push_back(j);
+  }
+  if (coverable.empty()) return out;
+
+  const double alpha = ct.angle;
+  std::vector<double> theta;
+  for (std::size_t j : coverable) {
+    theta.push_back(geom::norm_angle((s.device(j).pos - pos).angle()));
+  }
+  std::vector<double> orientations;
+  if (alpha >= geom::kTwoPi) {
+    orientations.push_back(0.0);
+  } else {
+    for (double t : theta) orientations.push_back(geom::norm_angle(t + alpha / 2.0));
+    std::sort(orientations.begin(), orientations.end());
+    orientations.erase(std::unique(orientations.begin(), orientations.end(),
+                                   [](double a, double b) {
+                                     return std::abs(a - b) <= 1e-12;
+                                   }),
+                       orientations.end());
+  }
+  for (double phi : orientations) {
+    Candidate cand;
+    cand.strategy = model::Strategy{pos, phi, q};
+    for (std::size_t i = 0; i < coverable.size(); ++i) {
+      if (alpha < geom::kTwoPi &&
+          geom::angle_distance(theta[i], phi) > alpha / 2.0 + 1e-9)
+        continue;
+      const double p = s.approx_power(cand.strategy, coverable[i]);
+      if (p > 0.0) {
+        cand.covered.push_back(coverable[i]);
+        cand.powers.push_back(p);
+      }
+    }
+    if (!cand.covers_nothing()) out.push_back(std::move(cand));
+  }
+  return filter_dominated(std::move(out), s.num_devices());
+}
+
+std::vector<Candidate> reference_task(const model::Scenario& s,
+                                      const spatial::GridIndex& index,
+                                      std::size_t i,
+                                      const ExtractOptions& opt) {
+  std::vector<Candidate> out;
+  const Vec2 oi = s.device(i).pos;
+  for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
+    const double d_max = s.charger_type(q).d_max;
+    std::vector<Vec2> positions;
+    if (opt.use_singleton) {
+      positions = singleton_candidate_positions(s, q, i, opt);
+    }
+    for (std::size_t j : index.query_radius(oi, 2.0 * d_max)) {
+      if (j <= i) continue;
+      const auto pts = pair_candidate_positions(s, q, i, j, opt);
+      positions.insert(positions.end(), pts.begin(), pts.end());
+    }
+    std::vector<Candidate> rows;
+    for (Vec2 p : positions) {
+      const auto pool = index.query_radius(p, d_max + geom::kCoverEps);
+      for (auto& c : reference_point_case(s, q, p, pool)) {
+        rows.push_back(std::move(c));
+      }
+    }
+    for (auto& c : filter_dominated(std::move(rows), s.num_devices())) {
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_byte_equal(const std::vector<Candidate>& got,
+                       const std::vector<Candidate>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(bits(got[k].strategy.pos.x), bits(want[k].strategy.pos.x));
+    EXPECT_EQ(bits(got[k].strategy.pos.y), bits(want[k].strategy.pos.y));
+    EXPECT_EQ(bits(got[k].strategy.orientation),
+              bits(want[k].strategy.orientation));
+    EXPECT_EQ(got[k].strategy.type, want[k].strategy.type);
+    EXPECT_EQ(got[k].covered, want[k].covered);
+    ASSERT_EQ(got[k].powers.size(), want[k].powers.size());
+    for (std::size_t e = 0; e < got[k].powers.size(); ++e) {
+      EXPECT_EQ(bits(got[k].powers[e]), bits(want[k].powers[e]));
+    }
+  }
+}
+
+spatial::GridIndex device_index(const model::Scenario& s) {
+  std::vector<Vec2> pts;
+  for (std::size_t j = 0; j < s.num_devices(); ++j) pts.push_back(s.device(j).pos);
+  return spatial::GridIndex(s.region(), std::move(pts));
+}
+
+/// extract_device_task against the reference for `tasks` (every task when
+/// empty); returns the number of rows compared.
+std::size_t expect_tasks_match(const model::Scenario& s,
+                               std::vector<std::size_t> tasks = {}) {
+  const auto index = device_index(s);
+  if (tasks.empty()) {
+    for (std::size_t i = 0; i < s.num_devices(); ++i) tasks.push_back(i);
+  }
+  const ExtractOptions opt;
+  std::size_t rows = 0;
+  for (std::size_t i : tasks) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    const auto got = extract_device_task(s, index, i, opt);
+    expect_byte_equal(got, reference_task(s, index, i, opt));
+    rows += got.size();
+  }
+  return rows;
+}
+
+TEST(ExtractDeviceTask, PooledTasksMatchSerial) {
+  // Tasks run concurrently on pool workers, each with its own scratch; the
+  // pool must not change a byte.
+  model::GenOptions gen;
+  gen.device_multiplier = 3;
+  hipo::Rng rng(404);
+  const auto s = model::make_paper_scenario(gen, rng);
+  parallel::ThreadPool pool(3);
+  const auto serial = extract_all(s);
+  const auto pooled = extract_all(s, ExtractOptions{}, &pool);
+  EXPECT_EQ(pooled.raw_candidates, serial.raw_candidates);
+  expect_byte_equal(pooled.candidates, serial.candidates);
+}
+
+TEST(ReferenceOracle, SeededPaperScenariosWithObstacles) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    model::GenOptions gen;
+    gen.device_multiplier = 2;
+    gen.num_obstacles = 6;
+    hipo::Rng rng(seed * 7919);
+    const auto s = model::make_paper_scenario(gen, rng);
+    ASSERT_GT(s.num_obstacles(), 0u);
+    EXPECT_GT(expect_tasks_match(s), 0u);
+  }
+}
+
+TEST(ReferenceOracle, FullCircleCharger) {
+  auto cfg = test::simple_config();
+  cfg.charger_types = {{geom::kTwoPi, 1.0, 5.0}, {geom::kPi / 3.0, 0.5, 4.0}};
+  cfg.pair_params = {{100.0, 40.0}, {90.0, 35.0}, {80.0, 30.0}, {70.0, 25.0}};
+  cfg.charger_counts = {1, 1};
+  cfg.device_types = {{geom::kTwoPi}, {geom::kPi}};
+  hipo::Rng rng(11);
+  for (int k = 0; k < 12; ++k) {
+    cfg.devices.push_back(test::device_at(rng.uniform(4, 16), rng.uniform(4, 16),
+                                          rng.uniform(0, geom::kTwoPi),
+                                          static_cast<std::size_t>(k % 2)));
+  }
+  const model::Scenario s(std::move(cfg));
+  EXPECT_GT(expect_tasks_match(s), 0u);
+}
+
+TEST(ReferenceOracle, DminZero) {
+  auto cfg = test::simple_config();
+  cfg.charger_types[0].d_min = 0.0;
+  cfg.devices = {test::device_at(10, 10), test::device_at(10.5, 10),
+                 test::device_at(12, 11), test::device_at(9, 13),
+                 test::device_at(14, 10, geom::kPi)};
+  cfg.obstacles = {geom::make_rect({11.0, 11.5}, {12.5, 12.5})};
+  const model::Scenario s(std::move(cfg));
+  EXPECT_GT(expect_tasks_match(s), 0u);
+}
+
+TEST(ReferenceOracle, ClusterBeyondOneMaskWord) {
+  // 80 omni devices within 1.5 m of (10, 10), d ∈ [1, 5]: a charger about
+  // 3 m from the centre can cover all of them, so the per-position masks
+  // span two 64-bit words. The last tasks keep the reference affordable
+  // (few pairs j > i).
+  auto cfg = test::simple_config();
+  hipo::Rng rng(5);
+  for (int k = 0; k < 80; ++k) {
+    const double r = 1.5 * std::sqrt(rng.uniform(0, 1));
+    const double a = rng.uniform(0, geom::kTwoPi);
+    cfg.devices.push_back(
+        test::device_at(10 + r * std::cos(a), 10 + r * std::sin(a)));
+  }
+  const model::Scenario s(std::move(cfg));
+  std::vector<std::size_t> all(s.num_devices());
+  for (std::size_t j = 0; j < all.size(); ++j) all[j] = j;
+  ASSERT_GT(orientable_covers(s, 0, {13.0, 10.0}, all).size(), 64u);
+  const std::size_t n = s.num_devices();
+  EXPECT_GT(expect_tasks_match(s, {n - 3, n - 2, n - 1}), 0u);
+}
+
+TEST(ReferenceOracle, PairPoolReachesPastTheNeighborSet) {
+  // o_j is a neighbor of o_i (9.5 m < 2·d_max); o_k sits 3.5·d_max from
+  // o_i, outside o_i's neighbor set, but within d_max of pair positions
+  // near o_j. The per-position pool must still reach it.
+  auto cfg = test::simple_config();
+  cfg.devices = {test::device_at(1.0, 10.0), test::device_at(10.5, 10.0),
+                 test::device_at(18.5, 10.0)};
+  const model::Scenario s(std::move(cfg));
+  const double d_max = s.charger_type(0).d_max;
+  ASSERT_GT(geom::distance(s.device(0).pos, s.device(2).pos), 2.0 * d_max);
+  expect_tasks_match(s, {0});
+  const auto task = extract_device_task(s, device_index(s), 0, ExtractOptions{});
+  EXPECT_TRUE(std::any_of(task.begin(), task.end(), [](const Candidate& c) {
+    return std::find(c.covered.begin(), c.covered.end(), 2u) != c.covered.end();
+  }));
+}
+
+TEST(ReferenceOracle, SectorBoundarySlack) {
+  // Two devices at equal distance d from the charger, α + δ apart: at the
+  // orientation that puts o_0 on the clockwise boundary, o_1 sits δ past
+  // the other boundary. The sweep's own gate allows 1e-9 rad there and
+  // Eq. (1)'s sector test allows kCoverEps/d; o_1 must stay out whenever
+  // δ exceeds either slack, so the two orientations keep separate rows.
+  const double alpha = geom::kPi / 2.0;
+  struct Case {
+    double d;
+    double delta;
+  };
+  // d = 2: the sweep's 1e-9 gate is the tighter one. d = 1000: the
+  // sector test's kCoverEps/d = 1e-10 is.
+  for (const Case c : {Case{2.0, 2e-8}, Case{1000.0, 5e-10}}) {
+    SCOPED_TRACE(c.d);
+    auto cfg = test::simple_config();
+    cfg.charger_types = {{alpha, 1.0, 1.5 * c.d}};
+    cfg.region.hi = {4.0 * c.d, 4.0 * c.d};
+    const Vec2 p{2.0 * c.d, 2.0 * c.d};
+    const Vec2 o1 = p + geom::unit_vector(alpha + c.delta) * c.d;
+    cfg.devices = {test::device_at(p.x + c.d, p.y),
+                   test::device_at(o1.x, o1.y)};
+    const model::Scenario s(std::move(cfg));
+    const std::vector<std::size_t> pool{0, 1};
+    const auto got = extract_point_case(s, 0, p, pool);
+    expect_byte_equal(got, reference_point_case(s, 0, p, pool));
+    EXPECT_EQ(got.size(), 2u);
+  }
+}
+
+TEST(ReferenceOracle, PointCaseAtRandomPositions) {
+  // The public per-position wrapper, without a LOS memo, over the full
+  // device list as the pool.
+  const auto s = test::small_paper_scenario(31, 2, 1);
+  std::vector<std::size_t> all(s.num_devices());
+  for (std::size_t j = 0; j < all.size(); ++j) all[j] = j;
+  hipo::Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Vec2 pos{rng.uniform(0, 40), rng.uniform(0, 40)};
+    const std::size_t q = rng.below(s.num_charger_types());
+    SCOPED_TRACE(trial);
+    expect_byte_equal(extract_point_case(s, q, pos, all),
+                      reference_point_case(s, q, pos, all));
   }
 }
 

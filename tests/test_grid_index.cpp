@@ -72,6 +72,26 @@ TEST(GridIndex, ResultsSorted) {
   EXPECT_EQ(hits.size(), 4u);
 }
 
+TEST(GridIndex, OutParameterQueryMatchesVectorForm) {
+  hipo::Rng rng(41);
+  std::vector<Vec2> points;
+  for (int i = 0; i < 300; ++i) {
+    points.push_back({rng.uniform(0, 40), rng.uniform(0, 40)});
+  }
+  const GridIndex index(box(0, 0, 40, 40), points);
+  // Stale contents from a previous (larger) query must not survive.
+  std::vector<std::size_t> out(500, 12345);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Vec2 c{rng.uniform(-5, 45), rng.uniform(-5, 45)};
+    const double r = rng.uniform(0.0, 12.0);
+    index.query_radius(c, r, out);
+    EXPECT_EQ(out, index.query_radius(c, r));
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  }
+  index.query_radius({100, 100}, 1.0, out);
+  EXPECT_TRUE(out.empty());
+}
+
 // Property: grid queries agree with a brute-force scan for many random
 // point sets, query centers, and radii, across grid densities.
 class GridOracleTest : public ::testing::TestWithParam<double> {};

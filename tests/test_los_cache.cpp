@@ -91,6 +91,49 @@ TEST(LosCache, PlacementUtilityMatchesScenario) {
   }
 }
 
+TEST(LosCache, VerdictsSurviveTableGrowth) {
+  // Far more keys than the table's initial slots: every verdict must still
+  // come back, and every repeat must be a hit.
+  const auto scenario = paper_scenario(8, 77);
+  LosCache cache(scenario);
+  hipo::Rng rng(23);
+  std::vector<Vec2> positions;
+  for (int k = 0; k < 300; ++k) {
+    positions.push_back({rng.uniform(0, 40), rng.uniform(0, 40)});
+  }
+  const std::size_t n = scenario.num_devices();
+  for (const Vec2& p : positions) {
+    for (std::size_t j = 0; j < n; ++j) cache.line_of_sight(p, j);
+  }
+  const std::size_t keys = positions.size() * n;
+  EXPECT_EQ(cache.size(), keys);
+  EXPECT_EQ(cache.misses(), keys);
+  EXPECT_EQ(cache.hits(), 0u);
+  for (const Vec2& p : positions) {
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(cache.line_of_sight(p, j),
+                scenario.line_of_sight(p, scenario.device(j).pos));
+    }
+  }
+  EXPECT_EQ(cache.size(), keys);
+  EXPECT_EQ(cache.misses(), keys);
+  EXPECT_EQ(cache.hits(), keys);
+}
+
+TEST(LosCache, SignedZerosAreDistinctKeys) {
+  const auto scenario = paper_scenario(2, 7);
+  LosCache cache(scenario);
+  cache.line_of_sight({0.0, 5.0}, 0);
+  cache.line_of_sight({-0.0, 5.0}, 0);
+  cache.line_of_sight({0.0, -0.0}, 0);
+  cache.line_of_sight({0.0, 0.0}, 0);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.size(), 4u);
+  cache.line_of_sight({-0.0, 5.0}, 0);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST(LosCache, PointCaseExtractionUnchangedByCache) {
   const auto scenario = paper_scenario(8, 21);
   std::vector<Vec2> points;
