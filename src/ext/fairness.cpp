@@ -16,9 +16,8 @@ using model::Strategy;
 double min_utility(const Scenario& scenario, const Placement& placement) {
   if (scenario.num_devices() == 0) return 0.0;
   double lo = 1.0;
-  for (std::size_t j = 0; j < scenario.num_devices(); ++j) {
-    lo = std::min(lo,
-                  scenario.utility(j, scenario.total_exact_power(placement, j)));
+  for (const double u : scenario.per_device_utility(placement)) {
+    lo = std::min(lo, u);
   }
   return lo;
 }

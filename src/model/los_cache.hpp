@@ -1,13 +1,13 @@
-// Per-device line-of-sight memoization for repeated power evaluations.
+// Per-device line-of-sight memoization for PDCS extraction.
 //
 // Line of sight depends only on the charger *position* and the device, and
-// the same (position, device) pairs recur: across the pair tasks of
-// Algorithm 4 (o_i's ring circles meet the same obstacle edges in every
-// pair (i, j)) and across the strategies of a placement in the
-// exact-utility evaluation (several selected strategies often share a
-// position and differ only in orientation). LosCache memoizes the LOS
-// verdict keyed on the charger position's exact bit pattern plus the device
-// index, so every repeat is a hash lookup instead of a segment trace.
+// the same (position, device) pairs recur across the pair tasks of
+// Algorithm 4: o_i's ring circles meet the same obstacle edges in every
+// pair (i, j). LosCache memoizes the LOS verdict keyed on the charger
+// position's exact bit pattern plus the device index, so every repeat is a
+// hash lookup instead of a segment trace. Exact placement evaluation does
+// not use the memo: Scenario::exact_powers traces each of its few covered
+// pairs once, and the placement_utility wrappers here forward to it.
 //
 // Keys use the exact double bits (not a quantized grid): two positions that
 // differ in any bit are cached separately (+0.0 and -0.0 included), so
@@ -16,7 +16,7 @@
 // (PositionSink), which keeps the cache small. The memo is a flat
 // open-addressing table (util::FlatMap): no per-entry allocation.
 //
-// Not thread-safe; create one per extraction task / evaluation thread.
+// Not thread-safe; create one per extraction task.
 #pragma once
 
 #include <bit>
@@ -39,8 +39,8 @@ class LosCache {
 
   /// Flushes this instance's hit/miss/entry tallies into the global obs
   /// counters (`los_cache.hits` / `.misses` / `.entries`) when metrics are
-  /// enabled. Caches are short-lived (one per extraction task / evaluation
-  /// chunk), so destructor flushing costs nothing on the query path.
+  /// enabled. Caches are short-lived (one per extraction task), so
+  /// destructor flushing costs nothing on the query path.
   ~LosCache();
 
   const Scenario& scenario() const { return *scenario_; }
@@ -53,15 +53,11 @@ class LosCache {
   bool covers(const Strategy& s, std::size_t j);
   double exact_power(const Strategy& s, std::size_t j);
   double approx_power(const Strategy& s, std::size_t j);
-  double total_exact_power(std::span<const Strategy> placement, std::size_t j);
-  /// Normalized exact-power objective, identical to
-  /// Scenario::placement_utility.
+  /// Scenario::placement_utility (the memo is not consulted).
   double placement_utility(std::span<const Strategy> placement);
-  /// Parallel variant: per-device contributions are computed on the pool in
-  /// fixed chunks (each chunk with its own thread-local cache — this cache
-  /// is not thread-safe) and summed in device order, so the result is
-  /// bit-identical to the sequential evaluation for any worker count. A
-  /// null/single-worker pool falls back to the sequential path.
+  /// The same value; the pool is ignored — one charger-major pass over
+  /// the device grid tests only ~8 pairs per charger, too little work to
+  /// split.
   double placement_utility(std::span<const Strategy> placement,
                            parallel::ThreadPool* workers);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/geometry/angles.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::model {
@@ -56,6 +58,11 @@ Scenario::Scenario(Config config)
       region_, std::move(config.obstacles),
       config.accelerate_obstacles ? 0.25 : 1e30);
   has_obstacles_ = obstacle_index_.num_polygons() != 0;
+
+  std::vector<Vec2> points;
+  points.reserve(devices_.size());
+  for (const auto& d : devices_) points.push_back(d.pos);
+  device_index_ = spatial::GridIndex(region_, std::move(points));
 
   ladders_.reserve(pair_params_.size());
   for (std::size_t q = 0; q < charger_types_.size(); ++q) {
@@ -225,11 +232,55 @@ double Scenario::total_weight() const {
   return total;
 }
 
+std::vector<double> Scenario::exact_powers(
+    std::span<const Strategy> placement) const {
+  std::vector<double> out(devices_.size(), 0.0);
+  if (devices_.empty()) return out;
+  std::vector<std::size_t> near;
+  std::size_t tested = 0;
+  std::size_t covered = 0;
+  for (const auto& s : placement) {
+    const auto& ct = charger_type(s.type);
+    if (std::isnan(s.pos.x) || std::isnan(s.pos.y)) {
+      // No distance bound holds for a NaN position: gate every device,
+      // exactly as the per-device loop does.
+      near.resize(devices_.size());
+      std::iota(near.begin(), near.end(), std::size_t{0});
+    } else {
+      // The relative slack keeps the squared-distance query a superset of
+      // the gate's hypot(...) <= d_max + kCoverEps test.
+      device_index_.query_radius(
+          s.pos, (ct.d_max + geom::kCoverEps) * (1.0 + 1e-9), near);
+    }
+    tested += near.size();
+    for (const std::size_t j : near) {
+      double d;
+      if (!coverage_conditions(s, j, d)) continue;
+      out[j] += exact_power_from_distance(s.type, j, d);
+      ++covered;
+    }
+  }
+  if (obs::metrics_enabled()) [[unlikely]] {
+    static obs::Counter& pairs_tested =
+        obs::counter("exact_eval.pairs_tested");
+    static obs::Counter& pairs_covered =
+        obs::counter("exact_eval.pairs_covered");
+    pairs_tested.bump(tested);
+    pairs_covered.bump(covered);
+  }
+  return out;
+}
+
 double Scenario::placement_utility(std::span<const Strategy> placement) const {
+  return placement_utility_from(exact_powers(placement));
+}
+
+double Scenario::placement_utility_from(std::span<const double> powers) const {
+  HIPO_ASSERT(powers.size() == devices_.size());
   if (devices_.empty()) return 0.0;
   double total = 0.0;
   for (std::size_t j = 0; j < devices_.size(); ++j) {
-    total += devices_[j].weight * utility(j, total_exact_power(placement, j));
+    total += devices_[j].weight * utility(j, powers[j]);
   }
   return total / total_weight();
 }
@@ -246,18 +297,20 @@ double Scenario::placement_utility_approx(
 
 std::vector<double> Scenario::per_device_power(
     std::span<const Strategy> placement) const {
-  std::vector<double> out(devices_.size());
-  for (std::size_t j = 0; j < devices_.size(); ++j) {
-    out[j] = total_exact_power(placement, j);
-  }
-  return out;
+  return exact_powers(placement);
 }
 
 std::vector<double> Scenario::per_device_utility(
     std::span<const Strategy> placement) const {
+  return per_device_utility_from(exact_powers(placement));
+}
+
+std::vector<double> Scenario::per_device_utility_from(
+    std::span<const double> powers) const {
+  HIPO_ASSERT(powers.size() == devices_.size());
   std::vector<double> out(devices_.size());
   for (std::size_t j = 0; j < devices_.size(); ++j) {
-    out[j] = utility(j, total_exact_power(placement, j));
+    out[j] = utility(j, powers[j]);
   }
   return out;
 }

@@ -4,7 +4,8 @@
 //
 // It also owns the physics: exact charging power Eq. (1)/(2), approximated
 // power via the Lemma 4.1 ring ladders, line-of-sight blockage, and the
-// charging utility Eq. (3).
+// charging utility Eq. (3) — plus the two spatial indexes every consumer
+// shares: the obstacle index and a device grid.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include "src/geometry/sector_ring.hpp"
 #include "src/model/piecewise.hpp"
 #include "src/model/types.hpp"
+#include "src/spatial/grid_index.hpp"
 #include "src/spatial/segment_index.hpp"
 
 namespace hipo::model {
@@ -72,6 +74,10 @@ class Scenario {
   const spatial::SegmentIndex& obstacle_index() const {
     return obstacle_index_;
   }
+  /// Radius queries over the device positions (index j = device j), built
+  /// once over region() with the default cell target. Shared by extraction
+  /// (neighbor sets, candidate pools) and exact evaluation.
+  const spatial::GridIndex& device_index() const { return device_index_; }
   const geom::BBox& region() const { return region_; }
   double eps1() const { return eps1_; }
 
@@ -133,7 +139,16 @@ class Scenario {
   /// Approximated power P̃ (Eq. 5) with the same gating as Eq. (1).
   double approx_power(const Strategy& s, std::size_t j) const;
 
-  /// Additive power (Eq. 2) over a placement.
+  /// Additive power (Eq. 2) at every device, out[j] for device j: one
+  /// charger-major pass that tests each strategy only against the devices
+  /// device_index() returns within its range. Bit-identical to
+  /// total_exact_power(placement, j) for every j — each device still sums
+  /// the same terms in placement order; only the +0.0 terms of chargers
+  /// that miss it are skipped. Every exact-power evaluation below folds
+  /// this vector.
+  std::vector<double> exact_powers(std::span<const Strategy> placement) const;
+
+  /// Additive power (Eq. 2) over a placement at one device.
   double total_exact_power(std::span<const Strategy> placement,
                            std::size_t j) const;
   double total_approx_power(std::span<const Strategy> placement,
@@ -148,11 +163,17 @@ class Scenario {
   /// Normalized objective of P1: Σ_j w_j·U_j(P_w(o_j)) / Σ_j w_j — the
   /// paper's (1/N_o)·Σ_j U_j under uniform weights.
   double placement_utility(std::span<const Strategy> placement) const;
+  /// The same objective from already computed exact_powers(placement).
+  double placement_utility_from(std::span<const double> powers) const;
   double placement_utility_approx(std::span<const Strategy> placement) const;
 
   /// Per-device utilities under a placement (exact power).
   std::vector<double> per_device_utility(
       std::span<const Strategy> placement) const;
+  /// Per-device utilities from already computed exact_powers(placement).
+  std::vector<double> per_device_utility_from(
+      std::span<const double> powers) const;
+  /// Same as exact_powers.
   std::vector<double> per_device_power(
       std::span<const Strategy> placement) const;
 
@@ -175,6 +196,8 @@ class Scenario {
   /// above.
   bool has_obstacles_ = false;
   geom::BBox region_;
+  /// Over devices_ in index order (see device_index()).
+  spatial::GridIndex device_index_;
   double eps1_;
   std::vector<RingLadder> ladders_;  // [q * num_device_types + t]
   double max_range_ = 0.0;

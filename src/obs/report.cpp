@@ -104,6 +104,18 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
        << " kept\n";
   }
 
+  // The exact-evaluation funnel: (charger, device) pairs the device grid
+  // handed to the Eq. (1) gate -> pairs it passed.
+  std::uint64_t pairs_tested = 0, pairs_covered = 0;
+  for (const auto& c : snapshot.counters) {
+    if (c.name == "exact_eval.pairs_tested") pairs_tested = c.value;
+    if (c.name == "exact_eval.pairs_covered") pairs_covered = c.value;
+  }
+  if (pairs_tested > 0) {
+    os << "exact-eval funnel: " << pairs_tested << " pairs tested -> "
+       << pairs_covered << " covered\n";
+  }
+
   // Derived dirty-gain cache effectiveness (the flat-CSR incremental
   // greedy): share of gain evaluations served from the cache instead of
   // recomputed — the fraction of argmax work the dirty set eliminated.

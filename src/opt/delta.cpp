@@ -231,14 +231,11 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
   stats.tasks_total = n;
 
   // Re-extract the invalidated tasks (same task code, same options, same
-  // device-order GridIndex as pdcs::extract_all — determinism makes each
-  // regenerated output bit-identical to what the cold pipeline computes).
+  // device grid as pdcs::extract_all — determinism makes each regenerated
+  // output bit-identical to what the cold pipeline computes).
   {
     obs::Span span("delta.extract");
-    std::vector<geom::Vec2> pts;
-    pts.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) pts.push_back(scenario_->device(j).pos);
-    const spatial::GridIndex index(scenario_->region(), std::move(pts));
+    const spatial::GridIndex& index = scenario_->device_index();
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < n; ++i) {
       if (affected[i]) todo.push_back(i);

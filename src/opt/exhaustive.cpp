@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/model/los_cache.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::opt {
@@ -37,8 +36,8 @@ class Solver {
     for (std::size_t i : best_) {
       out.result.placement.push_back(objective_.strategy(i));
     }
-    model::LosCache cache(objective_.scenario());
-    out.result.exact_utility = cache.placement_utility(out.result.placement);
+    out.result.exact_utility =
+        objective_.scenario().placement_utility(out.result.placement);
     return out;
   }
 

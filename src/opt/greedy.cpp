@@ -4,7 +4,6 @@
 #include <numeric>
 #include <queue>
 
-#include "src/model/los_cache.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/phase.hpp"
 #include "src/util/error.hpp"
@@ -103,20 +102,17 @@ BestGain best_gain_dense(const ChargingObjective::State& state,
 
 void finish(const model::Scenario& scenario,
             const ChargingObjective& objective, GreedyResult& result,
-            const ChargingObjective::State& state,
-            parallel::ThreadPool* workers) {
+            const ChargingObjective::State& state) {
   result.approx_utility = state.value();
   result.placement.clear();
   result.placement.reserve(result.selected.size());
   for (std::size_t i : result.selected) {
     result.placement.push_back(objective.strategy(i));
   }
-  // Memoized exact evaluation: strategies at the same position share LOS
-  // traces across devices and placement slots (result identical to
-  // Scenario::placement_utility).
+  // Exact Eq. (1)-(3) utility of the chosen placement: one charger-major
+  // pass over the scenario's device grid.
   obs::ScopedPhase phase("exact_eval");
-  model::LosCache cache(scenario);
-  result.exact_utility = cache.placement_utility(result.placement, workers);
+  result.exact_utility = scenario.placement_utility(result.placement);
 }
 
 GreedyResult greedy_per_type(const model::Scenario& scenario,
@@ -161,7 +157,7 @@ GreedyResult greedy_per_type(const model::Scenario& scenario,
       note_selection(best.gain);
     }
   }
-  finish(scenario, objective, result, state, workers);
+  finish(scenario, objective, result, state);
   return result;
 }
 
@@ -211,7 +207,7 @@ GreedyResult greedy_global(const model::Scenario& scenario,
       }
     }
   }
-  finish(scenario, objective, result, state, workers);
+  finish(scenario, objective, result, state);
   return result;
 }
 
@@ -292,7 +288,7 @@ GreedyResult greedy_lazy(const model::Scenario& scenario,
     note_selection(top.gain);
     ++round;
   }
-  finish(scenario, objective, result, state, workers);
+  finish(scenario, objective, result, state);
   return result;
 }
 

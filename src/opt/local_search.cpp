@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/model/los_cache.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::opt {
@@ -78,8 +77,7 @@ LocalSearchResult local_search_improve(
   for (std::size_t i : selected) {
     out.result.placement.push_back(objective.strategy(i));
   }
-  model::LosCache cache(scenario);
-  out.result.exact_utility = cache.placement_utility(out.result.placement);
+  out.result.exact_utility = scenario.placement_utility(out.result.placement);
   return out;
 }
 

@@ -69,13 +69,8 @@ std::vector<Vec2> arrangement_vertices(const model::Scenario& scenario,
   HIPO_REQUIRE(q < scenario.num_charger_types(), "charger type out of range");
   const auto& ct = scenario.charger_type(q);
 
-  std::vector<Vec2> points;
-  points.reserve(scenario.num_devices());
-  for (std::size_t j = 0; j < scenario.num_devices(); ++j) {
-    points.push_back(scenario.device(j).pos);
-  }
-  const spatial::GridIndex index(scenario.region(), std::move(points));
-  VertexSink sink(scenario, index, ct.d_max + geom::kCoverEps);
+  VertexSink sink(scenario, scenario.device_index(),
+                  ct.d_max + geom::kCoverEps);
 
   // Collect the boundary curves.
   std::vector<Circle> circles;
@@ -154,12 +149,7 @@ std::vector<Vec2> arrangement_vertices(const model::Scenario& scenario,
 
 std::vector<Candidate> extract_all_arrangement(
     const model::Scenario& scenario, const ArrangementOptions& opt) {
-  std::vector<Vec2> points;
-  points.reserve(scenario.num_devices());
-  for (std::size_t j = 0; j < scenario.num_devices(); ++j) {
-    points.push_back(scenario.device(j).pos);
-  }
-  const spatial::GridIndex index(scenario.region(), std::move(points));
+  const spatial::GridIndex& index = scenario.device_index();
 
   std::vector<Candidate> out;
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {

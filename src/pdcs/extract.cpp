@@ -17,10 +17,7 @@ ExtractionResult extract_all(const model::Scenario& scenario,
   ExtractionResult result;
   result.task_seconds.assign(n, 0.0);
 
-  std::vector<geom::Vec2> points;
-  points.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) points.push_back(scenario.device(j).pos);
-  const spatial::GridIndex index(scenario.region(), std::move(points));
+  const spatial::GridIndex& index = scenario.device_index();
 
   std::vector<std::vector<Candidate>> per_task(n);
   auto run_task = [&](std::size_t i) {

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 
 #include "src/obs/metrics.hpp"
 #include "src/util/error.hpp"
@@ -21,6 +22,18 @@ namespace {
 
 void close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
+}
+
+/// Writes one reply frame; false (counted in `serve.client_resets`) when the
+/// peer has reset or vanished, which only ends that connection.
+bool send_reply(int fd, std::string_view payload) {
+  try {
+    write_frame_fd(fd, payload);
+    return true;
+  } catch (const ConfigError&) {
+    obs::counter("serve.client_resets").add();
+    return false;
+  }
 }
 
 }  // namespace
@@ -91,12 +104,8 @@ void Server::run() {
     }
     if (connections_.size() >= options_.max_connections) {
       obs::counter("serve.rejected").add();
-      try {
-        write_frame_fd(fd, "{\"ok\":false,\"error\":\"overloaded\",\"message\":"
-                        "\"connection limit reached; retry later\"}");
-      } catch (const ConfigError&) {
-        // Peer vanished; nothing to tell it.
-      }
+      send_reply(fd, "{\"ok\":false,\"error\":\"overloaded\",\"message\":"
+                     "\"connection limit reached; retry later\"}");
       close_quiet(fd);
       continue;
     }
@@ -143,8 +152,7 @@ void Server::serve_connection(Connection& conn) {
   std::string request;
   try {
     while (read_frame_fd(conn.fd, options_.max_frame_bytes, request)) {
-      const std::string response = service_.handle(request);
-      write_frame_fd(conn.fd, response);
+      if (!send_reply(conn.fd, service_.handle(request))) break;
       if (service_.shutdown_requested()) {
         // This connection delivered (or raced with) the shutdown request;
         // stop reading and let the acceptor drain.
@@ -156,14 +164,11 @@ void Server::serve_connection(Connection& conn) {
   } catch (const ConfigError& e) {
     // Oversized/garbled frame or peer reset: answer if the socket still
     // writes, then drop the connection.
-    try {
-      Json err = Json::object();
-      err.set("ok", Json::boolean(false));
-      err.set("error", Json::string("bad_frame"));
-      err.set("message", Json::string(e.what()));
-      write_frame_fd(conn.fd, err.dump());
-    } catch (const ConfigError&) {
-    }
+    Json err = Json::object();
+    err.set("ok", Json::boolean(false));
+    err.set("error", Json::string("bad_frame"));
+    err.set("message", Json::string(e.what()));
+    send_reply(conn.fd, err.dump());
   }
   // FIN the peer now, but leave the close (and fd-number reuse) to whoever
   // joins this thread — stop() may still hold conn.fd for its SHUT_RD.

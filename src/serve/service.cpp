@@ -435,15 +435,15 @@ Json Service::do_eval(const Json& request) {
     resp.set("ok", Json::boolean(true));
     resp.set("type", Json::string("eval"));
     resp.set("key", Json::string(key));
+    // One exact pass; the utility and both per-device arrays fold it.
+    const std::vector<double> device_powers = scenario.exact_powers(placement);
     resp.set("utility",
-             Json::number(scenario.placement_utility(placement)));
+             Json::number(scenario.placement_utility_from(device_powers)));
     if (per_device) {
       Json powers = Json::array();
-      for (const double p : scenario.per_device_power(placement)) {
-        powers.push(Json::number(p));
-      }
+      for (const double p : device_powers) powers.push(Json::number(p));
       Json utilities = Json::array();
-      for (const double u : scenario.per_device_utility(placement)) {
+      for (const double u : scenario.per_device_utility_from(device_powers)) {
         utilities.push(Json::number(u));
       }
       resp.set("per_device_power", std::move(powers));

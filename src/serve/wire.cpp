@@ -1,5 +1,6 @@
 #include "src/serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -380,16 +381,26 @@ void write_frame_fd(int fd, std::string_view payload) {
   encode_frame_header(payload.size(), header);
   // Header and payload in two writes: pipes and loopback sockets coalesce,
   // and a single-copy staging buffer would double the payload's footprint.
-  const auto write_all = [fd](const void* buf, std::size_t n) {
+  // Sockets are written with MSG_NOSIGNAL, so a peer that resets before
+  // its reply costs an EPIPE/ECONNRESET error here instead of a
+  // process-killing SIGPIPE; pipes answer send() with ENOTSOCK and are
+  // written with write().
+  bool is_socket = true;
+  const auto write_all = [fd, &is_socket](const void* buf, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(buf);
     std::size_t put = 0;
     while (put < n) {
-      const ssize_t w = ::write(fd, p + put, n - put);
+      const ssize_t w = is_socket ? ::send(fd, p + put, n - put, MSG_NOSIGNAL)
+                                  : ::write(fd, p + put, n - put);
       if (w > 0) {
         put += static_cast<std::size_t>(w);
         continue;
       }
       if (w < 0 && errno == EINTR) continue;
+      if (w < 0 && is_socket && errno == ENOTSOCK) {
+        is_socket = false;
+        continue;
+      }
       throw ConfigError(std::string("write: ") + std::strerror(errno));
     }
   };

@@ -100,7 +100,8 @@ std::size_t decode_frame_header(const unsigned char in[4],
 /// Write one length-prefixed frame to a file descriptor. Works on any
 /// byte-stream fd — the daemon's sockets and the shard runner's worker
 /// pipes share this one implementation. Retries EINTR; ConfigError on
-/// write failure.
+/// write failure, including a socket peer that has gone (never SIGPIPE on
+/// a socket).
 void write_frame_fd(int fd, std::string_view payload);
 
 /// Read one frame from a file descriptor into `out`; false on clean EOF at

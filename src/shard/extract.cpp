@@ -86,13 +86,7 @@ ShardStats extract_shard(const model::Scenario& full, const ShardPlan& plan,
   }
 
   const SubScenario sub = build_sub_scenario(full, manifest);
-  const std::size_t n_local = sub.scenario.num_devices();
-  std::vector<geom::Vec2> points;
-  points.reserve(n_local);
-  for (std::size_t j = 0; j < n_local; ++j) {
-    points.push_back(sub.scenario.device(j).pos);
-  }
-  const spatial::GridIndex index(sub.scenario.region(), std::move(points));
+  const spatial::GridIndex& index = sub.scenario.device_index();
 
   const std::size_t ceiling_bytes = tile.mem_ceiling_bytes;
   std::size_t tile_tasks = tile.tile_tasks;

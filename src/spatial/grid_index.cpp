@@ -10,6 +10,19 @@ namespace hipo::spatial {
 using geom::BBox;
 using geom::Vec2;
 
+namespace {
+
+/// Cell coordinate `v` (in cell units) clamped into [0, n). Tests the range
+/// before converting: a double-to-integer cast of NaN or of a value past
+/// the integer range is undefined.
+std::size_t clamp_idx(double v, std::size_t n) {
+  if (!(v >= 0.0)) return 0;
+  if (v >= static_cast<double>(n)) return n - 1;
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 GridIndex::GridIndex(const BBox& bounds, std::vector<Vec2> points,
                      double target_per_cell)
     : bounds_(bounds) {
@@ -48,11 +61,6 @@ GridIndex::GridIndex(const BBox& bounds, std::vector<Vec2> points,
 }
 
 std::size_t GridIndex::cell_of(Vec2 p) const {
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
   const std::size_t cx = clamp_idx((p.x - bounds_.lo.x) / cell_w_, nx_);
   const std::size_t cy = clamp_idx((p.y - bounds_.lo.y) / cell_h_, ny_);
   return cy * nx_ + cx;
@@ -60,11 +68,6 @@ std::size_t GridIndex::cell_of(Vec2 p) const {
 
 void GridIndex::cell_range(const BBox& box, std::size_t& x0, std::size_t& x1,
                            std::size_t& y0, std::size_t& y1) const {
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
   x0 = clamp_idx((box.lo.x - bounds_.lo.x) / cell_w_, nx_);
   x1 = clamp_idx((box.hi.x - bounds_.lo.x) / cell_w_, nx_);
   y0 = clamp_idx((box.lo.y - bounds_.lo.y) / cell_h_, ny_);

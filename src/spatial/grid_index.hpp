@@ -15,6 +15,9 @@ namespace hipo::spatial {
 
 class GridIndex {
  public:
+  /// Empty index: no points, every query returns nothing.
+  GridIndex() : cell_start_(2, 0) {}
+
   /// Builds an index over `points` inside `bounds`; `target_per_cell`
   /// controls grid resolution. Points outside bounds are clamped to the
   /// boundary cells (still retrievable).
@@ -22,7 +25,8 @@ class GridIndex {
             double target_per_cell = 2.0);
 
   /// Indices of points within `radius` of `center` (exact post-filter),
-  /// ascending.
+  /// ascending. A center far outside the bounds (even non-finite) is
+  /// clamped to the boundary cells like any point.
   std::vector<std::size_t> query_radius(geom::Vec2 center,
                                         double radius) const;
   /// The same query into a caller-owned buffer: `out` is cleared, then

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
@@ -44,6 +46,23 @@ TEST(GridIndex, PointOutsideBoundsStillIndexed) {
   const GridIndex index(box(0, 0, 10, 10), {{-2, -2}});
   const auto hits = index.query_radius({-1, -1}, 3.0);
   EXPECT_EQ(hits.size(), 1u);
+}
+
+TEST(GridIndex, FarAndNonFiniteCentersClampToBoundaryCells) {
+  // Cell coordinates far past the integer range (or NaN) must clamp, not
+  // go through an undefined double-to-integer conversion.
+  const GridIndex index(box(0, 0, 10, 10),
+                        {{1, 1}, {5, 5}, {9, 9}, {2, 8}, {8, 2}});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(index.query_radius({1e30, 9}, 2e30),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(index.query_radius({-1e30, 1}, 2e30),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(index.query_radius({inf, 5}, 3.0).empty());
+  EXPECT_TRUE(index.query_radius({5, -inf}, 3.0).empty());
+  EXPECT_TRUE(index.query_radius({nan, 5}, 3.0).empty());
+  EXPECT_TRUE(GridIndex().query_radius({5, 5}, 100.0).empty());
 }
 
 TEST(GridIndex, RejectsDegenerateBox) {

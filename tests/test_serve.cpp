@@ -2,9 +2,16 @@
 // semantics, and the Service/Server request paths. The headline contract:
 // served placements (cold miss, warm hit, post-delta) are byte-identical to
 // what core::solve / opt::DeltaSolver produce directly.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -99,6 +106,27 @@ TEST(WireFrame, RejectsOversizedFrames) {
   serve::encode_frame_header(1025, header);
   EXPECT_THROW(serve::decode_frame_header(header, 1024), ConfigError);
   EXPECT_EQ(serve::decode_frame_header(header, 1025), 1025u);
+}
+
+TEST(WireFrame, WriteToClosedSocketThrowsInsteadOfRaisingSigpipe) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  // A plain write() here would raise SIGPIPE and end the test binary.
+  EXPECT_THROW(serve::write_frame_fd(fds[0], "{}"), ConfigError);
+  ::close(fds[0]);
+}
+
+TEST(WireFrame, PipesStillCarryFrames) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  serve::write_frame_fd(fds[1], "{\"type\":\"stats\"}");
+  ::close(fds[1]);
+  std::string payload;
+  ASSERT_TRUE(serve::read_frame_fd(fds[0], 1024, payload));
+  EXPECT_EQ(payload, "{\"type\":\"stats\"}");
+  EXPECT_FALSE(serve::read_frame_fd(fds[0], 1024, payload));
+  ::close(fds[0]);
 }
 
 // --- cache ----------------------------------------------------------------
@@ -315,6 +343,46 @@ TEST_F(ServiceTest, EvalInlineAndByKey) {
   inline_eval.set("placement", *solved.find("placement"));
   EXPECT_EQ(call_ok(inline_eval.dump()).find("utility")->as_number(),
             solved.find("utility")->as_number());
+}
+
+TEST_F(ServiceTest, EvalPerDeviceMatchesScenarioBitForBit) {
+  const model::Scenario scenario = test::small_paper_scenario(7, 2);
+  serve::Json solve = serve::Json::object();
+  solve.set("type", serve::Json::string("solve"));
+  solve.set("scenario", serve::Json::string(scenario_text(scenario)));
+  const serve::Json solved = call_ok(solve.dump());
+
+  // The placement exactly as the service parses it from the wire.
+  model::Placement placement;
+  for (const serve::Json& row : solved.find("placement")->as_array()) {
+    const auto& v = row.as_array();
+    placement.push_back({{v[0].as_number(), v[1].as_number()},
+                         v[2].as_number(),
+                         static_cast<std::size_t>(v[3].as_number())});
+  }
+  ASSERT_FALSE(placement.empty());
+
+  serve::Json eval = serve::Json::object();
+  eval.set("type", serve::Json::string("eval"));
+  eval.set("key", *solved.find("key"));
+  eval.set("placement", *solved.find("placement"));
+  eval.set("per_device", serve::Json::boolean(true));
+  const serve::Json resp = call_ok(eval.dump());
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(resp.find("utility")->as_number()),
+            bits(scenario.placement_utility(placement)));
+  const auto expect_array = [&](const char* field,
+                                const std::vector<double>& want) {
+    const auto& got = resp.find(field)->as_array();
+    ASSERT_EQ(got.size(), want.size()) << field;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(bits(got[j].as_number()), bits(want[j]))
+          << field << " device " << j;
+    }
+  };
+  expect_array("per_device_power", scenario.per_device_power(placement));
+  expect_array("per_device_utility", scenario.per_device_utility(placement));
 }
 
 TEST_F(ServiceTest, MalformedRequestsGetErrorResponsesNotThrows) {
@@ -681,6 +749,54 @@ TEST(ServeServer, LoopbackRoundTripAndCleanShutdown) {
   }
   server.stop();  // must join cleanly after the served shutdown
   EXPECT_TRUE(service.shutdown_requested());
+}
+
+TEST(ServeServer, ClientResetBeforeReplyIsCountedNotFatal) {
+  // A client that resets its connection while its request is in flight
+  // must cost the daemon one failed reply (counted), not a SIGPIPE.
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  parallel::ThreadPool pool(2);
+  serve::ServiceOptions sopts;
+  sopts.cache_entries = 2;
+  sopts.max_inflight = 2;
+  sopts.pool = &pool;
+  serve::Service service(sopts);
+  serve::Server server(service, serve::ServerOptions{});
+  server.start();
+
+  serve::Json req = serve::Json::object();
+  req.set("type", serve::Json::string("solve"));
+  req.set("scenario",
+          serve::Json::string(scenario_text(test::small_paper_scenario(3))));
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    serve::write_frame_fd(fd, req.dump());
+    // Zero-timeout linger: close() sends RST instead of FIN.
+    const linger reset{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    ::close(fd);
+  }
+  // The failed reply is counted on the connection's thread once the solve
+  // finishes; wait for it.
+  const obs::Counter& resets = obs::counter("serve.client_resets");
+  for (int i = 0; i < 3000 && resets.value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  serve::Client client(server.port());
+  const serve::Json stats =
+      serve::parse_json(client.call("{\"type\":\"stats\"}"));
+  EXPECT_TRUE(stats.find("ok")->as_bool());
+  EXPECT_EQ(resets.value(), 1u);
+  server.stop();
 }
 
 TEST(ServeServer, ConcurrentClientsOverLoopback) {

@@ -285,13 +285,13 @@ int main(int argc, char** argv) {
               << scenario.num_obstacles() << " obstacles\n";
     std::cout << "gain kernels: "
               << opt::simd::isa_name(opt::simd::active_isa()) << "\n";
+    const auto powers = scenario.exact_powers(placement);
     std::cout << "placement: " << placement.size() << " chargers, utility "
-              << format_double(scenario.placement_utility(placement), 4)
+              << format_double(scenario.placement_utility_from(powers), 4)
               << "\n";
 
     Table per_device({"device", "power", "utility"});
-    const auto powers = scenario.per_device_power(placement);
-    const auto utilities = scenario.per_device_utility(placement);
+    const auto utilities = scenario.per_device_utility_from(powers);
     for (std::size_t j = 0; j < scenario.num_devices(); ++j) {
       per_device.row()
           .add(std::to_string(j + 1))
