@@ -3,9 +3,9 @@
 // JSON parser).
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -39,12 +39,15 @@ inline std::string json_escape(std::string_view s) {
 /// Non-finite values have no JSON number representation; emitting them
 /// verbatim would corrupt the document and "0" would silently fabricate
 /// data, so they become `null` — parsers see "value absent", not a lie.
+/// std::to_chars with general format and precision 17 writes the same
+/// characters as an ostream at precision(17) (printf "%.17g"), without a
+/// stream construction per number: serve responses carry thousands.
 inline std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17).ptr;
+  return std::string(buf, end);
 }
 
 }  // namespace hipo::obs

@@ -9,7 +9,11 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -142,6 +146,38 @@ TEST(JsonDouble, NonFiniteBecomesNull) {
   EXPECT_EQ(json_double(-std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(json_double(0.0), "0");
   EXPECT_EQ(json_double(1.5), "1.5");
+}
+
+// json_double's text is part of the serve wire bytes, so it must stay the
+// ostream precision(17) form ("%.17g") it has always had, and round-trip.
+TEST(JsonDouble, MatchesStreamPrecision17AndRoundTrips) {
+  const auto stream_form = [](double v) {
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    return os.str();
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 100.0, 1e16, 1e17, 1e21, 1e-5, 1e-4,
+      6.283185307179586, 123456789012345678.0,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  std::mt19937_64 rng(20240611);
+  std::uniform_real_distribution<double> coord(-1000.0, 1000.0);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(coord(rng));
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const double v : values) {
+    const std::string text = json_double(v);
+    ASSERT_EQ(text, stream_form(v));
+    const double back = std::strtod(text.c_str(), nullptr);
+    ASSERT_EQ(std::memcmp(&back, &v, sizeof v), 0) << text;
+  }
 }
 
 TEST(JsonDouble, NonFiniteMetricsStillEmitValidJson) {
