@@ -183,31 +183,29 @@ struct SpeedupPoint {
 };
 
 /// Per-chunk durations of one full argmax sweep (the unit every greedy
-/// round hands to the pool): time each fixed grain-128 chunk of
-/// `State::best_gain` individually, best-of-`reps`. The chunking matches
-/// `opt::select_strategies` exactly, so LPT over these durations is the
-/// same simulated-machines substitution the Fig. 12 harness uses for
-/// Algorithm 5 (see DESIGN.md) — it predicts the m-worker makespan on
-/// hardware this container may not have.
+/// round hands to the pool): time each fixed opt::kArgmaxGrain chunk of
+/// `State::best_gain` individually, best-of-`reps`. Each rep starts from a
+/// fresh State, so every chunk refreshes all of its rows — the first
+/// round's full evaluation. The chunking matches `opt::select_strategies`
+/// exactly, so LPT over these durations is the same simulated-machines
+/// substitution the Fig. 12 harness uses for Algorithm 5 (see DESIGN.md) —
+/// it predicts the m-worker makespan on hosts with more cores than this
+/// one.
 std::vector<double> argmax_chunk_durations(
     const model::Scenario& scenario,
     const std::vector<pdcs::Candidate>& candidates, int reps) {
   const opt::ChargingObjective objective(scenario, candidates);
-  opt::ChargingObjective::State state(objective);
-  std::vector<std::size_t> pool_indices(candidates.size());
-  std::iota(pool_indices.begin(), pool_indices.end(), std::size_t{0});
-  const std::vector<bool> taken(candidates.size(), false);
-
-  constexpr std::size_t kGrain = 128;  // == opt::kArgmaxGrain
-  const std::size_t chunks = (candidates.size() + kGrain - 1) / kGrain;
+  const std::size_t n = candidates.size();
+  const std::size_t chunks = (n + opt::kArgmaxGrain - 1) / opt::kArgmaxGrain;
   std::vector<double> durations(chunks, 0.0);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * kGrain;
-    const std::size_t end = std::min(candidates.size(), begin + kGrain);
-    for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
+    opt::ChargingObjective::State state(objective);
+    state.enable_incremental();
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t begin = c * opt::kArgmaxGrain;
+      const std::size_t end = std::min(n, begin + opt::kArgmaxGrain);
       obs::Stopwatch timer;
-      benchmark::DoNotOptimize(
-          state.best_gain(pool_indices, begin, end, taken));
+      benchmark::DoNotOptimize(state.best_gain(begin, end));
       const double elapsed = timer.seconds();
       if (rep == 0 || elapsed < durations[c]) durations[c] = elapsed;
     }

@@ -9,11 +9,8 @@ namespace hipo::core {
 ReplanOptions replan_options(const SolveOptions& solve) {
   HIPO_REQUIRE(!solve.local_search,
                "replan: local search has no incremental path");
-  HIPO_REQUIRE(solve.gain_engine == opt::GainEngine::kFlatCsr,
-               "replan: the delta engine requires the flat CSR gain engine");
   ReplanOptions out;
   out.delta.mode = solve.greedy;
-  out.delta.quantize = solve.gain_quantize;
   out.delta.extract = solve.extract;
   out.delta.workers = solve.pool;
   return out;

@@ -21,19 +21,13 @@ SolveResult solve(const model::Scenario& scenario,
                                            result.extraction.candidates,
                                            options.greedy,
                                            opt::ObjectiveKind::kUtility,
-                                           options.pool,
-                                           options.gain_engine,
-                                           options.gain_quantize);
+                                           options.pool);
   }
   if (options.local_search) {
     obs::ScopedPhase phase("local_search");
-    opt::LocalSearchOptions ls;
-    ls.engine = options.gain_engine;
     result.greedy = opt::local_search_improve(scenario,
                                               result.extraction.candidates,
-                                              result.greedy,
-                                              opt::ObjectiveKind::kUtility,
-                                              ls)
+                                              result.greedy)
                         .result;
   }
   result.placement = result.greedy.placement;

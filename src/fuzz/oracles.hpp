@@ -33,7 +33,7 @@ struct NamedOracle {
   Oracle fn;
 };
 
-/// The eight oracles, in fixed execution order.
+/// The seven oracles, in fixed execution order.
 std::span<const NamedOracle> all_oracles();
 
 /// (1) SegmentIndex line-of-sight / containment vs. the brute-force
@@ -67,15 +67,7 @@ std::optional<Violation> check_greedy_bound(const model::Scenario& scenario,
 std::optional<Violation> check_determinism(const model::Scenario& scenario,
                                            std::uint64_t seed);
 
-/// (6) Gain-kernel dispatch identity: greedy selections and utilities must
-/// be bit-identical across forced scalar vs. AVX2 kernels (when compiled
-/// and supported), quantized vs. plain dense argmax, and flat vs. legacy
-/// engine, for every greedy mode and objective kind. Restores the
-/// previously active ISA on exit.
-std::optional<Violation> check_simd_identity(const model::Scenario& scenario,
-                                             std::uint64_t seed);
-
-/// (7) Incremental re-solve: a random churn sequence (device add / remove /
+/// (6) Incremental re-solve: a random churn sequence (device add / remove /
 /// move, obstacle add / remove) applied through opt::DeltaSolver must be
 /// bit-identical to a cold solve of the mutated scenario after every prefix
 /// — patched coverage matrix, selection, placement, and both utilities.
@@ -83,7 +75,7 @@ std::optional<Violation> check_simd_identity(const model::Scenario& scenario,
 std::optional<Violation> check_delta(const model::Scenario& scenario,
                                      std::uint64_t seed);
 
-/// (8) Sharded extraction: for shard counts {2, 4, 7}, the merged
+/// (7) Sharded extraction: for shard counts {2, 4, 7}, the merged
 /// multi-shard candidate pool must be bit-identical to single-process
 /// extract_all — on a scenario augmented with devices pinned exactly on a
 /// shard border and exactly 2·d_max away from one (the neighbor-radius

@@ -15,9 +15,6 @@
 #ifndef HIPO_CXX_FLAGS
 #define HIPO_CXX_FLAGS ""
 #endif
-#ifndef HIPO_SIMD_COMPILED
-#define HIPO_SIMD_COMPILED "scalar"
-#endif
 
 namespace hipo::obs {
 
@@ -42,7 +39,6 @@ const BuildInfo& build_info() {
     b.compiler = compiler_id();
     b.build_type = HIPO_BUILD_TYPE;
     b.cxx_flags = HIPO_CXX_FLAGS;
-    b.simd = HIPO_SIMD_COMPILED;
     b.cplusplus = __cplusplus;
     b.hardware_threads = std::thread::hardware_concurrency();
     return b;
@@ -56,7 +52,6 @@ std::string build_info_json() {
                     "\",\"compiler\":\"" + json_escape(b.compiler) +
                     "\",\"build_type\":\"" + json_escape(b.build_type) +
                     "\",\"cxx_flags\":\"" + json_escape(b.cxx_flags) +
-                    "\",\"simd\":\"" + json_escape(b.simd) +
                     "\",\"cplusplus\":" + std::to_string(b.cplusplus) +
                     ",\"schema_version\":" + std::to_string(b.schema_version) +
                     ",\"hardware_threads\":" +

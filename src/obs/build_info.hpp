@@ -12,16 +12,16 @@ namespace hipo::obs {
 /// (documented in docs/FORMATS.md). Bump on breaking schema changes.
 /// v2: cxx_flags records the *effective* flags (CMAKE_CXX_FLAGS plus the
 /// per-config CMAKE_CXX_FLAGS_<CONFIG> — previously only the former, which
-/// is empty in a plain -DCMAKE_BUILD_TYPE=Release configure), and the new
-/// `simd` field names the widest gain-kernel ISA compiled into the binary.
-inline constexpr int kSchemaVersion = 2;
+/// is empty in a plain -DCMAKE_BUILD_TYPE=Release configure), and a `simd`
+/// field named the widest compiled gain-kernel ISA.
+/// v3: the `simd` field is gone (the gain kernels are plain scalar code).
+inline constexpr int kSchemaVersion = 3;
 
 struct BuildInfo {
   std::string git_describe;   ///< `git describe --always --dirty` (configure time)
   std::string compiler;       ///< compiler id + version
   std::string build_type;     ///< CMAKE_BUILD_TYPE
   std::string cxx_flags;      ///< effective flags (base + per-config)
-  std::string simd;           ///< widest compiled gain-kernel ISA ("avx2"/"scalar")
   long cplusplus = 0;         ///< __cplusplus of the build
   int schema_version = kSchemaVersion;
   unsigned hardware_threads = 0;  ///< std::thread::hardware_concurrency()
@@ -30,7 +30,7 @@ struct BuildInfo {
 const BuildInfo& build_info();
 
 /// The stamp as a one-line JSON object:
-/// {"git":...,"compiler":...,"build_type":...,"cxx_flags":...,"simd":...,
+/// {"git":...,"compiler":...,"build_type":...,"cxx_flags":...,
 ///  "cplusplus":...,"schema_version":...,"hardware_threads":...}
 std::string build_info_json();
 

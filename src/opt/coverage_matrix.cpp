@@ -30,11 +30,11 @@ void CoverageMatrix::build(std::span<const pdcs::Candidate* const> candidates,
   }
   HIPO_REQUIRE(nnz <= std::numeric_limits<std::uint32_t>::max(),
                "coverage matrix exceeds u32 entry capacity");
-  // The AVX2 row kernels gather per-device data with *signed* 32-bit
-  // indices, so device ids must stay below 2^31. Far above any realistic
-  // scenario (ids are u32 anyway), but enforced rather than assumed.
+  // Device ids are stored as u32 and kept below 2^31, so every id is also
+  // a valid signed 32-bit index. Far above any realistic scenario, but
+  // enforced rather than assumed.
   HIPO_REQUIRE(num_devices < (std::size_t{1} << 31),
-               "coverage matrix device count exceeds i32 gather range");
+               "coverage matrix device count exceeds 2^31");
 
   row_start_.assign(1, 0);
   row_start_.reserve(candidates.size() + 1);
@@ -83,7 +83,7 @@ void CoverageMatrix::rebuild_inverted_index(std::size_t num_devices) {
 CoverageMatrixBuilder::CoverageMatrixBuilder(std::size_t num_devices)
     : num_devices_(num_devices) {
   HIPO_REQUIRE(num_devices < (std::size_t{1} << 31),
-               "coverage matrix device count exceeds i32 gather range");
+               "coverage matrix device count exceeds 2^31");
 }
 
 void CoverageMatrixBuilder::add_row(const model::Strategy& strategy,
@@ -121,7 +121,7 @@ CoverageMatrix::PatchStats CoverageMatrix::apply_patch(
     std::span<const RowInsert> inserts, std::size_t new_num_devices,
     std::size_t removed_device) {
   HIPO_REQUIRE(new_num_devices < (std::size_t{1} << 31),
-               "coverage matrix device count exceeds i32 gather range");
+               "coverage matrix device count exceeds 2^31");
   const std::size_t old_rows = num_rows();
   const std::size_t kept_rows = old_rows - num_dead_;
   const std::size_t new_rows = kept_rows + inserts.size();
@@ -179,8 +179,8 @@ CoverageMatrix::PatchStats CoverageMatrix::apply_patch(
   // source offset is >= its destination (left_only), and inserts write
   // strictly below the source cursor, so forward moves never clobber
   // unread kept data. The staging variant writes fresh buffers and swaps.
-  simd::avec<std::uint32_t> staged_dev;
-  simd::avec<double> staged_pow;
+  std::vector<std::uint32_t> staged_dev;
+  std::vector<double> staged_pow;
   std::vector<model::Strategy> staged_strat(new_rows);
   if (!stats.in_place) {
     staged_dev.resize(new_nnz);

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/model/types.hpp"
-#include "src/opt/simd/aligned.hpp"
 #include "src/pdcs/candidate.hpp"
 
 namespace hipo::opt {
@@ -141,12 +140,9 @@ class CoverageMatrix {
   void build(std::span<const pdcs::Candidate* const> candidates,
              std::size_t num_devices);
   void rebuild_inverted_index(std::size_t num_devices);
-  /// The kernel-scanned arenas are 32-byte aligned (simd::avec): row scans
-  /// start at arbitrary offsets so the kernels use unaligned loads either
-  /// way, but aligned bases keep whole-arena sweeps off split cachelines.
   std::vector<std::uint32_t> row_start_{0};
-  simd::avec<std::uint32_t> device_arena_;
-  simd::avec<double> power_arena_;
+  std::vector<std::uint32_t> device_arena_;
+  std::vector<double> power_arena_;
   std::vector<model::Strategy> row_strategy_;
   std::vector<std::uint32_t> dev_start_{0};
   std::vector<std::uint32_t> dev_rows_;

@@ -361,8 +361,7 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
   // Warm re-solve: the shared greedy drivers over the patched arenas.
   obs::Span greedy_span("delta.greedy");
   result_ = select_strategies(*scenario_, matrix_, options_.mode,
-                              options_.kind, options_.workers,
-                              options_.quantize);
+                              options_.kind, options_.workers);
 }
 
 // --- JSONL delta scripts --------------------------------------------------

@@ -13,8 +13,7 @@ class Solver {
   Solver(const model::Scenario& scenario,
          std::span<const pdcs::Candidate> candidates,
          const ExactOptions& options)
-      : objective_(scenario, candidates, ObjectiveKind::kUtility,
-                   options.engine),
+      : objective_(scenario, candidates, ObjectiveKind::kUtility),
         matroid_(placement_matroid(scenario, objective_)),
         candidates_(candidates),
         options_(options) {}

@@ -19,10 +19,6 @@ struct ExactOptions {
   /// Hard cap on explored nodes (throws ConfigError when exceeded, so
   /// callers never silently get a non-optimal "exact" answer).
   std::size_t max_nodes = 50'000'000;
-  /// Gain-evaluation storage. The branch-and-bound copies State per include
-  /// branch, so it never enables the incremental caches, but the flat
-  /// engine's contiguous rows still speed up the bound computation.
-  GainEngine engine = GainEngine::kFlatCsr;
 };
 
 struct ExactResult {

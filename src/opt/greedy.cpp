@@ -1,7 +1,6 @@
 #include "src/opt/greedy.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <queue>
 
 #include "src/obs/metrics.hpp"
@@ -41,19 +40,6 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 
 namespace {
 
-/// Chunk size of the parallel argmax. Fixed (worker-count independent) so
-/// the chunked reduction is deterministic; small enough that a few thousand
-/// candidates split into enough chunks to balance 4–16 workers.
-constexpr std::size_t kArgmaxGrain = 128;
-
-/// Chunk size of the dense (SIMD-kernel) argmax. Larger than kArgmaxGrain:
-/// a dense chunk is a straight-line vector scan over contiguous lanes, so
-/// per-chunk dispatch overhead matters more and per-row cost matters less.
-/// Fixed for the same determinism reason — though the dense reduction's
-/// winner is chunking-invariant anyway (exact compares, lowest index wins
-/// across any chunk boundary).
-constexpr std::size_t kDenseGrain = 1024;
-
 /// Marginal-gain buckets: the utility objective is normalized to [0, 1], so
 /// accepted gains live on a log-ish scale below 1.
 constexpr double kGainBounds[] = {1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
@@ -69,35 +55,18 @@ void note_selection(double gain) {
   }
 }
 
-/// One pass of Algorithm 3's inner argmax over a candidate pool: per-chunk
+/// One pass of the eager modes' argmax over every eligible row: per-chunk
 /// sequential scans (State::best_gain) reduced in chunk order with the same
 /// exact strict comparison (ties → lower index), so the winner is identical
-/// for any worker count — and for the lazy variant's heap order.
+/// for any worker count — and to the lazy variant's heap order.
 BestGain best_gain(const ChargingObjective::State& state,
-                   std::span<const std::size_t> pool,
-                   const std::vector<bool>& taken,
-                   parallel::ThreadPool* workers) {
-  return parallel::chunked_reduce(
-      workers, pool.size(), BestGain{},
-      [&](std::size_t begin, std::size_t end) {
-        return state.best_gain(pool, begin, end, taken);
-      },
-      [](BestGain a, BestGain b) { return better_gain(a, b); }, kArgmaxGrain);
-}
-
-/// Dense variant: blocked SoA scan over every candidate row, eligibility
-/// filtering instead of pool indirection. Used whenever incremental
-/// tracking is on (the flat engine); the pooled scan remains the legacy
-/// engine's path and the A/B baseline the benchmarks compare against.
-BestGain best_gain_dense(const ChargingObjective::State& state,
-                         std::size_t num_candidates,
-                         parallel::ThreadPool* workers) {
+                   std::size_t num_candidates, parallel::ThreadPool* workers) {
   return parallel::chunked_reduce(
       workers, num_candidates, BestGain{},
       [&](std::size_t begin, std::size_t end) {
-        return state.best_gain_dense(begin, end);
+        return state.best_gain(begin, end);
       },
-      [](BestGain a, BestGain b) { return better_gain(a, b); }, kDenseGrain);
+      [](BestGain a, BestGain b) { return better_gain(a, b); }, kArgmaxGrain);
 }
 
 void finish(const model::Scenario& scenario,
@@ -116,42 +85,24 @@ void finish(const model::Scenario& scenario,
 }
 
 GreedyResult greedy_per_type(const model::Scenario& scenario,
-                             const ChargingObjective& objective, bool quantize,
+                             const ChargingObjective& objective,
                              parallel::ThreadPool* workers) {
   const std::size_t n = objective.num_candidates();
   ChargingObjective::State state(objective);
-  state.enable_incremental(quantize);
+  state.enable_incremental();
   GreedyResult result;
-  std::vector<bool> taken(n, false);
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
-    if (state.incremental()) {
-      // Dense path: one eligibility reset per type phase replaces the
-      // per-phase pool build — the argmax then scans contiguous lanes.
-      for (std::size_t i = 0; i < n; ++i) {
-        state.set_eligible(i, objective.strategy(i).type == q && !taken[i]);
-      }
-      const auto budget = static_cast<std::size_t>(scenario.charger_count(q));
-      for (std::size_t pick = 0; pick < budget; ++pick) {
-        const BestGain best = best_gain_dense(state, n, workers);
-        if (!best.found()) break;  // nothing left with positive gain
-        taken[best.index] = true;
-        state.mark_ineligible(best.index);
-        state.add(best.index);
-        result.selected.push_back(best.index);
-        note_selection(best.gain);
-      }
-      continue;
-    }
-    std::vector<std::size_t> pool;
+    // One eligibility reset per type phase. Rows taken in earlier phases
+    // belong to earlier types, so they come out ineligible here too.
     for (std::size_t i = 0; i < n; ++i) {
-      if (objective.strategy(i).type == q) pool.push_back(i);
+      state.set_eligible(i, objective.strategy(i).type == q);
     }
     const auto budget = static_cast<std::size_t>(scenario.charger_count(q));
     for (std::size_t pick = 0; pick < budget; ++pick) {
-      const BestGain best = best_gain(state, pool, taken, workers);
+      const BestGain best = best_gain(state, n, workers);
       if (!best.found()) break;  // nothing left with positive gain
-      taken[best.index] = true;
+      state.set_eligible(best.index, false);
       state.add(best.index);
       result.selected.push_back(best.index);
       note_selection(best.gain);
@@ -162,37 +113,27 @@ GreedyResult greedy_per_type(const model::Scenario& scenario,
 }
 
 GreedyResult greedy_global(const model::Scenario& scenario,
-                           const ChargingObjective& objective, bool quantize,
+                           const ChargingObjective& objective,
                            parallel::ThreadPool* workers) {
   const std::size_t n = objective.num_candidates();
   ChargingObjective::State state(objective);
-  state.enable_incremental(quantize);
-  const bool dense = state.incremental();
+  state.enable_incremental();
   const PartitionMatroid matroid = placement_matroid(scenario, objective);
   PartitionMatroid::Tracker tracker(matroid);
   GreedyResult result;
-  // `taken` also covers matroid-infeasible candidates: when a part fills
-  // up, all its remaining candidates are marked, keeping the scan filter a
-  // single flag test. Candidates of zero-budget parts are infeasible from
-  // the start — without this pre-marking the argmax could pick one and trip
-  // the tracker's capacity assertion before any retirement pass ran.
-  // Under the dense path the eligibility lane mirrors `taken` exactly.
-  std::vector<bool> taken(n, false);
+  // The eligibility lane also excludes matroid-infeasible candidates: when
+  // a part fills up, all its remaining candidates are retired. Candidates
+  // of zero-budget parts are infeasible from the start — without this
+  // pre-marking the argmax could pick one and trip the tracker's capacity
+  // assertion before any retirement pass ran.
   for (std::size_t i = 0; i < n; ++i) {
-    if (!tracker.can_add(i)) {
-      taken[i] = true;
-      state.mark_ineligible(i);
-    }
+    if (!tracker.can_add(i)) state.set_eligible(i, false);
   }
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
 
   while (!tracker.saturated()) {
-    const BestGain best = dense ? best_gain_dense(state, n, workers)
-                                : best_gain(state, all, taken, workers);
+    const BestGain best = best_gain(state, n, workers);
     if (!best.found()) break;
-    taken[best.index] = true;
-    state.mark_ineligible(best.index);
+    state.set_eligible(best.index, false);
     tracker.add(best.index);
     state.add(best.index);
     result.selected.push_back(best.index);
@@ -200,10 +141,7 @@ GreedyResult greedy_global(const model::Scenario& scenario,
     if (!tracker.can_add(best.index)) {  // part now full: retire its peers
       const std::size_t part = matroid.part_of(best.index);
       for (std::size_t i = 0; i < n; ++i) {
-        if (matroid.part_of(i) == part) {
-          taken[i] = true;
-          state.mark_ineligible(i);
-        }
+        if (matroid.part_of(i) == part) state.set_eligible(i, false);
       }
     }
   }
@@ -216,8 +154,6 @@ GreedyResult greedy_lazy(const model::Scenario& scenario,
                          parallel::ThreadPool* workers) {
   const std::size_t n = objective.num_candidates();
   ChargingObjective::State state(objective);
-  // Quantization only affects the dense argmax; the lazy driver is
-  // heap-ordered and never scans the quant lane, so it is not maintained.
   state.enable_incremental();
   const PartitionMatroid matroid = placement_matroid(scenario, objective);
   PartitionMatroid::Tracker tracker(matroid);
@@ -297,12 +233,12 @@ GreedyResult greedy_lazy(const model::Scenario& scenario,
 /// therefore the exact same selection) as the cold span path.
 GreedyResult run_greedy(const model::Scenario& scenario,
                         const ChargingObjective& objective, GreedyMode mode,
-                        parallel::ThreadPool* workers, bool quantize) {
+                        parallel::ThreadPool* workers) {
   switch (mode) {
     case GreedyMode::kPerType:
-      return greedy_per_type(scenario, objective, quantize, workers);
+      return greedy_per_type(scenario, objective, workers);
     case GreedyMode::kGlobal:
-      return greedy_global(scenario, objective, quantize, workers);
+      return greedy_global(scenario, objective, workers);
     case GreedyMode::kLazyGlobal:
       return greedy_lazy(scenario, objective, workers);
   }
@@ -315,18 +251,17 @@ GreedyResult run_greedy(const model::Scenario& scenario,
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode, ObjectiveKind kind,
-                               parallel::ThreadPool* workers,
-                               GainEngine engine, bool quantize) {
-  const ChargingObjective objective(scenario, candidates, kind, engine);
-  return run_greedy(scenario, objective, mode, workers, quantize);
+                               parallel::ThreadPool* workers) {
+  const ChargingObjective objective(scenario, candidates, kind);
+  return run_greedy(scenario, objective, mode, workers);
 }
 
 GreedyResult select_strategies(const model::Scenario& scenario,
                                const CoverageMatrix& matrix, GreedyMode mode,
                                ObjectiveKind kind,
-                               parallel::ThreadPool* workers, bool quantize) {
+                               parallel::ThreadPool* workers) {
   const ChargingObjective objective(scenario, matrix, kind);
-  return run_greedy(scenario, objective, mode, workers, quantize);
+  return run_greedy(scenario, objective, mode, workers);
 }
 
 }  // namespace hipo::opt

@@ -43,35 +43,32 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
                                    std::span<const pdcs::Candidate> candidates);
 
 /// Same matroid, read off an objective's row metadata (the CSR strategy
-/// arena under kFlatCsr) instead of the candidate structs. Identical
-/// output; this is what the greedy drivers use so the selection loop never
-/// touches the vector-of-vectors representation.
+/// arena) instead of the candidate structs. Identical output; this is what
+/// the greedy drivers use so the selection loop never touches the
+/// vector-of-vectors representation.
 PartitionMatroid placement_matroid(const model::Scenario& scenario,
                                    const ChargingObjective& objective);
+
+/// Chunk size of the eager modes' parallel argmax (State::best_gain per
+/// chunk, folded in chunk order). Fixed — worker-count independent — so the
+/// reduction is deterministic; the winner is chunking-invariant anyway
+/// (exact compares, lowest index wins across any chunk boundary).
+inline constexpr std::size_t kArgmaxGrain = 1024;
 
 /// Select strategies greedily. Stops early when no remaining candidate has
 /// positive gain and every budget is either filled or its part exhausted.
 /// `kind` selects the per-device transform (kLogUtility gives the
-/// proportional-fairness objective of Section 8.3). When `workers` is
-/// given, the per-round argmax, the lazy heap build, and the exact-utility
-/// evaluation run on the pool; the chunked deterministic reduction makes
-/// the result bit-identical for any worker count (including none).
-/// `engine` picks the gain-evaluation storage: kFlatCsr (default) packs the
-/// pool into a CoverageMatrix and runs the dirty-gain incremental argmax on
-/// the SIMD-dispatched dense kernels, kLegacy is the vector-of-vectors full
-/// rescan. Both return bit-identical results — every engine routes each
-/// row's gain through one canonical kernel expression and fold order
-/// (ctest-asserted); kLegacy exists as the A/B baseline. `quantize` turns
-/// on the u16 quantized top-k shortlist inside the dense argmax (per-type
-/// and global modes; the lazy heap has no dense scan): a bandwidth
-/// optimization whose exact-recheck keeps placements bit-identical too.
+/// proportional-fairness objective of Section 8.3). The pool is packed into
+/// a CoverageMatrix and selection runs the dirty-gain incremental greedy on
+/// it. When `workers` is given, the per-round argmax, the lazy heap build,
+/// and the exact-utility evaluation run on the pool; the chunked
+/// deterministic reduction makes the result bit-identical for any worker
+/// count (including none).
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode = GreedyMode::kPerType,
                                ObjectiveKind kind = ObjectiveKind::kUtility,
-                               parallel::ThreadPool* workers = nullptr,
-                               GainEngine engine = GainEngine::kFlatCsr,
-                               bool quantize = false);
+                               parallel::ThreadPool* workers = nullptr);
 
 /// Warm-matrix overload (the delta path): run the same greedy drivers over
 /// a caller-owned, already-built CoverageMatrix — no packing, no candidate
@@ -82,7 +79,6 @@ GreedyResult select_strategies(const model::Scenario& scenario,
                                const CoverageMatrix& matrix,
                                GreedyMode mode = GreedyMode::kPerType,
                                ObjectiveKind kind = ObjectiveKind::kUtility,
-                               parallel::ThreadPool* workers = nullptr,
-                               bool quantize = false);
+                               parallel::ThreadPool* workers = nullptr);
 
 }  // namespace hipo::opt

@@ -9,8 +9,8 @@ namespace hipo::opt {
 namespace {
 
 /// Objective value of an explicit selection (fresh evaluation — each add
-/// runs on the dispatched SIMD row kernels, so swap evaluations here are
-/// bit-comparable with the greedy's gains for any active ISA).
+/// runs the same row gains as the greedy, so swap evaluations here are
+/// bit-comparable with the greedy's gains).
 double value_of(const ChargingObjective& objective,
                 const std::vector<std::size_t>& selected) {
   return objective.value(selected);
@@ -23,8 +23,7 @@ LocalSearchResult local_search_improve(
     std::span<const pdcs::Candidate> candidates, const GreedyResult& start,
     ObjectiveKind kind, const LocalSearchOptions& options) {
   HIPO_REQUIRE(options.max_rounds >= 0, "max_rounds must be >= 0");
-  const ChargingObjective objective(scenario, candidates, kind,
-                                    options.engine);
+  const ChargingObjective objective(scenario, candidates, kind);
 
   LocalSearchResult out;
   out.result = start;

@@ -20,11 +20,6 @@ struct LocalSearchOptions {
   int max_rounds = 50;
   /// Minimum improvement per swap to accept (guards float noise loops).
   double min_gain = 1e-12;
-  /// Gain-evaluation storage for the swap evaluations. Swap values are
-  /// recomputed from scratch per tentative selection (no incremental
-  /// caches), but the flat engine's contiguous rows make each evaluation
-  /// cheaper; output is bit-identical either way.
-  GainEngine engine = GainEngine::kFlatCsr;
 };
 
 struct LocalSearchResult {

@@ -1,25 +1,95 @@
+// Compiled with -ffp-contract=off (src/opt/CMakeLists.txt): the row gains
+// below spell out every multiply and add, and no build may fuse them into
+// FMAs — their bits are the contract every greedy mode and test relies on.
 #include "src/opt/objective.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/obs/metrics.hpp"
-#include "src/opt/simd/gain_kernels.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::opt {
 
+namespace {
+
+// Row gains: the marginal gain of one CSR row before normalization. Both
+// use one canonical fold — four lane accumulators over groups of four
+// entries, combined as ((l0+l1)+(l2+l3)), then a sequential tail — and one
+// per-element expression each. Every evaluation of a row (cache refresh,
+// recompute, lazy re-evaluation, State::add) goes through these, which is
+// what makes cached and fresh gains, and therefore every greedy mode's
+// selection, bit-identical.
+
+/// Utility per-element delta: add, min, min, sub, mul — no division.
+double utility_delta(double acc, double q, double th, double wot) {
+  const double m1 = std::min(acc + q, th);
+  const double m0 = std::min(acc, th);
+  return (m1 - m0) * wot;
+}
+
+/// Σ_k (min(acc[j]+q, th[j]) − min(acc[j], th[j])) · wot[j], with
+/// j = ids[k], q = powers[k] and wot = weight/p_th per device.
+double row_gain_utility(const std::uint32_t* ids, const double* powers,
+                        std::size_t n, const double* acc, const double* th,
+                        const double* wot) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  for (std::size_t k = 0; k < n4; k += 4) {
+    const std::size_t j0 = ids[k], j1 = ids[k + 1];
+    const std::size_t j2 = ids[k + 2], j3 = ids[k + 3];
+    l0 += utility_delta(acc[j0], powers[k], th[j0], wot[j0]);
+    l1 += utility_delta(acc[j1], powers[k + 1], th[j1], wot[j1]);
+    l2 += utility_delta(acc[j2], powers[k + 2], th[j2], wot[j2]);
+    l3 += utility_delta(acc[j3], powers[k + 3], th[j3], wot[j3]);
+  }
+  double sum = (l0 + l1) + (l2 + l3);
+  for (std::size_t k = n4; k < n; ++k) {
+    const std::size_t j = ids[k];
+    sum += utility_delta(acc[j], powers[k], th[j], wot[j]);
+  }
+  return sum;
+}
+
+/// Log-utility per-element delta: w·log1p(u1) − w·log1p(u0) with
+/// u = min(x, th)/th.
+double log_delta(double acc, double q, double th, double w) {
+  const double u1 = std::min(acc + q, th) / th;
+  const double u0 = std::min(acc, th) / th;
+  return w * std::log1p(u1) - w * std::log1p(u0);
+}
+
+double row_gain_log(const std::uint32_t* ids, const double* powers,
+                    std::size_t n, const double* acc, const double* th,
+                    const double* w) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  for (std::size_t k = 0; k < n4; k += 4) {
+    const std::size_t j0 = ids[k], j1 = ids[k + 1];
+    const std::size_t j2 = ids[k + 2], j3 = ids[k + 3];
+    l0 += log_delta(acc[j0], powers[k], th[j0], w[j0]);
+    l1 += log_delta(acc[j1], powers[k + 1], th[j1], w[j1]);
+    l2 += log_delta(acc[j2], powers[k + 2], th[j2], w[j2]);
+    l3 += log_delta(acc[j3], powers[k + 3], th[j3], w[j3]);
+  }
+  double sum = (l0 + l1) + (l2 + l3);
+  for (std::size_t k = n4; k < n; ++k) {
+    const std::size_t j = ids[k];
+    sum += log_delta(acc[j], powers[k], th[j], w[j]);
+  }
+  return sum;
+}
+
+}  // namespace
+
 ChargingObjective::ChargingObjective(
     const model::Scenario& scenario,
-    std::span<const pdcs::Candidate> candidates, ObjectiveKind kind,
-    GainEngine engine)
-    : scenario_(&scenario), candidates_(candidates), kind_(kind) {
-  if (engine == GainEngine::kFlatCsr) {
-    matrix_ =
-        std::make_unique<CoverageMatrix>(candidates, scenario.num_devices());
-    mat_ = matrix_.get();
-  }
+    std::span<const pdcs::Candidate> candidates, ObjectiveKind kind)
+    : scenario_(&scenario),
+      matrix_(std::make_unique<CoverageMatrix>(candidates,
+                                               scenario.num_devices())),
+      mat_(matrix_.get()),
+      kind_(kind) {
   init_device_caches(scenario);
 }
 
@@ -45,17 +115,9 @@ void ChargingObjective::init_device_caches(const model::Scenario& scenario) {
   }
 }
 
-const pdcs::Candidate& ChargingObjective::candidate(std::size_t i) const {
-  HIPO_ASSERT(i < candidates_.size());
-  return candidates_[i];
-}
-
 const model::Strategy& ChargingObjective::strategy(std::size_t i) const {
-  if (mat_) {
-    HIPO_ASSERT(i < mat_->num_rows());
-    return mat_->strategy(i);
-  }
-  return candidate(i).strategy;
+  HIPO_ASSERT(i < mat_->num_rows());
+  return mat_->strategy(i);
 }
 
 double ChargingObjective::value(std::span<const std::size_t> selected) const {
@@ -67,74 +129,30 @@ double ChargingObjective::value(std::span<const std::size_t> selected) const {
 ChargingObjective::State::State(const ChargingObjective& objective)
     : objective_(&objective), power_(objective.p_th_.size(), 0.0) {}
 
-void ChargingObjective::State::enable_incremental(bool quantize) {
-  if (objective_->mat_ == nullptr || !dirty_.empty()) return;
+void ChargingObjective::State::enable_incremental() {
+  if (!dirty_.empty()) return;
   const std::size_t n = objective_->num_candidates();
   if (n == 0) return;
   cached_gain_.assign(n, 0.0);
   dirty_.assign(n, 1);  // nothing cached yet: every row starts stale
   eligible_.assign(n, 1);
-  quantize_ = quantize;
-  if (quantize_) quant_.assign(n, 0);
-}
-
-void ChargingObjective::State::mark_ineligible(std::size_t i) {
-  if (eligible_.empty()) return;
-  eligible_[i] = 0;
-  // Invariant the quantized scan relies on: ineligible ⟹ quant == 0, so a
-  // u16 lane maximum ≥ 1 only ever points at eligible rows.
-  if (quantize_) quant_[i] = 0;
-}
-
-void ChargingObjective::State::set_eligible(std::size_t i, bool eligible) {
-  if (eligible_.empty()) return;
-  if (!eligible) {
-    mark_ineligible(i);
-    return;
-  }
-  eligible_[i] = 1;
-  // Re-admitted rows re-enter the quantized lane: from the clean cache if
-  // valid, else the dirty pre-pass will refresh both on the next scan.
-  if (quantize_ && dirty_[i] == 0) {
-    quant_[i] = simd::quantize_gain(cached_gain_[i], kMinGain);
-  }
 }
 
 double ChargingObjective::State::recompute_gain(std::size_t i) const {
   const ChargingObjective& o = *objective_;
-  // Early-outs ahead of any candidate lookup: a device-free scenario has no
+  // Early-outs ahead of any row lookup: a device-free scenario has no
   // utility to gain, and a zero total weight would divide by zero below.
   if (o.p_th_.empty() || o.weight_total_ <= 0.0) return 0.0;
-  // Every engine (flat and legacy) routes through the same dispatched
-  // kernel table, which guarantees one canonical expression and fold order
-  // per row — the source of the flat ≡ legacy ≡ scalar ≡ AVX2 bit-identity.
-  const simd::GainKernels& k = simd::kernels();
-  const bool utility = o.kind_ == ObjectiveKind::kUtility;
-  double delta = 0.0;
-  if (o.mat_) {
-    HIPO_ASSERT(i < o.mat_->num_rows());
-    const auto covered = o.mat_->covered(i);
-    const auto powers = o.mat_->powers(i);
-    delta = utility
-                ? k.row_gain_utility_u32(covered.data(), powers.data(),
-                                         covered.size(), power_.data(),
-                                         o.p_th_.data(),
-                                         o.weight_over_pth_.data())
-                : k.row_gain_log_u32(covered.data(), powers.data(),
-                                     covered.size(), power_.data(),
-                                     o.p_th_.data(), o.weight_.data());
-  } else {
-    const auto& cand = o.candidate(i);
-    delta = utility
-                ? k.row_gain_utility_u64(cand.covered.data(),
-                                         cand.powers.data(),
-                                         cand.covered.size(), power_.data(),
-                                         o.p_th_.data(),
-                                         o.weight_over_pth_.data())
-                : k.row_gain_log_u64(cand.covered.data(), cand.powers.data(),
-                                     cand.covered.size(), power_.data(),
-                                     o.p_th_.data(), o.weight_.data());
-  }
+  HIPO_ASSERT(i < o.mat_->num_rows());
+  const auto covered = o.mat_->covered(i);
+  const auto powers = o.mat_->powers(i);
+  const double delta =
+      o.kind_ == ObjectiveKind::kUtility
+          ? row_gain_utility(covered.data(), powers.data(), covered.size(),
+                             power_.data(), o.p_th_.data(),
+                             o.weight_over_pth_.data())
+          : row_gain_log(covered.data(), powers.data(), covered.size(),
+                         power_.data(), o.p_th_.data(), o.weight_.data());
   return delta / o.weight_total_;
 }
 
@@ -146,10 +164,6 @@ double ChargingObjective::State::gain(std::size_t i) const {
       // cache-free State would compute.
       const double g = recompute_gain(i);
       cached_gain_[i] = g;
-      if (quantize_) {
-        quant_[i] =
-            eligible_[i] != 0 ? simd::quantize_gain(g, kMinGain) : 0;
-      }
       dirty_[i] = 0;
       if (obs::metrics_enabled()) [[unlikely]] {
         static obs::Counter& recomputes =
@@ -167,49 +181,27 @@ double ChargingObjective::State::gain(std::size_t i) const {
   return recompute_gain(i);
 }
 
-BestGain ChargingObjective::State::best_gain(
-    std::span<const std::size_t> pool, std::size_t begin, std::size_t end,
-    const std::vector<bool>& taken) const {
+BestGain ChargingObjective::State::best_gain(std::size_t begin,
+                                             std::size_t end) const {
+  HIPO_ASSERT_MSG(incremental(), "best_gain needs enable_incremental()");
   BestGain best;
   std::size_t clean_hits = 0;
-  if (!dirty_.empty()) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t i = pool[k];
-      if (dirty_[i] == 0) {
-        // Clean fast path — with a warmed-up cache this branch is ~all of
-        // the scan, so its cost *is* the argmax floor: one byte load, one
-        // double load, one (almost always false) compare. No call, no
-        // per-row counter check, and crucially no vector<bool> bit test:
-        // the taken check is deferred into the would-win branch, which is
-        // correct because skipping it can only ever *admit* a row, and a
-        // taken row is vetoed right there before it can become the
-        // incumbent.
-        ++clean_hits;
-        const double g = cached_gain_[i];
-        if (g > best.gain && g > kMinGain && !taken[i]) {
-          best.gain = g;
-          best.index = i;
-        }
-        continue;
-      }
-      if (taken[i]) continue;  // stays dirty; never selectable again
-      const double g = gain(i);
-      if (g <= kMinGain) continue;  // not worth a charger
-      if (g > best.gain) {  // strict: exact ties keep the earlier index
-        best.gain = g;
-        best.index = i;
-      }
+  for (std::size_t i = begin; i < end; ++i) {
+    if (eligible_[i] == 0) continue;
+    double g;
+    if (dirty_[i] == 0) {
+      // With a warmed-up cache this branch is ~all of the scan: one byte
+      // load and one double load per row, no call.
+      ++clean_hits;
+      g = cached_gain_[i];
+    } else {
+      g = gain(i);
     }
-  } else {
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t i = pool[k];
-      if (taken[i]) continue;
-      const double g = gain(i);
-      if (g <= kMinGain) continue;  // not worth a charger
-      if (g > best.gain) {  // strict: exact ties keep the earlier index
-        best.gain = g;
-        best.index = i;
-      }
+    // kMinGain > 0 = the initial incumbent, so this one strict compare is
+    // both the positivity threshold and the lowest-index tie-break.
+    if (g > best.gain && g > kMinGain) {
+      best.gain = g;
+      best.index = i;
     }
   }
   if (obs::metrics_enabled()) [[unlikely]] {
@@ -222,93 +214,22 @@ BestGain ChargingObjective::State::best_gain(
   return best;
 }
 
-BestGain ChargingObjective::State::best_gain_dense(std::size_t begin,
-                                                   std::size_t end) const {
-  HIPO_ASSERT_MSG(!dirty_.empty(),
-                  "best_gain_dense needs enable_incremental()");
-  // Dirty pre-pass: refresh stale eligible rows so the kernels scan a fully
-  // valid gain lane. The dirty lane is read eight flags at a word — after
-  // the first few rounds almost every word is zero, so the pre-pass is a
-  // pure sequential read at memory speed. Ineligible rows stay dirty; their
-  // stale cache entries are never read (the eligibility mask — or the
-  // quant == 0 invariant — screens them out).
-  std::size_t i = begin;
-  while (i < end) {
-    if (end - i >= 8) {
-      std::uint64_t word;
-      std::memcpy(&word, dirty_.data() + i, 8);
-      if (word == 0) {
-        i += 8;
-        continue;
-      }
-    }
-    const std::size_t stop = std::min(end, i + 8);
-    for (; i < stop; ++i) {
-      if (dirty_[i] != 0 && eligible_[i] != 0) (void)gain(i);
-    }
-  }
-
-  const simd::GainKernels& k = simd::kernels();
-  simd::ArgmaxHit hit;
-  std::uint64_t rechecks = 0;
-  if (quantize_) {
-    // Quantized top-k: one u16 max-reduce shortlists the rows whose gains
-    // round up to the lane maximum, then only those few are compared in
-    // double. The quantization is monotone, so every row attaining the
-    // exact maximum quantizes to qmax — the shortlist is a superset of the
-    // exact argmax set (ties included) and the recheck returns the same
-    // winner the full-precision scan would.
-    const std::uint16_t qmax = k.max_u16(quant_.data(), begin, end);
-    if (qmax != 0) {
-      hit = k.argmax_f64_where_u16(quant_.data(), qmax, cached_gain_.data(),
-                                   begin, end, kMinGain, &rechecks);
-    }
-  } else {
-    hit = k.argmax_f64(cached_gain_.data(), eligible_.data(), begin, end,
-                       kMinGain);
-  }
-
-  if (obs::metrics_enabled()) [[unlikely]] {
-    static obs::Counter& rows = obs::counter("coverage.rows_scanned");
-    static obs::Counter& simd_rows = obs::counter("coverage.simd_rows");
-    static obs::Counter& quant_rechecks =
-        obs::counter("gain.quantized_rechecks");
-    rows.add(end - begin);
-    simd_rows.add(end - begin);
-    quant_rechecks.add(rechecks);
-  }
-
-  BestGain best;
-  if (hit.index != simd::kNoIndex) {
-    best.gain = hit.gain;
-    best.index = hit.index;
-  }
-  return best;
-}
-
 void ChargingObjective::State::add(std::size_t i) {
   value_ += gain(i);
-  const ChargingObjective& o = *objective_;
-  if (o.mat_) {
-    HIPO_ASSERT(i < o.mat_->num_rows());
-    const auto covered = o.mat_->covered(i);
-    const auto powers = o.mat_->powers(i);
-    for (std::size_t k = 0; k < covered.size(); ++k) {
-      power_[covered[k]] += powers[k];
-    }
-    if (!dirty_.empty()) {
-      // Dirty propagation: only rows sharing a covered device with i can
-      // see a different marginal gain — exactly the union of the inverted
-      // index's lists for i's devices. Everything else keeps its cached
-      // gain, bit-identical to a fresh recomputation.
-      for (std::uint32_t j : covered) {
-        for (std::uint32_t r : o.mat_->rows_covering(j)) dirty_[r] = 1;
-      }
-    }
-  } else {
-    const auto& cand = o.candidate(i);
-    for (std::size_t k = 0; k < cand.covered.size(); ++k) {
-      power_[cand.covered[k]] += cand.powers[k];
+  const CoverageMatrix& m = *objective_->mat_;
+  HIPO_ASSERT(i < m.num_rows());
+  const auto covered = m.covered(i);
+  const auto powers = m.powers(i);
+  for (std::size_t k = 0; k < covered.size(); ++k) {
+    power_[covered[k]] += powers[k];
+  }
+  if (!dirty_.empty()) {
+    // Dirty propagation: only rows sharing a covered device with i can see
+    // a different marginal gain — exactly the union of the inverted
+    // index's lists for i's devices. Everything else keeps its cached
+    // gain, bit-identical to a fresh recomputation.
+    for (std::uint32_t j : covered) {
+      for (std::uint32_t r : m.rows_covering(j)) dirty_[r] = 1;
     }
   }
 }

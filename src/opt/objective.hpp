@@ -17,19 +17,9 @@
 
 #include "src/model/scenario.hpp"
 #include "src/opt/coverage_matrix.hpp"
-#include "src/opt/simd/aligned.hpp"
 #include "src/pdcs/candidate.hpp"
 
 namespace hipo::opt {
-
-/// Storage the gain evaluation runs on:
-///   kFlatCsr — candidates packed into a CoverageMatrix (contiguous arenas,
-///              inverted device index, incremental dirty-gain support);
-///   kLegacy  — the original per-candidate vector-of-vectors walk.
-/// Both engines evaluate the identical expressions in the identical order,
-/// so every gain — and therefore every selection — is bit-identical; kLegacy
-/// is kept as the A/B baseline for the equivalence tests and benchmarks.
-enum class GainEngine { kFlatCsr, kLegacy };
 
 /// Per-device transform of the utility (both keep f monotone submodular):
 ///   kUtility    — P1/P3's Σ U_j (Eq. 4);
@@ -68,35 +58,25 @@ inline BestGain better_gain(BestGain a, BestGain b) {
 
 class ChargingObjective {
  public:
-  /// Both references must outlive the objective. With kFlatCsr the
-  /// candidates are additionally packed into an owned CoverageMatrix and
-  /// the gain loops run on its arenas.
+  /// Packs `candidates` into an owned CoverageMatrix; the gain loops run
+  /// on its arenas, so the span is not retained. The scenario must outlive
+  /// the objective.
   ChargingObjective(const model::Scenario& scenario,
                     std::span<const pdcs::Candidate> candidates,
-                    ObjectiveKind kind = ObjectiveKind::kUtility,
-                    GainEngine engine = GainEngine::kFlatCsr);
+                    ObjectiveKind kind = ObjectiveKind::kUtility);
 
-  /// Flat-engine objective over a caller-owned, already-built matrix (the
-  /// delta path's warm arenas): no packing work, no candidate span — every
-  /// row read is served from the borrowed CSR. The matrix must outlive the
-  /// objective and match the scenario's device count.
+  /// Objective over a caller-owned, already-built matrix (the delta path's
+  /// warm arenas): no packing work. The matrix must outlive the objective
+  /// and match the scenario's device count.
   ChargingObjective(const model::Scenario& scenario,
                     const CoverageMatrix& prebuilt,
                     ObjectiveKind kind = ObjectiveKind::kUtility);
 
-  std::size_t num_candidates() const {
-    return mat_ ? mat_->num_rows() : candidates_.size();
-  }
-  const pdcs::Candidate& candidate(std::size_t i) const;
-  /// Strategy of candidate i, served from the CSR row metadata when the
-  /// flat engine is active (candidate(i).strategy otherwise — identical).
+  std::size_t num_candidates() const { return mat_->num_rows(); }
+  /// Strategy of candidate i, served from the CSR row metadata.
   const model::Strategy& strategy(std::size_t i) const;
-  GainEngine engine() const {
-    return mat_ ? GainEngine::kFlatCsr : GainEngine::kLegacy;
-  }
-  /// The packed coverage structure (owned or borrowed); nullptr under
-  /// kLegacy.
-  const CoverageMatrix* matrix() const { return mat_; }
+  /// The packed coverage structure (owned or borrowed).
+  const CoverageMatrix& matrix() const { return *mat_; }
 
   /// f(X) for an explicit index set (recomputed from scratch).
   double value(std::span<const std::size_t> selected) const;
@@ -110,60 +90,43 @@ class ChargingObjective {
     double value() const { return value_; }
     /// Marginal gain f(X ∪ {i}) − f(X); does not modify the state.
     double gain(std::size_t i) const;
-    /// Argmax scan over pool[begin, end) skipping taken candidates, with
-    /// Algorithm 3's sequential semantics: only gains above kMinGain
-    /// qualify, the incumbent is replaced only when beaten strictly, and
-    /// exact ties keep the earliest pool position (lowest index). This is
-    /// the per-chunk map of the parallel greedy argmax.
-    BestGain best_gain(std::span<const std::size_t> pool, std::size_t begin,
-                       std::size_t end, const std::vector<bool>& taken) const;
     /// Add candidate i to X. With incremental tracking on, also marks
     /// dirty exactly the rows reachable from i's covered devices via the
     /// inverted index — the only candidates whose gain can have changed.
     void add(std::size_t i);
     const std::vector<double>& device_power() const { return power_; }
 
-    /// Switch on cached-gain / dirty-set tracking (flat engine only; a
-    /// no-op under kLegacy or with an empty pool). Opt-in because it costs
-    /// a few O(n) arrays per State: the greedy drivers want it, while
-    /// exhaustive search and local search construct/copy States far too
-    /// often to pay for it.
-    ///
-    /// With `quantize` set, a u16 fixed-point image of each cached gain is
-    /// maintained alongside it and best_gain_dense() scans that lane first
-    /// (see the quantized top-k notes there). Placements are bit-identical
-    /// either way; quantize is purely a bandwidth optimization.
+    /// Switch on cached-gain / dirty-set tracking and the eligibility lane
+    /// (a no-op with an empty pool). Opt-in because it costs a few O(n)
+    /// arrays per State: the greedy drivers want it, while exhaustive
+    /// search and local search construct/copy States far too often to pay
+    /// for it. Every row starts eligible.
     ///
     /// Thread-safety: gain() then writes cache entries through `mutable`
     /// members. Concurrent gain() calls are safe iff they target distinct
-    /// candidates — which the chunked argmax guarantees (disjoint pool
-    /// ranges per worker, and a candidate appears in a pool once). The
-    /// cached value is bit-identical to a fresh recomputation by
-    /// construction, so determinism across worker counts is unaffected.
-    void enable_incremental(bool quantize = false);
+    /// candidates — which the chunked argmax guarantees (disjoint row
+    /// ranges per worker). The cached value is bit-identical to a fresh
+    /// recomputation by construction, so determinism across worker counts
+    /// is unaffected.
+    void enable_incremental();
     bool incremental() const { return !dirty_.empty(); }
-    bool quantized() const { return quantize_; }
 
-    /// Eligibility lane for the dense argmax: ineligible rows (taken, or
-    /// outside the current per-type phase / matroid-feasible set) are
-    /// skipped by best_gain_dense without any per-row indirection. Only
-    /// meaningful after enable_incremental(); call between argmax rounds,
-    /// never concurrently with one.
-    void mark_ineligible(std::size_t i);
-    void set_eligible(std::size_t i, bool eligible);
-    bool is_eligible(std::size_t i) const {
-      return !eligible_.empty() && eligible_[i] != 0;
+    /// Eligibility lane of best_gain: ineligible rows (taken, or outside
+    /// the current per-type phase / matroid-feasible set) are skipped.
+    /// Only meaningful after enable_incremental(); call between argmax
+    /// rounds, never concurrently with one.
+    void set_eligible(std::size_t i, bool eligible) {
+      eligible_[i] = eligible ? 1 : 0;
     }
 
-    /// Blocked SoA argmax over candidate rows [begin, end): the dense
-    /// replacement for the pooled best_gain() when incremental tracking is
-    /// on. A word-scan dirty pre-pass refreshes stale eligible gains, then
-    /// the dispatched kernel scans the contiguous gain lane (or, when
-    /// quantize is on, max-reduces the u16 lane and exact-rechecks the
-    /// shortlist in double). Same semantics as best_gain: gains above
-    /// kMinGain, strict improvement, lowest index on exact ties — and
-    /// bit-identical to it per chunk, for any dispatched ISA.
-    BestGain best_gain_dense(std::size_t begin, std::size_t end) const;
+    /// Argmax over the eligible candidate rows in [begin, end), with
+    /// Algorithm 3's sequential semantics: only gains above kMinGain
+    /// qualify, the incumbent is replaced only when beaten strictly, and
+    /// exact ties keep the lowest index. Clean rows read their cached gain;
+    /// dirty eligible rows are refreshed through gain(). This is the
+    /// per-chunk map of the parallel greedy argmax; it needs
+    /// enable_incremental().
+    BestGain best_gain(std::size_t begin, std::size_t end) const;
     /// True when i's cached gain is stale (or tracking is off): the next
     /// gain(i) will recompute. Exposed for the dirty-invariant tests.
     bool is_dirty(std::size_t i) const {
@@ -181,16 +144,10 @@ class ChargingObjective {
     /// cached_gain_[i] is valid iff dirty_[i] == 0. Plain bytes, not packed
     /// bits — parallel argmax chunks clear flags of different candidates,
     /// and distinct vector<uint8_t> elements are distinct memory locations
-    /// while bits of a shared word are not. All lanes are 32-byte aligned
-    /// for the SIMD scans.
-    mutable simd::avec<double> cached_gain_;
-    mutable simd::avec<std::uint8_t> dirty_;
-    /// Dense-argmax lanes: eligible_[i] gates the scan; quant_[i] is the
-    /// u16 image of cached_gain_[i] (0 for ineligible or non-positive
-    /// rows), maintained only when quantize_ is set.
-    simd::avec<std::uint8_t> eligible_;
-    mutable simd::avec<std::uint16_t> quant_;
-    bool quantize_ = false;
+    /// while bits of a shared word are not.
+    mutable std::vector<double> cached_gain_;
+    mutable std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint8_t> eligible_;
   };
 
   const model::Scenario& scenario() const { return *scenario_; }
@@ -203,15 +160,14 @@ class ChargingObjective {
   void init_device_caches(const model::Scenario& scenario);
 
   const model::Scenario* scenario_;
-  std::span<const pdcs::Candidate> candidates_;
-  /// Flat engine storage (null under kLegacy). unique_ptr keeps the
-  /// objective cheaply movable and the legacy configuration allocation-free.
+  /// Owned storage of the span constructor (null when borrowed).
+  /// unique_ptr keeps the objective cheaply movable.
   std::unique_ptr<CoverageMatrix> matrix_;
-  /// The matrix the gain loops actually read: matrix_.get() when owned,
-  /// the caller's matrix when borrowed, nullptr under kLegacy.
+  /// The matrix the gain loops read: matrix_.get() when owned, the
+  /// caller's matrix when borrowed. Never null.
   const CoverageMatrix* mat_ = nullptr;
-  /// Per-device caches the row kernels gather from. weight_over_pth_
-  /// pre-divides weight/p_th so the utility kernel's per-element delta is
+  /// Per-device caches the row gains gather from. weight_over_pth_
+  /// pre-divides weight/p_th so the utility row's per-element delta is
   /// division-free: (min(acc+q, th) − min(acc, th)) · (w/th).
   std::vector<double> p_th_;
   std::vector<double> weight_;

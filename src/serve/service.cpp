@@ -330,7 +330,6 @@ Json Service::do_solve(const Json& request) {
       parse_greedy(string_field(request, "greedy", "lazy"));
   const opt::ObjectiveKind kind =
       parse_kind(string_field(request, "kind", "utility"));
-  const bool quantize = bool_field(request, "quantize", false);
 
   const Json* scenario_field = request.find("scenario");
   const Json* key_field = request.find("key");
@@ -360,7 +359,6 @@ Json Service::do_solve(const Json& request) {
       opt::DeltaOptions dopts;
       dopts.mode = mode;
       dopts.kind = kind;
-      dopts.quantize = quantize;
       dopts.extract = options_.extract;
       dopts.workers = options_.pool;
       obs::Stopwatch cold;
@@ -405,7 +403,7 @@ Json Service::do_solve(const Json& request) {
   obs::Stopwatch warm;
   const opt::GreedyResult result =
       opt::select_strategies(entry->solver.scenario(), entry->solver.matrix(),
-                             mode, kind, options_.pool, quantize);
+                             mode, kind, options_.pool);
   counters.solve_warm_seconds.observe(warm.seconds());
 
   Json resp = Json::object();

@@ -47,14 +47,13 @@ TEST(FuzzOracles, AllPassOnHandBuiltScenarios) {
   EXPECT_FALSE(run_all(test::blocked_scenario(), 7).has_value());
 }
 
-TEST(FuzzOracles, AllEightRegistered) {
+TEST(FuzzOracles, AllSevenRegistered) {
   const auto oracles = all_oracles();
-  ASSERT_EQ(oracles.size(), 8u);
+  ASSERT_EQ(oracles.size(), 7u);
   EXPECT_STREQ(oracles[0].name, "line_of_sight");
   EXPECT_STREQ(oracles[4].name, "determinism");
-  EXPECT_STREQ(oracles[5].name, "simd");
-  EXPECT_STREQ(oracles[6].name, "delta");
-  EXPECT_STREQ(oracles[7].name, "shard");
+  EXPECT_STREQ(oracles[5].name, "delta");
+  EXPECT_STREQ(oracles[6].name, "shard");
 }
 
 TEST(FuzzOracles, DeltaOracleExercisesTractableScenarios) {

@@ -8,14 +8,14 @@
 //
 // Each iteration generates one scenario from the iteration's seed and runs
 // the seven oracles (line_of_sight, coverage, piecewise, greedy, determinism,
-// simd, delta). A violation is auto-shrunk to a locally minimal config,
-// written to
-// --corpus as a replay file, and reported; the exit status is the number of
-// distinct violations (0 = clean). --simd scalar|avx2 pins the gain-kernel
-// ISA for the whole run (e.g. CI forcing the SIMD engine on).
+// delta, shard). A violation is auto-shrunk to a locally minimal config,
+// written to --corpus as a replay file, and reported; the exit status is the
+// number of distinct violations (0 = clean). A usage error (unknown flag,
+// malformed value) prints a message and exits 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -26,7 +26,6 @@
 #include "src/fuzz/shrink.hpp"
 #include "src/model/io.hpp"
 #include "src/model/scenario.hpp"
-#include "src/opt/simd/gain_kernels.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
@@ -67,9 +66,7 @@ int replay_file(const std::vector<NamedOracle>& oracles,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   hipo::Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const int iters = cli.get_or("iters", smoke ? 60 : 500);
@@ -78,16 +75,7 @@ int main(int argc, char** argv) {
   const std::string corpus_dir = cli.get_or("corpus", "");
   const auto replay = cli.get("replay");
   const std::string replay_dir = cli.get_or("replay-dir", "");
-  const std::string simd = cli.get_or("simd", "auto");
   cli.finish();
-
-  if (simd == "scalar") {
-    hipo::opt::simd::force_isa(hipo::opt::simd::Isa::kScalar);
-  } else if (simd == "avx2") {
-    hipo::opt::simd::force_isa(hipo::opt::simd::Isa::kAvx2);
-  } else {
-    HIPO_REQUIRE(simd == "auto", "--simd expects auto|scalar|avx2");
-  }
 
   const auto oracles = selected_oracles(oracle_name);
 
@@ -151,4 +139,17 @@ int main(int argc, char** argv) {
   std::printf("%d/%d scenario(s) fuzzed, %d violation(s)\n", generated, iters,
               violations);
   return violations;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Usage errors (unknown flags, malformed values) print a message and
+  // fail instead of escaping main as an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "hipo_fuzz: %s\n", e.what());
+    return 1;
+  }
 }

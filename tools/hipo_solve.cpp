@@ -5,14 +5,10 @@
 //   hipo_solve --scenario field.hipo [--out placement.hipo] [--svg out.svg]
 //              [--algorithm hipo|gppdcs|gpad|gpar|rpad|rpar]
 //              [--grid square|triangle] [--local-search] [--seed N]
-//              [--gain-engine flat|legacy]  (CSR dirty-gain engine vs the
-//                                      full-rescan baseline; same placement)
-//              [--greedy lazy|global|per-type]  (selection mode; lazy is the
-//                                      default, all three same guarantee)
-//              [--gain-quantize]      (u16 top-k shortlist in the dense
-//                                      argmax; placement bit-identical)
-//              [--simd auto|scalar|avx2]  (pin the gain-kernel ISA; also
-//                                      settable via HIPO_SIMD env var)
+//              [--greedy lazy|global|per-type]  (selection mode: lazy is
+//                                      the default; global is its eager
+//                                      reference, same placement; per-type
+//                                      is Algorithm 3's literal order)
 //              [--threads N]          (0 = hardware concurrency, the default;
 //                                      output is identical for any N)
 //              [--demo paper|field]   (generate a built-in scenario instead)
@@ -60,18 +56,13 @@ model::Scenario load_scenario(Cli& cli) {
 
 /// The hipo-pipeline options shared by `core::solve` and the delta flow.
 core::SolveOptions hipo_options(Cli& cli, parallel::ThreadPool& pool) {
-  const std::string engine_name =
-      cli.get_or("gain-engine", std::string("flat"));
   const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
   core::SolveOptions opts;
   opts.local_search = cli.has("local-search");
   opts.pool = &pool;
-  opts.gain_engine = engine_name == "flat" ? opt::GainEngine::kFlatCsr
-                                           : opt::GainEngine::kLegacy;
   opts.greedy = greedy_name == "lazy"     ? opt::GreedyMode::kLazyGlobal
                 : greedy_name == "global" ? opt::GreedyMode::kGlobal
                                           : opt::GreedyMode::kPerType;
-  opts.gain_quantize = cli.has("gain-quantize");
   return opts;
 }
 
@@ -162,10 +153,6 @@ model::Placement run_algorithm(const model::Scenario& scenario, Cli& cli) {
   Rng rng(static_cast<std::uint64_t>(cli.get_or("seed", 1)) ^
           0x9e3779b97f4a7c15ULL);
 
-  const std::string engine_name =
-      cli.get_or("gain-engine", std::string("flat"));
-  HIPO_REQUIRE(engine_name == "flat" || engine_name == "legacy",
-               "--gain-engine expects 'flat' or 'legacy'");
   const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
   HIPO_REQUIRE(greedy_name == "lazy" || greedy_name == "global" ||
                    greedy_name == "per-type",
@@ -198,9 +185,8 @@ void observe_placement(const model::Scenario& scenario,
 }
 
 /// Reject flag combinations where one flag would be silently ignored: a
-/// sweep script that passes `--gain-quantize --gain-engine legacy` is
-/// measuring something other than what it says, and `--deltas-verify`
-/// without `--deltas` verifies nothing.
+/// baseline run given `--greedy` is measuring something other than what it
+/// says, and `--deltas-verify` without `--deltas` verifies nothing.
 void check_flag_interactions(Cli& cli) {
   const std::string algorithm = cli.get_or("algorithm", std::string("hipo"));
   if (cli.has("deltas-verify")) {
@@ -208,19 +194,8 @@ void check_flag_interactions(Cli& cli) {
                  "--deltas-verify requires --deltas FILE (there are no "
                  "deltas to verify)");
   }
-  if (cli.has("gain-quantize")) {
-    HIPO_REQUIRE(
-        cli.get_or("gain-engine", std::string("flat")) == "flat",
-        "--gain-quantize is a flat-engine shortlist; it has no effect with "
-        "--gain-engine legacy");
-    const std::string greedy = cli.get_or("greedy", std::string("lazy"));
-    HIPO_REQUIRE(greedy == "global" || greedy == "per-type",
-                 "--gain-quantize only affects the dense argmax of "
-                 "--greedy global|per-type; --greedy lazy ignores it");
-  }
   if (algorithm != "hipo") {
-    for (const char* flag :
-         {"gain-engine", "greedy", "gain-quantize", "local-search"}) {
+    for (const char* flag : {"greedy", "local-search"}) {
       HIPO_REQUIRE(!cli.has(flag),
                    std::string("--") + flag +
                        " only applies to --algorithm hipo (the baselines "
@@ -245,15 +220,6 @@ int main(int argc, char** argv) {
     if (cli.has("version")) {
       std::cout << obs::build_info_json() << "\n";
       return 0;
-    }
-    if (const auto simd = cli.get("simd")) {
-      if (*simd == "scalar") {
-        opt::simd::force_isa(opt::simd::Isa::kScalar);
-      } else if (*simd == "avx2") {
-        opt::simd::force_isa(opt::simd::Isa::kAvx2);
-      } else {
-        HIPO_REQUIRE(*simd == "auto", "--simd expects auto|scalar|avx2");
-      }
     }
     const auto trace_path = cli.get("trace");
     const auto metrics_path = cli.get("metrics-json");
@@ -283,8 +249,6 @@ int main(int argc, char** argv) {
     std::cout << "scenario: " << scenario.num_devices() << " devices, "
               << scenario.num_chargers() << " charger budget, "
               << scenario.num_obstacles() << " obstacles\n";
-    std::cout << "gain kernels: "
-              << opt::simd::isa_name(opt::simd::active_isa()) << "\n";
     const auto powers = scenario.exact_powers(placement);
     std::cout << "placement: " << placement.size() << " chargers, utility "
               << format_double(scenario.placement_utility_from(powers), 4)
