@@ -288,9 +288,7 @@ std::optional<Violation> check_candidates(const Scenario& scenario, Rng& rng) {
 
   for (const Vec2 pos : positions) {
     for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
-      model::LosCache cache(scenario);
-      const auto cands =
-          pdcs::extract_point_case(scenario, q, pos, pool, &cache);
+      const auto cands = pdcs::extract_point_case(scenario, q, pos, pool);
 
       // Soundness: every claimed (device, power) pair is real.
       for (const auto& c : cands) {

@@ -109,13 +109,6 @@ class Scenario {
     return !has_obstacles_ || !obstacle_index_.point_in_any(p);
   }
 
-  /// All Eq. (1) conditions *except* line of sight (range and both sector
-  /// angles); writes the charger–device distance. Split out so callers with
-  /// a memoized LOS result (LosCache) can complete the coverage test
-  /// without re-tracing the segment.
-  bool coverage_geometry(const Strategy& s, std::size_t j,
-                         double& distance_out) const;
-
   /// Eq. (1) power at distance `d` for charger type q against device j
   /// (gating already established by the caller).
   double exact_power_from_distance(std::size_t q, std::size_t j,
@@ -182,6 +175,12 @@ class Scenario {
   void validate_placement(std::span<const Strategy> placement) const;
 
  private:
+  /// All Eq. (1) conditions *except* line of sight (range and both sector
+  /// angles); writes the charger–device distance. coverage_conditions adds
+  /// the line-of-sight test after it.
+  bool coverage_geometry(const Strategy& s, std::size_t j,
+                         double& distance_out) const;
+  /// All four Eq. (1) conditions; writes the charger–device distance.
   bool coverage_conditions(const Strategy& s, std::size_t j,
                            double& distance_out) const;
 

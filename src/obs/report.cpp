@@ -65,21 +65,11 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
     counters.print(os);
   }
 
-  // Derived cache effectiveness, the headline of the PR 1 acceleration
-  // claims: verifiable on any scenario straight from the run's own counters.
-  std::uint64_t hits = 0, misses = 0, seg_q = 0, seg_eo = 0;
+  // Obstacle-index effectiveness, derived from the run's own counters.
+  std::uint64_t seg_q = 0, seg_eo = 0;
   for (const auto& c : snapshot.counters) {
-    if (c.name == "los_cache.hits") hits = c.value;
-    if (c.name == "los_cache.misses") misses = c.value;
     if (c.name == "segment_index.segment_queries") seg_q = c.value;
     if (c.name == "segment_index.segment_early_outs") seg_eo = c.value;
-  }
-  if (hits + misses > 0) {
-    os << "los_cache hit rate: "
-       << format_double(100.0 * static_cast<double>(hits) /
-                            static_cast<double>(hits + misses),
-                        1)
-       << "% (" << hits << "/" << (hits + misses) << ")\n";
   }
   if (seg_q > 0) {
     os << "segment_index early-out rate: "

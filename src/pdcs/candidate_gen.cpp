@@ -5,7 +5,6 @@
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/circle.hpp"
-#include "src/model/los_cache.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/pdcs/point_case.hpp"
 #include "src/util/error.hpp"
@@ -304,10 +303,6 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
   TaskScratch s;
   std::vector<Candidate> out;
   const Vec2 oi = scenario.device(i).pos;
-  // One LOS memo for the whole task: candidate positions recur across pair
-  // constructions (the rings of o_i meet the same obstacle edges in every
-  // pair).
-  model::LosCache los_cache(scenario);
   std::size_t num_positions = 0;
   std::size_t num_rows = 0;
 
@@ -332,7 +327,7 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
       // Pool: devices within charging range of the position (exact pool for
       // the rotational sweep; sorted by GridIndex contract).
       devices.query_radius(p, ct.d_max + geom::kCoverEps, s.pool);
-      s.sweep.gather(scenario, q, p, s.pool, &los_cache);
+      s.sweep.gather(scenario, q, p, s.pool);
       s.sweep.sweep(s.rows);
     }
     num_positions += s.positions.size();

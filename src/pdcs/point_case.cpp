@@ -13,8 +13,7 @@ namespace hipo::pdcs {
 using geom::Vec2;
 
 std::size_t PointSweep::gather(const model::Scenario& scenario, std::size_t q,
-                               Vec2 pos, std::span<const std::size_t> pool,
-                               model::LosCache* cache) {
+                               Vec2 pos, std::span<const std::size_t> pool) {
   const auto& ct = scenario.charger_type(q);
   q_ = q;
   alpha_ = ct.angle;
@@ -34,9 +33,7 @@ std::size_t PointSweep::gather(const model::Scenario& scenario, std::size_t q,
           geom::angle_distance((-so).angle(), dev.orientation);
       if (chg_angle > recv_angle / 2.0 + ang_eps) continue;
     }
-    const bool los = cache != nullptr ? cache->line_of_sight(pos, j)
-                                      : scenario.line_of_sight(pos, dev.pos);
-    if (!los) continue;
+    if (!scenario.line_of_sight(pos, dev.pos)) continue;
     // The bearing feeds only the charger-sector test, which a full-circle
     // charger skips.
     const double bearing = alpha_ < geom::kTwoPi ? so.angle() : 0.0;
@@ -143,11 +140,10 @@ std::size_t PointSweep::sweep(RowArena& out) {
 std::vector<std::size_t> orientable_covers(const model::Scenario& scenario,
                                            std::size_t charger_type,
                                            Vec2 pos,
-                                           std::span<const std::size_t> pool,
-                                           model::LosCache* cache) {
+                                           std::span<const std::size_t> pool) {
   PointSweep sweep;
   std::vector<std::size_t> out(
-      sweep.gather(scenario, charger_type, pos, pool, cache));
+      sweep.gather(scenario, charger_type, pos, pool));
   for (std::size_t k = 0; k < out.size(); ++k) out[k] = sweep.device(k);
   return out;
 }
@@ -156,12 +152,12 @@ std::vector<Candidate> extract_point_case(const model::Scenario& scenario,
                                           std::size_t charger_type,
                                           Vec2 pos,
                                           std::span<const std::size_t> pool,
-                                          model::LosCache* cache) {
+                                          model::LosCache* /*ignored*/) {
   std::vector<Candidate> out;
   if (!scenario.position_feasible(pos)) return out;
   PointSweep sweep;
   RowArena rows;
-  sweep.gather(scenario, charger_type, pos, pool, cache);
+  sweep.gather(scenario, charger_type, pos, pool);
   sweep.sweep(rows);
   out.reserve(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {

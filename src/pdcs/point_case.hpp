@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "src/geometry/vec2.hpp"
-#include "src/model/los_cache.hpp"
 #include "src/model/scenario.hpp"
 #include "src/pdcs/candidate.hpp"
+
+namespace hipo::model {
+class LosCache;
+}
 
 namespace hipo::pdcs {
 
@@ -30,12 +33,10 @@ class PointSweep {
  public:
   /// The devices of `pool` a type-q charger at `pos` could cover under SOME
   /// orientation: all Eq. (1) conditions except the charger's own
-  /// sector-angle condition, with line of sight through `cache` when given
-  /// (results identical). Returns how many; device(k) lists them in pool
+  /// sector-angle condition. Returns how many; device(k) lists them in pool
   /// order.
   std::size_t gather(const model::Scenario& scenario, std::size_t q,
-                     geom::Vec2 pos, std::span<const std::size_t> pool,
-                     model::LosCache* cache);
+                     geom::Vec2 pos, std::span<const std::size_t> pool);
   std::size_t device(std::size_t k) const { return coverable_[k].device; }
 
   /// The last gather's maximal covered sets, appended to `out` as one row
@@ -76,20 +77,20 @@ class PointSweep {
 std::vector<std::size_t> orientable_covers(const model::Scenario& scenario,
                                            std::size_t charger_type,
                                            geom::Vec2 pos,
-                                           std::span<const std::size_t> pool,
-                                           model::LosCache* cache = nullptr);
+                                           std::span<const std::size_t> pool);
 
 /// Algorithm 1 at position `pos`: one candidate per maximal covered set,
 /// restricted to the device pool (pass all device indices for the exact
 /// algorithm; Algorithm 4 passes a neighbor set). Candidates carry the
 /// approximated (ring) powers. Dominated candidates at this point are
 /// already filtered. Returns an empty vector if nothing is coverable or
-/// `pos` is not a feasible charger position. With `cache`, line-of-sight
-/// verdicts are memoized (results identical).
+/// `pos` is not a feasible charger position. The trailing LosCache* is
+/// ignored; it stays only so the frozen end-to-end benchmark (perfbench/)
+/// still compiles, and goes in the next benchmark change.
 std::vector<Candidate> extract_point_case(const model::Scenario& scenario,
                                           std::size_t charger_type,
                                           geom::Vec2 pos,
                                           std::span<const std::size_t> pool,
-                                          model::LosCache* cache = nullptr);
+                                          model::LosCache* = nullptr);
 
 }  // namespace hipo::pdcs

@@ -9,6 +9,11 @@ namespace hipo::shard {
 
 namespace {
 
+/// Slack added to the halo radius: absorbs the kCoverEps / kMargin
+/// tolerances of the underlying queries (the same slack as
+/// opt::DeltaSolver's invalidation radius).
+constexpr double kHaloSlack = 1e-3;
+
 /// Euclidean distance from a point to an axis-aligned box (0 inside).
 double point_box_distance(geom::Vec2 p, const geom::BBox& b) {
   const double dx = std::max({b.lo.x - p.x, 0.0, p.x - b.hi.x});
@@ -20,9 +25,8 @@ double point_box_distance(geom::Vec2 p, const geom::BBox& b) {
 
 ShardPlan::ShardPlan(const model::Scenario& scenario, const PlanOptions& opt) {
   HIPO_REQUIRE(opt.shards >= 1, "shard plan needs at least one shard");
-  HIPO_REQUIRE(opt.halo_eps >= 0.0, "halo_eps must be non-negative");
   region_ = scenario.region();
-  halo_ = 4.0 * scenario.max_charge_range() + opt.halo_eps;
+  halo_ = 4.0 * scenario.max_charge_range() + kHaloSlack;
 
   // Factor S into gx · gy == S with the factors as square as possible, the
   // larger factor along the longer region extent. Prime S degenerates to a

@@ -37,10 +37,6 @@ namespace hipo::shard {
 struct PlanOptions {
   /// Requested shard count; the grid is gx × gy with gx·gy == shards.
   std::size_t shards = 1;
-  /// Slack added to the halo radius (absorbs the kCoverEps / kMargin
-  /// tolerances of the underlying queries; same slack as opt::DeltaSolver's
-  /// invalidation radius).
-  double halo_eps = 1e-3;
 };
 
 /// Everything one worker needs to extract a shard: which device tasks it

@@ -20,6 +20,11 @@ namespace hipo::shard {
 
 namespace {
 
+/// Per-frame byte limit on the worker pipes.
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
+/// Rows per streamed frame (bounds worker serialization buffers).
+constexpr std::size_t kRowsPerFrame = 4096;
+
 serve::Json row_json(const CandidatePool::RowRef& row) {
   serve::Json r = serve::Json::array();
   r.push(serve::Json::number(static_cast<double>(row.task)));
@@ -120,9 +125,7 @@ void parse_stats(const serve::Json& s, ShardStats& st) {
       };
       pool.for_each_row([&](const CandidatePool::RowRef& row) {
         rows.push(row_json(row));
-        if (++in_frame >= std::max<std::size_t>(opt.rows_per_frame, 1)) {
-          flush();
-        }
+        if (++in_frame >= kRowsPerFrame) flush();
       });
       flush();
       serve::Json frame = serve::Json::object();
@@ -206,7 +209,7 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
       if (w == nullptr) continue;
       bool more = false;
       try {
-        more = serve::read_frame_fd(w->fd, opt.max_frame_bytes, payload);
+        more = serve::read_frame_fd(w->fd, kMaxFrameBytes, payload);
       } catch (const std::exception& e) {
         if (error.empty()) error = e.what();
       }
@@ -288,10 +291,7 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
                                        const RunnerOptions& opt,
                                        RunnerStats* stats_out) {
   HIPO_REQUIRE(opt.shards >= 1, "shard runner needs at least one shard");
-  PlanOptions plan_opt;
-  plan_opt.shards = opt.shards;
-  plan_opt.halo_eps = opt.halo_eps;
-  const ShardPlan plan(scenario, plan_opt);
+  const ShardPlan plan(scenario, {.shards = opt.shards});
 
   std::vector<CandidatePool> pools;
   pools.reserve(plan.num_shards());

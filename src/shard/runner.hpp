@@ -36,16 +36,11 @@ struct RunnerOptions {
   /// Forked worker processes; 0 runs every shard in-process. Capped at the
   /// shard count.
   std::size_t processes = 0;
-  double halo_eps = 1e-3;
   pdcs::ExtractOptions extract;
   TileOptions tile;
   /// In-process mode only: parallelizes tile tasks and the merge filter.
   /// Forked workers never touch it (they run single-threaded).
   parallel::ThreadPool* pool = nullptr;
-  /// Per-frame byte limit on the worker pipes.
-  std::size_t max_frame_bytes = std::size_t{1} << 30;
-  /// Rows per streamed frame (bounds worker serialization buffers).
-  std::size_t rows_per_frame = 4096;
 };
 
 struct RunnerStats {

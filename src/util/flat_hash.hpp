@@ -1,11 +1,11 @@
-// Open-addressing hash map for hot-path memos.
+// Open-addressing hash map for hot-path dedup sets.
 //
 // One flat slot array, linear probing, power-of-two capacity, grown when
-// more than half full. There is no erase: the memos that use it only ever
-// insert, then clear or die. Keys compare with operator==, so a key type
-// built from exact bit patterns (LosCache) keeps every distinct input
-// distinct. The hash is finalized with a 64-bit mixer before masking, so a
-// Hash with weak low bits still spreads over the table.
+// more than half full. There is no erase: its users only ever insert, then
+// clear or die. Keys compare with operator==, so a key built from exact
+// bit patterns (PositionSink's packed coordinates) keeps every distinct
+// input distinct. The hash is finalized with a 64-bit mixer before
+// masking, so a Hash with weak low bits still spreads over the table.
 #pragma once
 
 #include <cstddef>

@@ -75,18 +75,16 @@ TEST(ObsDeterminism, ObservedRunProducesTelemetry) {
                           std::optional<std::size_t>{3});
   ASSERT_FALSE(result.placement.empty());
   const auto snapshot = obs::metrics_snapshot();
-  std::uint64_t los_total = 0, seg_queries = 0;
+  std::uint64_t positions = 0, seg_queries = 0;
   double solve_seconds = -1.0;
   for (const auto& c : snapshot.counters) {
-    if (c.name == "los_cache.hits" || c.name == "los_cache.misses") {
-      los_total += c.value;
-    }
+    if (c.name == "extract.positions") positions = c.value;
     if (c.name == "segment_index.segment_queries") seg_queries = c.value;
   }
   for (const auto& a : snapshot.accums) {
     if (a.name == "phase.solve.seconds") solve_seconds = a.sum;
   }
-  EXPECT_GT(los_total, 0u);
+  EXPECT_GT(positions, 0u);
   EXPECT_GT(seg_queries, 0u);
   EXPECT_GT(solve_seconds, 0.0);
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/solver.hpp"
-#include "src/model/los_cache.hpp"
 #include "src/opt/greedy.hpp"
 #include "src/parallel/thread_pool.hpp"
 #include "src/pdcs/extract.hpp"
@@ -83,22 +82,6 @@ TEST(ParallelDeterminism, EveryGreedyModeThreadCountInvariant) {
       EXPECT_EQ(bits(result.approx_utility), bits(reference.approx_utility))
           << "mode " << static_cast<int>(mode) << " workers " << workers;
     }
-  }
-}
-
-TEST(ParallelDeterminism, PlacementUtilityMatchesSequentialBitwise) {
-  const auto scenario = test::small_paper_scenario(11, 3, 2);
-  const auto extraction = pdcs::extract_all(scenario);
-  const auto greedy =
-      opt::select_strategies(scenario, extraction.candidates,
-                             opt::GreedyMode::kLazyGlobal);
-  const double sequential = scenario.placement_utility(greedy.placement);
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    parallel::ThreadPool pool(workers);
-    model::LosCache cache(scenario);
-    EXPECT_EQ(bits(cache.placement_utility(greedy.placement, &pool)),
-              bits(sequential))
-        << "workers " << workers;
   }
 }
 
