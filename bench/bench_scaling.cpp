@@ -53,7 +53,6 @@ struct TierRecord {
   std::size_t devices = 0;
   std::size_t obstacles = 0;
   std::size_t rows = 0;
-  std::size_t tile_backoffs = 0;
   std::size_t peak_shard_bytes = 0;
   double gen_seconds = 0.0;
   double single_seconds = 0.0;
@@ -77,7 +76,7 @@ int run_tiers(const std::string& out_path, int max_devices, int shards,
   std::vector<TierRecord> tiers;
   Table table({"devices", "obstacles", "rows", "1-shard s",
                std::to_string(shards) + "sh/" + std::to_string(procs) + "p s",
-               "measured x", "LPT-sim x", "backoffs", "peak RSS MiB"});
+               "measured x", "LPT-sim x", "peak RSS MiB"});
 
   for (const int s : scales) {
     TierRecord rec;
@@ -99,7 +98,7 @@ int run_tiers(const std::string& out_path, int max_devices, int shards,
     shard::RunnerOptions base;
     base.shards = 1;
     base.extract.global_filter = false;
-    base.tile.mem_ceiling_bytes = static_cast<std::size_t>(ceiling_mb) << 20;
+    base.mem_ceiling_bytes = static_cast<std::size_t>(ceiling_mb) << 20;
     obs::Stopwatch single_watch;
     const auto single = shard::extract_sharded(scenario, base);
     rec.single_seconds = single_watch.seconds();
@@ -112,7 +111,6 @@ int run_tiers(const std::string& out_path, int max_devices, int shards,
     const auto merged = shard::extract_sharded(scenario, multi, &stats);
     rec.multi_seconds = multi_watch.seconds();
     rec.rows = stats.rows;
-    rec.tile_backoffs = stats.tile_backoffs;
     rec.peak_shard_bytes = stats.peak_shard_bytes;
     rec.merge_seconds = stats.merge_seconds;
     rec.pool_identical = pools_identical(single, merged);
@@ -132,7 +130,6 @@ int run_tiers(const std::string& out_path, int max_devices, int shards,
         .add(rec.multi_seconds, 2)
         .add(rec.single_seconds / rec.multi_seconds, 2)
         .add(rec.lpt_simulated_speedup, 2)
-        .add(rec.tile_backoffs)
         .add(static_cast<double>(rec.peak_rss_bytes) / (1 << 20), 0);
     tiers.push_back(rec);
     std::cout << "tier " << rec.devices << " devices done: 1-shard "
@@ -180,7 +177,6 @@ int run_tiers(const std::string& out_path, int max_devices, int shards,
          << obs::json_double(r.single_seconds / r.multi_seconds)
          << ", \"lpt_simulated_speedup\": "
          << obs::json_double(r.lpt_simulated_speedup)
-         << ", \"tile_backoffs\": " << r.tile_backoffs
          << ", \"peak_shard_bytes\": " << r.peak_shard_bytes
          << ", \"pool_identical\": "
          << (r.pool_identical ? "true" : "false")

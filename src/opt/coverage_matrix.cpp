@@ -80,34 +80,6 @@ void CoverageMatrix::rebuild_inverted_index(std::size_t num_devices) {
   }
 }
 
-CoverageMatrixBuilder::CoverageMatrixBuilder(std::size_t num_devices)
-    : num_devices_(num_devices) {
-  HIPO_REQUIRE(num_devices < (std::size_t{1} << 31),
-               "coverage matrix device count exceeds 2^31");
-}
-
-void CoverageMatrixBuilder::add_row(const model::Strategy& strategy,
-                                    std::span<const std::uint32_t> covered,
-                                    std::span<const double> powers) {
-  HIPO_ASSERT(covered.size() == powers.size());
-  HIPO_REQUIRE(matrix_.device_arena_.size() + covered.size() <=
-                   std::numeric_limits<std::uint32_t>::max(),
-               "coverage matrix exceeds u32 entry capacity");
-  for (std::size_t k = 0; k < covered.size(); ++k) {
-    HIPO_ASSERT(covered[k] < num_devices_);
-    matrix_.device_arena_.push_back(covered[k]);
-    matrix_.power_arena_.push_back(powers[k]);
-  }
-  matrix_.row_start_.push_back(
-      static_cast<std::uint32_t>(matrix_.device_arena_.size()));
-  matrix_.row_strategy_.push_back(strategy);
-}
-
-CoverageMatrix CoverageMatrixBuilder::finish() && {
-  matrix_.rebuild_inverted_index(num_devices_);
-  return std::move(matrix_);
-}
-
 void CoverageMatrix::mark_dead(std::size_t i) {
   HIPO_ASSERT(i < num_rows());
   if (dead_.empty()) dead_.assign(num_rows(), 0);

@@ -136,7 +136,6 @@ class CoverageMatrix {
   bool same_as(const CoverageMatrix& other) const;
 
  private:
-  friend class CoverageMatrixBuilder;
   void build(std::span<const pdcs::Candidate* const> candidates,
              std::size_t num_devices);
   void rebuild_inverted_index(std::size_t num_devices);
@@ -150,35 +149,6 @@ class CoverageMatrix {
   /// row i for removal by the next apply_patch.
   std::vector<std::uint8_t> dead_;
   std::size_t num_dead_ = 0;
-};
-
-/// Streaming row-at-a-time construction. The sharded extraction path holds
-/// candidate rows in bump-allocated arena segments (hipo::shard's
-/// CandidatePool) rather than a std::vector<pdcs::Candidate>; this builder
-/// lets it pack those rows straight into the CSR arenas without first
-/// materializing per-row heap vectors. finish() yields a matrix that is
-/// same_as() one built through the span constructors from the identical row
-/// sequence — the warm-start overload of select_strategies relies on that.
-class CoverageMatrixBuilder {
- public:
-  explicit CoverageMatrixBuilder(std::size_t num_devices);
-
-  /// Append one row. `covered` must be ascending device ids < num_devices;
-  /// `powers` is parallel to it. ConfigError when the arena would exceed
-  /// the u32 entry capacity.
-  void add_row(const model::Strategy& strategy,
-               std::span<const std::uint32_t> covered,
-               std::span<const double> powers);
-
-  std::size_t num_rows() const { return matrix_.num_rows(); }
-
-  /// Build the inverted index and release the matrix. The builder is spent
-  /// afterwards.
-  CoverageMatrix finish() &&;
-
- private:
-  std::size_t num_devices_;
-  CoverageMatrix matrix_;
 };
 
 }  // namespace hipo::opt

@@ -14,8 +14,7 @@ ExtractionResult extract_all(const model::Scenario& scenario,
                              const ExtractOptions& opt,
                              parallel::ThreadPool* pool) {
   const std::size_t n = scenario.num_devices();
-  ExtractionResult result;
-  result.task_seconds.assign(n, 0.0);
+  std::vector<double> task_seconds(n, 0.0);
 
   const spatial::GridIndex& index = scenario.device_index();
 
@@ -24,7 +23,7 @@ ExtractionResult extract_all(const model::Scenario& scenario,
     obs::Span span("extract.device", static_cast<std::uint64_t>(i));
     obs::Stopwatch watch;
     per_task[i] = extract_device_task(scenario, index, i, opt);
-    result.task_seconds[i] = watch.seconds();
+    task_seconds[i] = watch.seconds();
   };
 
   {
@@ -39,19 +38,25 @@ ExtractionResult extract_all(const model::Scenario& scenario,
     obs::counter("extract.tasks").bump(n);
   }
 
+  ExtractionResult merged =
+      merge_by_task(scenario, std::move(per_task), opt, pool);
+  merged.task_seconds = std::move(task_seconds);
+  return merged;
+}
+
+ExtractionResult merge_by_task(const model::Scenario& scenario,
+                               std::vector<std::vector<Candidate>> per_task,
+                               const ExtractOptions& opt,
+                               parallel::ThreadPool* pool) {
   // Merge in device order (deterministic), then filter per charger type.
   std::size_t raw = 0;
   std::vector<std::vector<Candidate>> by_type(scenario.num_charger_types());
-  for (std::size_t i = 0; i < n; ++i) {
-    raw += per_task[i].size();
-    for (auto& c : per_task[i]) {
-      by_type[c.strategy.type].push_back(std::move(c));
-    }
+  for (auto& task : per_task) {
+    raw += task.size();
+    for (auto& c : task) by_type[c.strategy.type].push_back(std::move(c));
   }
-  ExtractionResult filtered =
-      finalize_by_type(std::move(by_type), raw, n, opt, pool);
-  filtered.task_seconds = std::move(result.task_seconds);
-  return filtered;
+  return finalize_by_type(std::move(by_type), raw, scenario.num_devices(),
+                          opt, pool);
 }
 
 ExtractionResult finalize_by_type(std::vector<std::vector<Candidate>> by_type,

@@ -32,14 +32,21 @@ ExtractionResult extract_all(const model::Scenario& scenario,
                              const ExtractOptions& opt = {},
                              parallel::ThreadPool* pool = nullptr);
 
-/// The deterministic tail of extract_all, split out so the sharded path
-/// (hipo::shard) runs the *same* global filter + concatenation code on its
-/// merged per-type streams: `by_type[q]` must hold type-q candidates in
-/// task-ascending order (ties: within-task output order) — exactly what
-/// extract_all's device-order merge produces — and `raw_candidates` the
-/// total row count before this global filter. Consumes `by_type`. When
-/// `opt.global_filter` is false the streams are concatenated unfiltered,
-/// matching extract_all's behavior.
+/// extract_all's merge, shared with the sharded path (hipo::shard):
+/// `per_task[i]` holds device task i's output rows in task output order
+/// (one slot per device). Rows are concatenated in device order into
+/// per-type streams, which finalize_by_type filters. Consumes `per_task`;
+/// task_seconds is left empty.
+ExtractionResult merge_by_task(const model::Scenario& scenario,
+                               std::vector<std::vector<Candidate>> per_task,
+                               const ExtractOptions& opt,
+                               parallel::ThreadPool* pool = nullptr);
+
+/// The deterministic tail of merge_by_task: `by_type[q]` must hold type-q
+/// candidates in task-ascending order (ties: within-task output order) and
+/// `raw_candidates` the total row count before this global filter.
+/// Consumes `by_type`. When `opt.global_filter` is false the streams are
+/// concatenated unfiltered, matching extract_all's behavior.
 ExtractionResult finalize_by_type(std::vector<std::vector<Candidate>> by_type,
                                   std::size_t raw_candidates,
                                   std::size_t num_devices,

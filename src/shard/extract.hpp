@@ -1,5 +1,5 @@
 // Per-shard PDCS extraction: halo sub-scenario construction plus the
-// streaming, tiled candidate generator with bounded peak memory.
+// owned-task loop, metered against a memory ceiling.
 //
 // Bit-identity contract. For every owned task, running extract_device_task
 // against the halo sub-scenario produces byte-identical candidates (after
@@ -14,12 +14,9 @@
 //   * per-task dominance filtering depends only on covered-set contents and
 //     relative order, both invariant under the monotone remap.
 //
-// Tiling. Owned tasks run in tiles; after each tile the per-task rows are
-// spilled into the CandidatePool arena and the transient vectors freed. The
-// accounting footprint (arena bytes + tile transient bytes) is checked
-// against the memory ceiling after every tile: over the ceiling, the tile
-// size halves (down to 1) before the next tile — backoff instead of OOM.
-// Tile size never affects the output, only the transient peak.
+// Memory ceiling. A shard's retained rows are metered with the size-based
+// Candidate formula (retained_bytes); over the ceiling the shard fails with
+// ConfigError rather than growing without bound.
 #pragma once
 
 #include <cstddef>
@@ -29,23 +26,8 @@
 #include "src/parallel/thread_pool.hpp"
 #include "src/pdcs/candidate_gen.hpp"
 #include "src/shard/plan.hpp"
-#include "src/shard/pool.hpp"
 
 namespace hipo::shard {
-
-struct TileOptions {
-  /// Initial tasks per tile.
-  std::size_t tile_tasks = 64;
-  /// Accounting-byte ceiling (arena + tile transients); 0 disables the
-  /// check. Byte-granular so tests can exercise backoff precisely; the
-  /// hipo_shard tool maps --mem-ceiling-mb onto it. The arena itself must
-  /// fit: ConfigError when it alone exceeds the ceiling (no tile size can
-  /// shrink retained rows).
-  std::size_t mem_ceiling_bytes = 0;
-  /// Entry capacity per arena segment (CandidatePool's reservation grain) —
-  /// part of the accounting, so it is exposed alongside the ceiling.
-  std::size_t segment_entries = std::size_t{1} << 19;
-};
 
 /// The halo-restricted scenario one shard extracts against.
 struct SubScenario {
@@ -62,10 +44,7 @@ SubScenario build_sub_scenario(const model::Scenario& full,
 struct ShardStats {
   std::size_t tasks = 0;
   std::size_t rows = 0;
-  std::size_t tile_backoffs = 0;
-  std::size_t final_tile_tasks = 0;
-  /// Peak accounting bytes (arena + tile transients) observed at tile
-  /// boundaries.
+  /// Size-based bytes of the shard's retained rows (retained_bytes).
   std::size_t peak_bytes = 0;
   /// Wall-clock seconds of this shard's extraction.
   double seconds = 0.0;
@@ -73,14 +52,22 @@ struct ShardStats {
   std::vector<double> task_seconds;
 };
 
-/// Extract every owned task of `plan.shard(shard_id)` into `out` (rows
-/// carry global device ids; append order is ascending task order). `pool`
-/// parallelizes the tasks *within* each tile; outputs are buffered and
-/// spilled in task order, so the result is identical for any worker count.
+/// Accounting bytes of one task's rows: what the heap holds for them.
+/// Size-based (not capacity), so the figure is deterministic across
+/// allocators and process modes.
+std::size_t retained_bytes(const std::vector<pdcs::Candidate>& cands);
+
+/// Extract every owned task of `plan.shard(shard_id)`, writing task i's rows
+/// (global device ids, task output order) into `per_task[i]`; `per_task`
+/// has one slot per device of `full`, and only owned slots are written.
+/// `pool` parallelizes the tasks; each writes its own slot, so the result is
+/// identical for any worker count. ConfigError when the retained rows exceed
+/// `mem_ceiling_bytes` (0 disables the check).
 ShardStats extract_shard(const model::Scenario& full, const ShardPlan& plan,
                          std::size_t shard_id,
                          const pdcs::ExtractOptions& opt,
-                         const TileOptions& tile, CandidatePool& out,
+                         std::size_t mem_ceiling_bytes,
+                         std::vector<std::vector<pdcs::Candidate>>& per_task,
                          parallel::ThreadPool* pool = nullptr);
 
 }  // namespace hipo::shard

@@ -6,71 +6,66 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/phase.hpp"
 #include "src/obs/stopwatch.hpp"
-#include "src/serve/wire.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::shard {
 
 namespace {
 
+using PerTask = std::vector<std::vector<pdcs::Candidate>>;
+
 /// Per-frame byte limit on the worker pipes.
 constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
 /// Rows per streamed frame (bounds worker serialization buffers).
 constexpr std::size_t kRowsPerFrame = 4096;
 
-serve::Json row_json(const CandidatePool::RowRef& row) {
+/// `v` as an index below `bound`. The range and integrality checks precede
+/// the cast, so negative, NaN or huge doubles never reach it.
+std::size_t as_index(const serve::Json& v, std::size_t bound,
+                     const char* what) {
+  const double d = v.as_number();
+  HIPO_REQUIRE(d >= 0.0 && d < static_cast<double>(bound) &&
+                   d == std::floor(d),
+               std::string("shard frame: ") + what +
+                   " is not an integer below " + std::to_string(bound));
+  return static_cast<std::size_t>(d);
+}
+
+std::size_t as_count(const serve::Json& v, const char* what) {
+  return as_index(v, std::numeric_limits<std::size_t>::max(), what);
+}
+
+serve::Json row_json(std::size_t task, const pdcs::Candidate& c) {
   serve::Json r = serve::Json::array();
-  r.push(serve::Json::number(static_cast<double>(row.task)));
-  r.push(serve::Json::number(static_cast<double>(row.strategy->type)));
-  r.push(serve::Json::number(row.strategy->pos.x));
-  r.push(serve::Json::number(row.strategy->pos.y));
-  r.push(serve::Json::number(row.strategy->orientation));
+  r.push(serve::Json::number(static_cast<double>(task)));
+  r.push(serve::Json::number(static_cast<double>(c.strategy.type)));
+  r.push(serve::Json::number(c.strategy.pos.x));
+  r.push(serve::Json::number(c.strategy.pos.y));
+  r.push(serve::Json::number(c.strategy.orientation));
   serve::Json cov = serve::Json::array();
-  for (std::uint32_t j : row.covered) {
+  for (std::size_t j : c.covered) {
     cov.push(serve::Json::number(static_cast<double>(j)));
   }
   serve::Json pow = serve::Json::array();
-  for (double p : row.powers) pow.push(serve::Json::number(p));
+  for (double p : c.powers) pow.push(serve::Json::number(p));
   r.push(std::move(cov));
   r.push(std::move(pow));
   return r;
-}
-
-void parse_row(const serve::Json& r, CandidatePool& pool) {
-  const auto& a = r.as_array();
-  HIPO_REQUIRE(a.size() == 7, "shard row frame: malformed row");
-  pdcs::Candidate c;
-  c.strategy.type = static_cast<std::size_t>(a[1].as_number());
-  c.strategy.pos = {a[2].as_number(), a[3].as_number()};
-  c.strategy.orientation = a[4].as_number();
-  const auto& cov = a[5].as_array();
-  const auto& pow = a[6].as_array();
-  HIPO_REQUIRE(cov.size() == pow.size(),
-               "shard row frame: covered/powers length mismatch");
-  c.covered.reserve(cov.size());
-  c.powers.reserve(pow.size());
-  for (const auto& v : cov) {
-    c.covered.push_back(static_cast<std::size_t>(v.as_number()));
-  }
-  for (const auto& v : pow) c.powers.push_back(v.as_number());
-  pool.append(static_cast<std::uint32_t>(a[0].as_number()), c);
 }
 
 serve::Json stats_json(const ShardStats& st) {
   serve::Json s = serve::Json::object();
   s.set("seconds", serve::Json::number(st.seconds));
   s.set("rows", serve::Json::number(static_cast<double>(st.rows)));
-  s.set("tile_backoffs",
-        serve::Json::number(static_cast<double>(st.tile_backoffs)));
-  s.set("final_tile_tasks",
-        serve::Json::number(static_cast<double>(st.final_tile_tasks)));
   s.set("peak_bytes",
         serve::Json::number(static_cast<double>(st.peak_bytes)));
   serve::Json ts = serve::Json::array();
@@ -80,37 +75,34 @@ serve::Json stats_json(const ShardStats& st) {
 }
 
 void parse_stats(const serve::Json& s, ShardStats& st) {
-  const auto num = [&](const char* key) {
+  const auto field = [&](const char* key) -> const serve::Json& {
     const serve::Json* v = s.find(key);
     HIPO_REQUIRE(v != nullptr,
                  std::string("shard stats frame: missing ") + key);
-    return v->as_number();
+    return *v;
   };
-  st.seconds = num("seconds");
-  st.rows = static_cast<std::size_t>(num("rows"));
-  st.tile_backoffs = static_cast<std::size_t>(num("tile_backoffs"));
-  st.final_tile_tasks = static_cast<std::size_t>(num("final_tile_tasks"));
-  st.peak_bytes = static_cast<std::size_t>(num("peak_bytes"));
-  const serve::Json* ts = s.find("task_seconds");
-  HIPO_REQUIRE(ts != nullptr, "shard stats frame: missing task_seconds");
+  st.seconds = field("seconds").as_number();
+  st.rows = as_count(field("rows"), "stats rows");
+  st.peak_bytes = as_count(field("peak_bytes"), "stats peak_bytes");
   st.task_seconds.clear();
-  for (const auto& v : ts->as_array()) {
+  for (const auto& v : field("task_seconds").as_array()) {
     st.task_seconds.push_back(v.as_number());
   }
   st.tasks = st.task_seconds.size();
 }
 
-/// Worker body after fork: extract assigned shards single-threaded, stream
-/// rows and stats over `fd`, then _exit. Never returns; all failures leave
-/// through the error frame + _exit(1).
+/// Worker body after fork: extract shards worker, worker + procs, ...
+/// single-threaded, stream rows and stats over `fd`, then _exit. Never
+/// returns; all failures leave through the error frame + _exit(1).
 [[noreturn]] void run_worker(int fd, const model::Scenario& scenario,
                              const ShardPlan& plan, const RunnerOptions& opt,
-                             const std::vector<std::size_t>& shard_ids) {
+                             std::size_t worker, std::size_t procs) {
   try {
-    for (std::size_t k : shard_ids) {
-      CandidatePool pool(opt.tile.segment_entries);
-      ShardStats st = extract_shard(scenario, plan, k, opt.extract, opt.tile,
-                                    pool, /*pool=*/nullptr);
+    PerTask per_task(scenario.num_devices());
+    for (std::size_t k = worker; k < plan.num_shards(); k += procs) {
+      const ShardStats st =
+          extract_shard(scenario, plan, k, opt.extract,
+                        opt.mem_ceiling_bytes, per_task, /*pool=*/nullptr);
       serve::Json rows = serve::Json::array();
       std::size_t in_frame = 0;
       const auto flush = [&]() {
@@ -123,10 +115,13 @@ void parse_stats(const serve::Json& s, ShardStats& st) {
         rows = serve::Json::array();
         in_frame = 0;
       };
-      pool.for_each_row([&](const CandidatePool::RowRef& row) {
-        rows.push(row_json(row));
-        if (++in_frame >= kRowsPerFrame) flush();
-      });
+      for (std::size_t i : plan.shard(k).owned) {
+        for (const pdcs::Candidate& c : per_task[i]) {
+          rows.push(row_json(i, c));
+          if (++in_frame >= kRowsPerFrame) flush();
+        }
+        per_task[i] = {};
+      }
       flush();
       serve::Json frame = serve::Json::object();
       frame.set("shard", serve::Json::number(static_cast<double>(k)));
@@ -147,16 +142,37 @@ void parse_stats(const serve::Json& s, ShardStats& st) {
   }
 }
 
-void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
-                   const RunnerOptions& opt,
-                   std::vector<CandidatePool>& pools,
-                   std::vector<ShardStats>& stats) {
-  const std::size_t shards = plan.num_shards();
-  const std::size_t procs = std::min(opt.processes, shards);
-  std::vector<std::vector<std::size_t>> assigned(procs);
-  for (std::size_t k = 0; k < shards; ++k) {
-    assigned[k % procs].push_back(k);
+/// Decode one frame from worker `worker` of `procs`. A worker's error
+/// frame, like any malformed field, throws ConfigError.
+void decode_frame(std::string_view payload, std::size_t worker,
+                  std::size_t procs, const model::Scenario& scenario,
+                  const ShardPlan& plan, PerTask& per_task,
+                  std::vector<ShardStats>& stats) {
+  const serve::Json frame = serve::parse_json(payload);
+  if (const serve::Json* err = frame.find("error")) {
+    throw ConfigError(err->as_string());
   }
+  const serve::Json* shard_v = frame.find("shard");
+  HIPO_REQUIRE(shard_v != nullptr, "shard frame: missing shard id");
+  const std::size_t k = as_index(*shard_v, plan.num_shards(), "shard id");
+  HIPO_REQUIRE(k % procs == worker,
+               "shard frame: shard " + std::to_string(k) +
+                   " is not assigned to this worker");
+  if (const serve::Json* rows = frame.find("rows")) {
+    decode_rows(*rows, k, scenario, plan, per_task);
+  } else if (const serve::Json* st = frame.find("stats")) {
+    parse_stats(*st, stats[k]);
+  }
+}
+
+/// Fork min(processes, shards) workers (worker w extracts shards w,
+/// w + procs, ...) and decode their frames into `per_task` and `stats`.
+/// The first failure stops decoding; every pipe is closed and every child
+/// reaped before it rethrows as ConfigError.
+void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
+                   const RunnerOptions& opt, PerTask& per_task,
+                   std::vector<ShardStats>& stats) {
+  const std::size_t procs = std::min(opt.processes, plan.num_shards());
 
   struct Worker {
     pid_t pid = -1;
@@ -165,17 +181,24 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
   };
   std::vector<Worker> workers;
   workers.reserve(procs);
+  std::string error;
   for (std::size_t w = 0; w < procs; ++w) {
     int pipe_fd[2];
-    HIPO_REQUIRE(::pipe(pipe_fd) == 0,
-                 std::string("shard runner: pipe: ") + std::strerror(errno));
+    if (::pipe(pipe_fd) != 0) {
+      error = std::string("pipe: ") + std::strerror(errno);
+      break;
+    }
     const pid_t pid = ::fork();
-    HIPO_REQUIRE(pid >= 0,
-                 std::string("shard runner: fork: ") + std::strerror(errno));
+    if (pid < 0) {
+      error = std::string("fork: ") + std::strerror(errno);
+      ::close(pipe_fd[0]);
+      ::close(pipe_fd[1]);
+      break;
+    }
     if (pid == 0) {
       ::close(pipe_fd[0]);
       for (const Worker& prev : workers) ::close(prev.fd);
-      run_worker(pipe_fd[1], scenario, plan, opt, assigned[w]);
+      run_worker(pipe_fd[1], scenario, plan, opt, w, procs);
     }
     ::close(pipe_fd[1]);
     workers.push_back({pid, pipe_fd[0], true});
@@ -183,63 +206,50 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
 
   // Drain frames with poll(): a worker stalled on a full pipe never blocks
   // the others' progress. Frames from different workers interleave freely;
-  // rows land in per-shard pools, so the merge order is arrival-independent.
-  std::string error;
+  // each task's rows come from one worker in order, so the per-task table
+  // is arrival-independent.
   std::string payload;
-  std::size_t open_fds = workers.size();
   std::vector<pollfd> poll_fds;
-  while (open_fds > 0) {
+  while (error.empty()) {
     poll_fds.clear();
     for (const Worker& w : workers) {
       if (w.open) poll_fds.push_back({w.fd, POLLIN, 0});
     }
+    if (poll_fds.empty()) break;
     const int rc = ::poll(poll_fds.data(),
                           static_cast<nfds_t>(poll_fds.size()), -1);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      throw ConfigError(std::string("shard runner: poll: ") +
-                        std::strerror(errno));
+      error = std::string("poll: ") + std::strerror(errno);
+      break;
     }
     for (const pollfd& pf : poll_fds) {
       if ((pf.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Worker* w = nullptr;
-      for (Worker& cand : workers) {
-        if (cand.open && cand.fd == pf.fd) w = &cand;
+      std::size_t w = 0;
+      while (w < workers.size() &&
+             !(workers[w].open && workers[w].fd == pf.fd)) {
+        ++w;
       }
-      if (w == nullptr) continue;
-      bool more = false;
+      if (w == workers.size()) continue;
       try {
-        more = serve::read_frame_fd(w->fd, kMaxFrameBytes, payload);
-      } catch (const std::exception& e) {
-        if (error.empty()) error = e.what();
-      }
-      if (!more) {
-        ::close(w->fd);
-        w->open = false;
-        --open_fds;
-        continue;
-      }
-      const serve::Json frame = serve::parse_json(payload);
-      if (const serve::Json* err = frame.find("error")) {
-        if (error.empty()) error = err->as_string();
-        continue;
-      }
-      const serve::Json* shard_v = frame.find("shard");
-      HIPO_REQUIRE(shard_v != nullptr, "shard frame: missing shard id");
-      const auto k = static_cast<std::size_t>(shard_v->as_number());
-      HIPO_REQUIRE(k < shards, "shard frame: shard id out of range");
-      if (const serve::Json* rows = frame.find("rows")) {
-        for (const serve::Json& r : rows->as_array()) {
-          parse_row(r, pools[k]);
+        if (serve::read_frame_fd(workers[w].fd, kMaxFrameBytes, payload)) {
+          decode_frame(payload, w, procs, scenario, plan, per_task, stats);
+          continue;
         }
-      } else if (const serve::Json* st = frame.find("stats")) {
-        parse_stats(*st, stats[k]);
+      } catch (const std::exception& e) {
+        error = e.what();
       }
+      ::close(workers[w].fd);
+      workers[w].open = false;
+      if (!error.empty()) break;
     }
   }
 
+  // Closing the remaining pipes unblocks any worker stalled on a write, so
+  // every child exits and is reaped even after a failure.
   bool dirty_exit = false;
   for (const Worker& w : workers) {
+    if (w.open) ::close(w.fd);
     int status = 0;
     pid_t r;
     do {
@@ -257,34 +267,41 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
 
 }  // namespace
 
-pdcs::ExtractionResult merge_pools(const model::Scenario& scenario,
-                                   std::vector<CandidatePool>& pools,
-                                   const pdcs::ExtractOptions& opt,
-                                   parallel::ThreadPool* pool) {
-  std::size_t total = 0;
-  for (const CandidatePool& p : pools) total += p.num_rows();
-  std::vector<CandidatePool::RowRef> refs;
-  refs.reserve(total);
-  for (CandidatePool& p : pools) {
-    p.for_each_row(
-        [&](const CandidatePool::RowRef& row) { refs.push_back(row); });
+void decode_rows(const serve::Json& rows, std::size_t shard_id,
+                 const model::Scenario& scenario, const ShardPlan& plan,
+                 PerTask& per_task) {
+  const std::size_t n = scenario.num_devices();
+  HIPO_REQUIRE(per_task.size() == n,
+               "shard row frame: per-task table needs one slot per device");
+  for (const serve::Json& r : rows.as_array()) {
+    const auto& a = r.as_array();
+    HIPO_REQUIRE(a.size() == 7, "shard row frame: malformed row");
+    const std::size_t task = as_index(a[0], n, "row task");
+    HIPO_REQUIRE(plan.owner_of(scenario.device(task).pos) == shard_id,
+                 "shard row frame: task " + std::to_string(task) +
+                     " is not owned by shard " + std::to_string(shard_id));
+    pdcs::Candidate c;
+    c.strategy.type =
+        as_index(a[1], scenario.num_charger_types(), "row charger type");
+    c.strategy.pos = {a[2].as_number(), a[3].as_number()};
+    c.strategy.orientation = a[4].as_number();
+    const auto& cov = a[5].as_array();
+    const auto& pow = a[6].as_array();
+    HIPO_REQUIRE(cov.size() == pow.size(),
+                 "shard row frame: covered/powers length mismatch");
+    c.covered.reserve(cov.size());
+    c.powers.reserve(pow.size());
+    for (std::size_t e = 0; e < cov.size(); ++e) {
+      const std::size_t j = as_index(cov[e], n, "covered device");
+      HIPO_REQUIRE(c.covered.empty() || c.covered.back() < j,
+                   "shard row frame: covered ids not strictly ascending");
+      const double p = pow[e].as_number();
+      HIPO_REQUIRE(std::isfinite(p), "shard row frame: non-finite power");
+      c.covered.push_back(j);
+      c.powers.push_back(p);
+    }
+    per_task[task].push_back(std::move(c));
   }
-  // Owner-shard/lowest-index merge rule: all rows of a task live in exactly
-  // one pool, in task output order, tasks ascending within their pool — so
-  // a stable sort by task reproduces extract_all's device-order merge.
-  std::stable_sort(refs.begin(), refs.end(),
-                   [](const CandidatePool::RowRef& a,
-                      const CandidatePool::RowRef& b) {
-                     return a.task < b.task;
-                   });
-  std::vector<std::vector<pdcs::Candidate>> by_type(
-      scenario.num_charger_types());
-  for (const CandidatePool::RowRef& row : refs) {
-    HIPO_ASSERT(row.strategy->type < by_type.size());
-    by_type[row.strategy->type].push_back(CandidatePool::materialize(row));
-  }
-  return pdcs::finalize_by_type(std::move(by_type), refs.size(),
-                                scenario.num_devices(), opt, pool);
 }
 
 pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
@@ -293,20 +310,16 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
   HIPO_REQUIRE(opt.shards >= 1, "shard runner needs at least one shard");
   const ShardPlan plan(scenario, {.shards = opt.shards});
 
-  std::vector<CandidatePool> pools;
-  pools.reserve(plan.num_shards());
-  for (std::size_t k = 0; k < plan.num_shards(); ++k) {
-    pools.emplace_back(opt.tile.segment_entries);
-  }
+  PerTask per_task(scenario.num_devices());
   std::vector<ShardStats> stats(plan.num_shards());
   {
     obs::ScopedPhase phase("shard.extract");
     if (opt.processes >= 1) {
-      run_processes(scenario, plan, opt, pools, stats);
+      run_processes(scenario, plan, opt, per_task, stats);
     } else {
       for (std::size_t k = 0; k < plan.num_shards(); ++k) {
-        stats[k] = extract_shard(scenario, plan, k, opt.extract, opt.tile,
-                                 pools[k], opt.pool);
+        stats[k] = extract_shard(scenario, plan, k, opt.extract,
+                                 opt.mem_ceiling_bytes, per_task, opt.pool);
       }
     }
   }
@@ -315,7 +328,8 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
   pdcs::ExtractionResult result;
   {
     obs::ScopedPhase phase("shard.merge");
-    result = merge_pools(scenario, pools, opt.extract, opt.pool);
+    result = pdcs::merge_by_task(scenario, std::move(per_task), opt.extract,
+                                 opt.pool);
   }
   result.task_seconds.assign(scenario.num_devices(), 0.0);
   for (std::size_t k = 0; k < plan.num_shards(); ++k) {
@@ -332,16 +346,14 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
     stats_out->processes = std::min(opt.processes, plan.num_shards());
     stats_out->shard_seconds.clear();
     stats_out->rows = 0;
-    stats_out->tile_backoffs = 0;
     stats_out->peak_shard_bytes = 0;
     stats_out->pool_bytes = 0;
-    for (std::size_t k = 0; k < plan.num_shards(); ++k) {
-      stats_out->shard_seconds.push_back(stats[k].seconds);
-      stats_out->rows += stats[k].rows;
-      stats_out->tile_backoffs += stats[k].tile_backoffs;
+    for (const ShardStats& st : stats) {
+      stats_out->shard_seconds.push_back(st.seconds);
+      stats_out->rows += st.rows;
       stats_out->peak_shard_bytes =
-          std::max(stats_out->peak_shard_bytes, stats[k].peak_bytes);
-      stats_out->pool_bytes += pools[k].bytes();
+          std::max(stats_out->peak_shard_bytes, st.peak_bytes);
+      stats_out->pool_bytes += st.peak_bytes;
     }
     stats_out->merge_seconds = merge_watch.seconds();
   }

@@ -1,22 +1,25 @@
 // Shard runner: drives per-shard extraction — in-process or across forked
-// worker processes — and merges the per-shard candidate pools into an
-// ExtractionResult that is bit-identical to pdcs::extract_all.
+// worker processes — and merges the per-task rows into an ExtractionResult
+// that is bit-identical to pdcs::extract_all.
 //
-// Merge rule. Each shard's pool holds rows grouped by task, tasks
-// ascending; tasks partition across shards (owner-shard rule, pairs under
-// the lower-index device). A stable sort of all rows by task therefore
-// reproduces extract_all's device-order merge exactly, and the per-type
-// streams feed the same finalize_by_type (global dominance filter +
-// type-order concatenation) extract_all runs. The result is independent of
-// shard count, process count, worker threads, and frame arrival order.
+// Merge rule. Every task's rows land in its own slot of one per-task table
+// (one slot per device); tasks partition across shards (owner-shard rule,
+// pairs under the lower-index device), so each slot is written by exactly
+// one shard. pdcs::merge_by_task then runs extract_all's own device-order
+// merge and finalize_by_type (global dominance filter + type-order
+// concatenation) on that table. The result is independent of shard count,
+// process count, worker threads, and frame arrival order.
 //
 // Processes. Workers are forked (no exec): copy-on-write shares the parsed
 // scenario, each child extracts its assigned shards single-threaded and
 // streams rows back over a pipe as length-prefixed JSON frames (the serve
-// wire layer; doubles round-trip exactly at 17 significant digits). The
-// parent multiplexes pipes with poll(), so a worker blocked on a full pipe
-// never stalls the others. Children _exit(); a child error travels back as
-// an {"error": ...} frame and rethrows in the parent as ConfigError.
+// wire layer; doubles round-trip exactly at 17 significant digits). Frames
+// on one pipe arrive in order, so each task slot fills in task output
+// order. The parent multiplexes pipes with poll(), so a worker blocked on a
+// full pipe never stalls the others, and validates every decoded field
+// before it indexes anything. Children _exit(). The first failure — a
+// child's {"error": ...} frame or a frame the parent cannot decode — closes
+// every pipe, reaps every child, and rethrows in the parent as ConfigError.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +28,7 @@
 #include "src/model/scenario.hpp"
 #include "src/parallel/thread_pool.hpp"
 #include "src/pdcs/extract.hpp"
+#include "src/serve/wire.hpp"
 #include "src/shard/extract.hpp"
 #include "src/shard/plan.hpp"
 
@@ -37,8 +41,11 @@ struct RunnerOptions {
   /// shard count.
   std::size_t processes = 0;
   pdcs::ExtractOptions extract;
-  TileOptions tile;
-  /// In-process mode only: parallelizes tile tasks and the merge filter.
+  /// Per-shard ceiling on retained-row bytes (shard::retained_bytes); 0
+  /// disables it. A shard over it fails with ConfigError. The hipo_shard
+  /// tool maps --mem-ceiling-mb onto it.
+  std::size_t mem_ceiling_bytes = 0;
+  /// In-process mode only: parallelizes shard tasks and the merge filter.
   /// Forked workers never touch it (they run single-threaded).
   parallel::ThreadPool* pool = nullptr;
 };
@@ -49,10 +56,9 @@ struct RunnerStats {
   /// Per-shard extraction wall seconds (worker-measured).
   std::vector<double> shard_seconds;
   std::size_t rows = 0;
-  std::size_t tile_backoffs = 0;
-  /// Largest per-shard accounting peak (arena + tile transients).
+  /// Largest per-shard retained-row bytes (ShardStats::peak_bytes).
   std::size_t peak_shard_bytes = 0;
-  /// Sum of the per-shard arena bytes held by the parent at merge time.
+  /// Sum of the per-shard retained-row bytes: the table the merge consumes.
   std::size_t pool_bytes = 0;
   double merge_seconds = 0.0;
 };
@@ -64,11 +70,14 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
                                        const RunnerOptions& opt,
                                        RunnerStats* stats = nullptr);
 
-/// The merge stage alone: pools[k] must hold shard k's rows (grouped by
-/// task, tasks ascending, global device ids). Exposed for tests.
-pdcs::ExtractionResult merge_pools(const model::Scenario& scenario,
-                                   std::vector<CandidatePool>& pools,
-                                   const pdcs::ExtractOptions& opt,
-                                   parallel::ThreadPool* pool = nullptr);
+/// Parent-side decode of one worker frame's `rows` array for shard
+/// `shard_id`. Each row is validated before it is appended to
+/// `per_task[task]` (one slot per device of `scenario`): the task id is an
+/// integer < n owned by the shard, the type an integer < the charger type
+/// count, the covered ids integers < n strictly ascending, with as many
+/// powers, all finite. ConfigError on any violation. Exposed for tests.
+void decode_rows(const serve::Json& rows, std::size_t shard_id,
+                 const model::Scenario& scenario, const ShardPlan& plan,
+                 std::vector<std::vector<pdcs::Candidate>>& per_task);
 
 }  // namespace hipo::shard

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/opt/coverage_matrix.hpp"
 #include "src/opt/greedy.hpp"
 #include "src/pdcs/extract.hpp"
+#include "src/serve/wire.hpp"
 #include "src/shard/extract.hpp"
 #include "src/shard/plan.hpp"
-#include "src/shard/pool.hpp"
 #include "src/shard/runner.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
@@ -215,58 +219,25 @@ TEST(ShardExtract, ThreadPoolDoesNotChangeResult) {
   }
 }
 
-TEST(ShardExtract, TileBackoffKeepsOutputIdentical) {
-  const auto s = spread_scenario(39, 30, true, false);
-  const ShardPlan plan(s, {.shards = 2});
-  pdcs::ExtractOptions ex;
-
-  // Unbounded reference run to learn this shard's arena + transient peak.
-  TileOptions unbounded;
-  unbounded.segment_entries = 512;
-  CandidatePool ref_pool(unbounded.segment_entries);
-  const ShardStats ref =
-      extract_shard(s, plan, 0, ex, unbounded, ref_pool, nullptr);
-  ASSERT_GT(ref.rows, 0u);
-  ASSERT_GT(ref.peak_bytes, ref_pool.bytes());
-
-  // Ceiling above the arena but below arena + full-tile transients: the
-  // driver must back off instead of failing, and the output must not move.
-  TileOptions tight = unbounded;
-  tight.mem_ceiling_bytes =
-      ref_pool.bytes() + (ref.peak_bytes - ref_pool.bytes()) / 4 + 1;
-  CandidatePool tight_pool(tight.segment_entries);
-  const ShardStats st =
-      extract_shard(s, plan, 0, ex, tight, tight_pool, nullptr);
-  EXPECT_GE(st.tile_backoffs, 1u);
-  EXPECT_LT(st.final_tile_tasks, TileOptions{}.tile_tasks);
-  EXPECT_EQ(st.rows, ref.rows);
-  EXPECT_EQ(tight_pool.bytes(), ref_pool.bytes());
-  std::vector<CandidatePool::RowRef> a, b;
-  ref_pool.for_each_row([&](const CandidatePool::RowRef& r) {
-    a.push_back(r);
-  });
-  tight_pool.for_each_row([&](const CandidatePool::RowRef& r) {
-    b.push_back(r);
-  });
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].task, b[i].task);
-    EXPECT_TRUE(std::equal(a[i].covered.begin(), a[i].covered.end(),
-                           b[i].covered.begin(), b[i].covered.end()));
-    EXPECT_TRUE(std::equal(a[i].powers.begin(), a[i].powers.end(),
-                           b[i].powers.begin(), b[i].powers.end()));
-  }
-}
-
 TEST(ShardExtract, ArenaOverCeilingThrows) {
   const auto s = spread_scenario(40, 30, true, false);
   const ShardPlan plan(s, {.shards = 1});
-  TileOptions tile;
-  tile.segment_entries = 512;
-  tile.mem_ceiling_bytes = 1024;  // below even one arena segment
-  CandidatePool pool(tile.segment_entries);
+  std::vector<std::vector<pdcs::Candidate>> per_task(s.num_devices());
+  const ShardStats st =
+      extract_shard(s, plan, 0, pdcs::ExtractOptions{}, 0, per_task);
+  ASSERT_GT(st.rows, 0u);
+  std::size_t bytes = 0;
+  for (const auto& task : per_task) bytes += retained_bytes(task);
+  EXPECT_EQ(st.peak_bytes, bytes);
+
+  // The retained rows fit a ceiling of exactly their size, not one byte
+  // less.
+  std::vector<std::vector<pdcs::Candidate>> fits(s.num_devices());
+  EXPECT_NO_THROW(
+      extract_shard(s, plan, 0, pdcs::ExtractOptions{}, bytes, fits));
+  std::vector<std::vector<pdcs::Candidate>> over(s.num_devices());
   EXPECT_THROW(
-      extract_shard(s, plan, 0, pdcs::ExtractOptions{}, tile, pool, nullptr),
+      extract_shard(s, plan, 0, pdcs::ExtractOptions{}, bytes - 1, over),
       ConfigError);
 }
 
@@ -293,8 +264,108 @@ TEST(ShardRunner, StatsAccounting) {
   const auto got = sharded(s, 4, 0, nullptr, &stats);
   EXPECT_EQ(stats.rows, got.raw_candidates);
   EXPECT_GT(stats.pool_bytes, 0u);
-  EXPECT_GE(stats.peak_shard_bytes, 0u);
+  EXPECT_GT(stats.peak_shard_bytes, 0u);
+  EXPECT_LE(stats.peak_shard_bytes, stats.pool_bytes);
   EXPECT_GE(stats.merge_seconds, 0.0);
+
+  // pool_bytes is the sum of the per-shard retained bytes.
+  const ShardPlan plan(s, {.shards = 4});
+  std::vector<std::vector<pdcs::Candidate>> per_task(s.num_devices());
+  std::size_t shard_sum = 0;
+  for (std::size_t k = 0; k < plan.num_shards(); ++k) {
+    shard_sum +=
+        extract_shard(s, plan, k, pdcs::ExtractOptions{}, 0, per_task)
+            .peak_bytes;
+  }
+  EXPECT_EQ(stats.pool_bytes, shard_sum);
+}
+
+// Kept apart from StatsAccounting so the in-process part also runs where
+// fork is excluded (the TSan job filters out ShardRunner.Forked*).
+TEST(ShardRunner, ForkedStatsAccountingMatchesInProcess) {
+  // Size-based accounting does not depend on the process mode.
+  const auto s = spread_scenario(42, 24, true, false);
+  RunnerStats in_process, forked;
+  sharded(s, 4, 0, nullptr, &in_process);
+  sharded(s, 4, 2, nullptr, &forked);
+  EXPECT_EQ(forked.rows, in_process.rows);
+  EXPECT_EQ(forked.peak_shard_bytes, in_process.peak_shard_bytes);
+  EXPECT_EQ(forked.pool_bytes, in_process.pool_bytes);
+}
+
+TEST(ShardRunner, ForkedWorkersOverCeilingAreReaped) {
+  const auto s = spread_scenario(46, 24, true, false);
+  RunnerOptions opt;
+  opt.shards = 4;
+  opt.processes = 2;
+  opt.mem_ceiling_bytes = 1;
+  EXPECT_THROW(extract_sharded(s, opt), ConfigError);
+  // Every forked child was waited for: none is left to reap.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(ShardRunner, MalformedWorkerRowsAreRejected) {
+  const auto s = spread_scenario(47, 24, true, false);
+  const ShardPlan plan(s, {.shards = 4});
+  ASSERT_GE(plan.shard(0).owned.size(), 1u);
+  ASSERT_GE(s.num_devices(), 3u);
+  const std::string task = std::to_string(plan.shard(0).owned.front());
+  const std::string n = std::to_string(s.num_devices());
+  const auto decode = [&](const std::string& rows) {
+    std::vector<std::vector<pdcs::Candidate>> per_task(s.num_devices());
+    decode_rows(serve::parse_json(rows), 0, s, plan, per_task);
+    return per_task;
+  };
+
+  // A well-formed row lands in its task's slot.
+  const auto ok =
+      decode("[[" + task + ", 0, 1.5, 2.5, 0.25, [0, 2], [0.5, 0.75]]]");
+  ASSERT_EQ(ok[plan.shard(0).owned.front()].size(), 1u);
+  EXPECT_EQ(ok[plan.shard(0).owned.front()][0].covered,
+            (std::vector<std::size_t>{0, 2}));
+
+  std::string foreign;
+  for (std::size_t k = 1; k < plan.num_shards() && foreign.empty(); ++k) {
+    if (!plan.shard(k).owned.empty()) {
+      foreign = std::to_string(plan.shard(k).owned.front());
+    }
+  }
+  ASSERT_FALSE(foreign.empty());
+
+  const std::vector<std::string> malformed = {
+      "[[" + task + ", 0, 1, 2, 0, [0], [0.5, 0.5]]]",     // length mismatch
+      "[[" + task + ", 0, 1, 2, 0, [0]]]",                 // short row
+      "[[-1, 0, 1, 2, 0, [], []]]",                        // negative task
+      "[[" + n + ", 0, 1, 2, 0, [], []]]",                 // task >= n
+      "[[1e300, 0, 1, 2, 0, [], []]]",                     // huge task
+      "[[0.5, 0, 1, 2, 0, [], []]]",                       // fractional task
+      "[[" + foreign + ", 0, 1, 2, 0, [], []]]",           // not owned
+      "[[" + task + ", 1, 1, 2, 0, [], []]]",              // type >= types
+      "[[" + task + ", -0.5, 1, 2, 0, [], []]]",           // negative type
+      "[[" + task + ", \"0\", 1, 2, 0, [], []]]",          // string type
+      "[[" + task + ", 0, 1, 2, 0, [" + n + "], [0.5]]]",  // covered >= n
+      "[[" + task + ", 0, 1, 2, 0, [-1], [0.5]]]",         // negative id
+      "[[" + task + ", 0, 1, 2, 0, [1.5], [0.5]]]",        // fractional id
+      "[[" + task + ", 0, 1, 2, 0, [2, 1], [0.5, 0.5]]]",  // descending
+      "[[" + task + ", 0, 1, 2, 0, [1, 1], [0.5, 0.5]]]",  // duplicate
+  };
+  for (const std::string& rows : malformed) {
+    SCOPED_TRACE(rows);
+    EXPECT_THROW(decode(rows), ConfigError);
+  }
+
+  // The wire parser already refuses non-finite literals; the decoder checks
+  // powers itself too.
+  serve::Json bad = serve::parse_json("[" + task + ", 0, 1, 2, 0, [1]]");
+  serve::Json powers = serve::Json::array();
+  powers.push(serve::Json::number(std::numeric_limits<double>::infinity()));
+  bad.push(std::move(powers));
+  serve::Json rows = serve::Json::array();
+  rows.push(std::move(bad));
+  std::vector<std::vector<pdcs::Candidate>> per_task(s.num_devices());
+  EXPECT_THROW(decode_rows(rows, 0, s, plan, per_task), ConfigError);
 }
 
 TEST(ShardRunner, PlacementsBitIdenticalAcrossShardCounts) {
@@ -324,60 +395,16 @@ TEST(ShardRunner, PlacementsBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(CoverageMatrixBuilder, MatchesSpanConstructor) {
-  const auto s = spread_scenario(44, 20, true, false);
-  const auto ext = pdcs::extract_all(s);
-  ASSERT_FALSE(ext.candidates.empty());
-  const opt::CoverageMatrix cold(
-      std::span<const pdcs::Candidate>(ext.candidates), s.num_devices());
-  opt::CoverageMatrixBuilder builder(s.num_devices());
-  std::vector<std::uint32_t> covered;
-  for (const auto& c : ext.candidates) {
-    covered.assign(c.covered.begin(), c.covered.end());
-    builder.add_row(c.strategy, covered, c.powers);
-  }
-  const opt::CoverageMatrix warm = std::move(builder).finish();
-  EXPECT_TRUE(cold.same_as(warm));
-}
-
 TEST(CoverageMatrixBuilder, WarmGreedyMatchesSpanGreedy) {
   const auto s = spread_scenario(45, 24, true, false);
   const auto ext = sharded(s, 4);
-  opt::CoverageMatrixBuilder builder(s.num_devices());
-  std::vector<std::uint32_t> covered;
-  for (const auto& c : ext.candidates) {
-    covered.assign(c.covered.begin(), c.covered.end());
-    builder.add_row(c.strategy, covered, c.powers);
-  }
-  const opt::CoverageMatrix warm = std::move(builder).finish();
+  const opt::CoverageMatrix warm(
+      std::span<const pdcs::Candidate>(ext.candidates), s.num_devices());
   const auto span_sel = opt::select_strategies(s, ext.candidates);
   const auto warm_sel = opt::select_strategies(s, warm);
   EXPECT_EQ(span_sel.selected, warm_sel.selected);
   EXPECT_EQ(span_sel.approx_utility, warm_sel.approx_utility);
   EXPECT_EQ(span_sel.exact_utility, warm_sel.exact_utility);
-}
-
-TEST(CandidatePool, SpliceAndAccounting) {
-  CandidatePool a(64), b(64);
-  pdcs::Candidate c;
-  c.strategy.type = 0;
-  c.covered = {1, 3, 7};
-  c.powers = {0.5, 0.25, 0.125};
-  a.append(3, c);
-  b.append(5, c);
-  b.append(6, c);
-  EXPECT_EQ(a.num_rows(), 1u);
-  EXPECT_GT(a.bytes(), 0u);
-  const std::size_t bytes_sum = a.bytes() + b.bytes();
-  a.splice(std::move(b));
-  EXPECT_EQ(a.num_rows(), 3u);
-  EXPECT_EQ(a.num_entries(), 9u);
-  EXPECT_EQ(a.bytes(), bytes_sum);
-  EXPECT_EQ(b.num_rows(), 0u);
-  std::vector<std::uint32_t> tasks;
-  a.for_each_row(
-      [&](const CandidatePool::RowRef& r) { tasks.push_back(r.task); });
-  EXPECT_EQ(tasks, (std::vector<std::uint32_t>{3, 5, 6}));
 }
 
 }  // namespace

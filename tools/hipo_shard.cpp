@@ -1,23 +1,22 @@
 // hipo_shard — sharded PDCS extraction front end: plan spatial shards with
-// a visibility halo, extract each shard's candidate pool (optionally in
-// forked worker processes with a bounded-memory tiled generator), merge the
-// pools deterministically, and feed the warm coverage matrix into the
-// greedy selection pipeline. The merged pool — and therefore the placement —
-// is bit-identical to a single-process `hipo_solve` run for any shard,
-// process, or thread count.
+// a visibility halo, extract each shard's owned tasks (optionally in forked
+// worker processes, each shard's retained rows metered against a memory
+// ceiling), merge the rows with extract_all's own device-order merge, and
+// run the greedy selection on the merged pool. The merged pool — and
+// therefore the placement — is bit-identical to a single-process
+// `hipo_solve` run for any shard, process, or thread count.
 //
 //   hipo_shard --scenario field.hipo [--out placement.hipo]
 //              [--demo paper|field] [--seed N]
 //              [--shards N]         (spatial shards; 1 = degenerate grid)
 //              [--procs N]          (forked worker processes; 0 = in-process)
 //              [--threads N]        (in-process pool; ignored with --procs)
-//              [--tile-tasks N]     (initial tasks per streaming tile)
-//              [--mem-ceiling-mb N] (per-shard accounting ceiling; tile size
-//                                    backs off instead of OOM; 0 = off)
+//              [--mem-ceiling-mb N] (per-shard ceiling on retained-row
+//                                    bytes; over it the run fails; 0 = off)
 //              [--greedy lazy|global|per-type]
 //              [--verify]           (also run single-process extract_all +
-//                                    span-path greedy and require the pool
-//                                    and placement to be bit-identical)
+//                                    greedy and require the pool and
+//                                    placement to be bit-identical)
 //              [--report]           (metrics report incl. peak RSS)
 //              [--json FILE]        (run summary JSON: options, per-shard
 //                                    stats, build provenance, peak RSS)
@@ -44,20 +43,6 @@ model::Scenario load_scenario(Cli& cli) {
   HIPO_REQUIRE(path.has_value(),
                "pass --scenario <file> or --demo paper|field");
   return model::read_scenario_file(*path);
-}
-
-/// Pack a merged extraction into the warm CoverageMatrix the greedy drivers
-/// run on. Row order == candidate order, so the matrix is bit-identical to
-/// the one the span overload of select_strategies would build.
-opt::CoverageMatrix build_matrix(const model::Scenario& scenario,
-                                 const pdcs::ExtractionResult& extraction) {
-  opt::CoverageMatrixBuilder builder(scenario.num_devices());
-  std::vector<std::uint32_t> covered;
-  for (const auto& c : extraction.candidates) {
-    covered.assign(c.covered.begin(), c.covered.end());
-    builder.add_row(c.strategy, covered, c.powers);
-  }
-  return std::move(builder).finish();
 }
 
 bool same_candidates(const pdcs::ExtractionResult& a,
@@ -88,11 +73,9 @@ int main(int argc, char** argv) {
     shard::RunnerOptions opt;
     opt.shards = static_cast<std::size_t>(cli.get_or("shards", 1));
     opt.processes = static_cast<std::size_t>(cli.get_or("procs", 0));
-    opt.tile.tile_tasks = static_cast<std::size_t>(cli.get_or("tile-tasks", 64));
     const int ceiling_mb = cli.get_or("mem-ceiling-mb", 0);
     HIPO_REQUIRE(ceiling_mb >= 0, "--mem-ceiling-mb must be >= 0");
-    opt.tile.mem_ceiling_bytes =
-        static_cast<std::size_t>(ceiling_mb) << 20;
+    opt.mem_ceiling_bytes = static_cast<std::size_t>(ceiling_mb) << 20;
 
     const int threads = cli.get_or("threads", 0);
     HIPO_REQUIRE(threads >= 0, "--threads must be >= 0 (0 = hardware)");
@@ -117,10 +100,10 @@ int main(int argc, char** argv) {
     const auto extraction = shard::extract_sharded(scenario, opt, &stats);
     const double extract_seconds = extract_watch.seconds();
 
-    const auto matrix = build_matrix(scenario, extraction);
     obs::Stopwatch greedy_watch;
-    const auto greedy = opt::select_strategies(
-        scenario, matrix, greedy_mode, opt::ObjectiveKind::kUtility, &pool);
+    const auto greedy =
+        opt::select_strategies(scenario, extraction.candidates, greedy_mode,
+                               opt::ObjectiveKind::kUtility, &pool);
     const double greedy_seconds = greedy_watch.seconds();
     scenario.validate_placement(greedy.placement);
 
@@ -131,16 +114,15 @@ int main(int argc, char** argv) {
               << (stats.processes > 0
                       ? std::to_string(stats.processes) + " worker process(es)"
                       : std::string("in-process"))
-              << "), " << stats.rows << " pooled rows, "
-              << stats.tile_backoffs << " tile backoff(s)\n";
+              << "), " << stats.rows << " pooled rows\n";
     std::cout << "extraction: " << format_double(extract_seconds * 1e3, 1)
               << " ms (merge " << format_double(stats.merge_seconds * 1e3, 1)
               << " ms), " << extraction.candidates.size()
               << " candidates after global filter\n";
-    std::cout << "peak shard arena: " << stats.peak_shard_bytes
+    std::cout << "peak shard rows: " << stats.peak_shard_bytes
               << " bytes; merged pools: " << stats.pool_bytes << " bytes";
-    if (opt.tile.mem_ceiling_bytes != 0) {
-      std::cout << " (ceiling " << opt.tile.mem_ceiling_bytes << ")";
+    if (opt.mem_ceiling_bytes != 0) {
+      std::cout << " (ceiling " << opt.mem_ceiling_bytes << ")";
     }
     std::cout << "\n";
     std::cout << "placement: " << greedy.placement.size()
@@ -164,7 +146,8 @@ int main(int argc, char** argv) {
               std::memcmp(ref_greedy.placement.data(), greedy.placement.data(),
                           greedy.placement.size() * sizeof(model::Strategy)) ==
                   0,
-          "--verify: warm placement diverged from the span-path greedy");
+          "--verify: sharded placement diverged from the single-process "
+          "placement");
       std::cout << "verified: pool and placement bit-identical to "
                    "single-process extraction\n";
     }
@@ -185,10 +168,8 @@ int main(int argc, char** argv) {
          << obs::build_info_json() << ",\n";
       os << "  \"shards\": " << stats.shards
          << ",\n  \"processes\": " << stats.processes
-         << ",\n  \"tile_tasks\": " << opt.tile.tile_tasks
-         << ",\n  \"mem_ceiling_bytes\": " << opt.tile.mem_ceiling_bytes
+         << ",\n  \"mem_ceiling_bytes\": " << opt.mem_ceiling_bytes
          << ",\n  \"rows\": " << stats.rows
-         << ",\n  \"tile_backoffs\": " << stats.tile_backoffs
          << ",\n  \"peak_shard_bytes\": " << stats.peak_shard_bytes
          << ",\n  \"pool_bytes\": " << stats.pool_bytes
          << ",\n  \"extract_seconds\": " << obs::json_double(extract_seconds)
