@@ -9,7 +9,7 @@
 // full rebuild there; dynamic scenarios only pay off when the field out-
 // scales the charging range, which is what this harness models.)
 //
-// Every timed warm replan is also an equivalence check: the patched matrix
+// Every timed warm replan is also an equivalence check: the warm matrix
 // must be byte-identical to a fresh build of the mutated scenario, and the
 // warm selection/placement/utilities bit-identical to the cold solve — the
 // benchmark aborts otherwise. Emits machine-readable JSON (BENCH_delta.json,
@@ -208,7 +208,8 @@ SizeResult run_size(std::size_t target, std::size_t deltas,
     const auto cold = cold_solve(solver.config(), cold_matrix, cold_seconds);
     cold_s.push_back(cold_seconds);
     HIPO_REQUIRE(solver.matrix().same_as(cold_matrix),
-                 "patched matrix diverged at delta " + std::to_string(k + 1));
+                 "warm matrix differs from a cold build at delta " +
+                     std::to_string(k + 1));
     require_identical(solver.result(), cold, k + 1);
   }
   out.warm_median_ms = median_ms(std::move(warm_s));

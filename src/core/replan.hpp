@@ -21,10 +21,8 @@ struct ReplanOptions {
 };
 
 /// Translate SolveOptions into the delta equivalent so a session can be
-/// compared 1:1 against cold core::solve runs. Throws ConfigError for
-/// option combinations with no incremental path: local search (its exchange
-/// moves have no warm formulation) and the legacy gain engine (the delta
-/// patch layer is defined over the flat CSR matrix).
+/// compared 1:1 against cold core::solve runs. Throws ConfigError when
+/// local search is on: its exchange moves have no warm formulation.
 ReplanOptions replan_options(const SolveOptions& solve);
 
 struct ReplanResult {
@@ -34,7 +32,7 @@ struct ReplanResult {
   double utility = 0.0;
   /// Approximated objective f(X) the greedy optimized.
   double approx_utility = 0.0;
-  /// What the delta touched (tasks re-extracted, rows patched, …).
+  /// What the delta touched (tasks re-extracted, rows erased/inserted, …).
   opt::DeltaStats stats;
   /// Min-total-switching-cost transfer plan from the previous placement.
   ext::BestEffortPlan redeploy;

@@ -626,7 +626,7 @@ std::optional<Violation> check_delta(const Scenario& scenario,
         std::span<const pdcs::Candidate>(extraction.candidates),
         cold.num_devices());
     if (!delta.matrix().same_as(matrix)) {
-      return fail("delta", "patched coverage matrix not bit-identical to a "
+      return fail("delta", "warm coverage matrix not bit-identical to a "
                            "cold build " + when);
     }
     const auto ref = opt::select_strategies(cold, extraction.candidates,

@@ -70,7 +70,7 @@ std::optional<Violation> check_determinism(const model::Scenario& scenario,
 /// (6) Incremental re-solve: a random churn sequence (device add / remove /
 /// move, obstacle add / remove) applied through opt::DeltaSolver must be
 /// bit-identical to a cold solve of the mutated scenario after every prefix
-/// — patched coverage matrix, selection, placement, and both utilities.
+/// — warm coverage matrix, selection, placement, and both utilities.
 /// Skips (returns nullopt) when extraction is intractable.
 std::optional<Violation> check_delta(const model::Scenario& scenario,
                                      std::uint64_t seed);

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +14,7 @@
 #include "src/pdcs/extract.hpp"
 #include "src/spatial/grid_index.hpp"
 #include "src/util/error.hpp"
+#include "src/util/json_number.hpp"
 
 namespace hipo::opt {
 
@@ -54,17 +55,14 @@ void validate_device_position(const model::Scenario::Config& cfg,
 
 DeltaSolver::DeltaSolver(model::Scenario::Config config, DeltaOptions options)
     : config_(std::move(config)), options_(options) {
-  HIPO_REQUIRE(options_.rebuild_fraction >= 0.0,
-               "delta: rebuild_fraction must be non-negative");
   rebuild_scenario();
   per_task_.assign(scenario_->num_devices(), {});
-  kept_.assign(scenario_->num_charger_types(), {});
-  // Cold build = "everything invalidated" over an empty matrix: the same
-  // refresh that patches deltas then inserts every surviving row, which is
-  // what keeps the cold and warm code paths one path.
+  survived_.assign(scenario_->num_devices(), {});
+  // Cold build = "everything invalidated": the same refresh every delta
+  // runs, so the cold and warm code paths are one path.
   std::vector<std::uint8_t> affected(scenario_->num_devices(), 1);
   DeltaStats stats;
-  refresh(affected, kNone, stats);
+  refresh(affected, stats);
 }
 
 void DeltaSolver::rebuild_scenario() {
@@ -114,6 +112,7 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
   // 1. Validate + mutate the config, recording the delta's geometry.
   std::vector<geom::Vec2> points;
   std::vector<geom::BBox> boxes;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t removed_task = kNone;
   switch (op.kind) {
     case DeltaOp::Kind::kAddDevice: {
@@ -122,6 +121,7 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
       points.push_back(op.device.pos);
       config_.devices.push_back(op.device);
       per_task_.emplace_back();
+      survived_.emplace_back();
       break;
     }
     case DeltaOp::Kind::kRemoveDevice: {
@@ -131,6 +131,8 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
       config_.devices.erase(config_.devices.begin() +
                             static_cast<std::ptrdiff_t>(op.index));
       per_task_.erase(per_task_.begin() +
+                      static_cast<std::ptrdiff_t>(op.index));
+      survived_.erase(survived_.begin() +
                       static_cast<std::ptrdiff_t>(op.index));
       removed_task = op.index;
       break;
@@ -183,15 +185,7 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
 
   // 2. Invalidation set over the *new* device list. A moved/added device is
   // at distance 0 from its own delta point, so its task is always in.
-  std::vector<std::uint8_t> affected = affected_tasks(points, boxes);
-  std::size_t num_affected = 0;
-  for (const std::uint8_t a : affected) num_affected += a;
-  const std::size_t n = affected.size();
-  if (static_cast<double>(num_affected) >
-      options_.rebuild_fraction * static_cast<double>(n)) {
-    std::fill(affected.begin(), affected.end(), std::uint8_t{1});
-    stats.full_rebuild = true;
-  }
+  const std::vector<std::uint8_t> affected = affected_tasks(points, boxes);
 
   // 3. Device-id renumber in the surviving cached outputs: removing column
   // r shifts every id above it down. Only unaffected tasks matter (the
@@ -211,23 +205,24 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
     }
   }
 
-  refresh(affected, removed_task, stats);
+  refresh(affected, stats);
 
   if (obs::metrics_enabled()) [[unlikely]] {
     obs::counter("delta.rows_patched")
         .add(stats.rows_erased + stats.rows_inserted);
     obs::counter("delta.candidates_regenerated")
         .add(stats.candidates_regenerated);
-    if (stats.full_rebuild) obs::counter("delta.full_rebuilds").bump();
+    // Registered on every apply, so the counter exists even at zero.
+    obs::counter("delta.full_rebuilds").add(stats.full_rebuild ? 1 : 0);
   }
   return stats;
 }
 
 void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
-                          std::size_t removed_task, DeltaStats& stats) {
+                          DeltaStats& stats) {
   const std::size_t n = scenario_->num_devices();
   const std::size_t num_types = scenario_->num_charger_types();
-  HIPO_ASSERT(per_task_.size() == n);
+  HIPO_ASSERT(per_task_.size() == n && survived_.size() == n);
   stats.tasks_total = n;
 
   // Re-extract the invalidated tasks (same task code, same options, same
@@ -254,22 +249,23 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
     stats.tasks_regenerated = todo.size();
     for (const std::size_t i : todo) {
       stats.candidates_regenerated += per_task_[i].size();
+      survived_[i].assign(per_task_[i].size(), 0);
     }
   }
+  stats.full_rebuild = stats.tasks_regenerated == stats.tasks_total;
 
   // Merge task-major into per-type pools (the order extract_all merges in)
-  // and re-run the dominance filter per type. Pool entries carry their
-  // (task, emit) identity so survivors can be matched to existing rows.
+  // and re-run the dominance filter per type. Each pool entry also points
+  // at its candidate's survivor flag.
   obs::Span filter_span("delta.filter");
   std::vector<std::vector<const pdcs::Candidate*>> pool_ptr(num_types);
-  std::vector<std::vector<Tag>> pool_tag(num_types);
+  std::vector<std::vector<std::uint8_t*>> pool_flag(num_types);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t e = 0; e < per_task_[i].size(); ++e) {
       const pdcs::Candidate& c = per_task_[i][e];
       HIPO_ASSERT(c.strategy.type < num_types);
       pool_ptr[c.strategy.type].push_back(&c);
-      pool_tag[c.strategy.type].push_back(
-          {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(e)});
+      pool_flag[c.strategy.type].push_back(&survived_[i][e]);
     }
   }
   std::vector<std::vector<std::size_t>> kept_idx(num_types);
@@ -283,82 +279,31 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
   });
   filter_span.finish();
 
-  // Diff the survivors against the current rows. A survivor from an
-  // untouched task whose (task, emit) already has a row keeps that row
-  // (its content is unchanged by construction); everything else is an
-  // insert, and unmatched old rows die. Relative order of untouched
-  // survivors is preserved — the filter's sort keys don't change and
-  // order-preserving pool edits keep its index tie-break stable — so kept
-  // rows arrive in ascending old-row order, which is exactly the splice
-  // contract of apply_patch.
+  // Re-pack the survivors, type-major — the row order extract_all +
+  // CoverageMatrix lay out — with the constructor a cold solve uses. A row
+  // carries over when it survived the previous filter (re-extracted tasks
+  // had their flags cleared above) and survives this one.
   obs::Span patch_span("delta.patch");
-  HIPO_ASSERT(kept_.size() == num_types);
-  std::unordered_map<std::uint64_t, std::uint32_t> old_rows;
-  {
-    std::size_t old_row = 0;
-    for (std::size_t q = 0; q < num_types; ++q) {
-      for (const Tag& t : kept_[q]) {
-        std::size_t nt = t.task;
-        if (removed_task != kNone) {
-          if (nt == removed_task) {
-            ++old_row;
-            continue;
-          }
-          if (nt > removed_task) --nt;
-        }
-        if (nt < n && !affected[nt]) {
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(nt) << 32) | t.emit;
-          old_rows.emplace(key, static_cast<std::uint32_t>(old_row));
-        }
-        ++old_row;
-      }
-    }
-    HIPO_ASSERT_MSG(old_row == matrix_.num_rows(),
-                    "delta: kept tags out of sync with the matrix");
-  }
-
-  std::vector<CoverageMatrix::RowInsert> inserts;
-  std::vector<std::uint8_t> keep_old(matrix_.num_rows(), 0);
-  std::vector<std::vector<Tag>> new_kept(num_types);
-  std::uint32_t new_row = 0;
-  std::int64_t last_kept = -1;
+  std::size_t kept = 0;
   for (std::size_t q = 0; q < num_types; ++q) {
-    new_kept[q].reserve(kept_idx[q].size());
+    for (const std::size_t pos : kept_idx[q]) kept += *pool_flag[q][pos];
+  }
+  for (auto& flags : survived_) std::fill(flags.begin(), flags.end(), 0);
+  std::vector<const pdcs::Candidate*> rows;
+  for (std::size_t q = 0; q < num_types; ++q) {
     for (const std::size_t pos : kept_idx[q]) {
-      const Tag t = pool_tag[q][pos];
-      new_kept[q].push_back(t);
-      bool matched = false;
-      if (!affected[t.task]) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(t.task) << 32) | t.emit;
-        const auto it = old_rows.find(key);
-        if (it != old_rows.end()) {
-          HIPO_ASSERT_MSG(static_cast<std::int64_t>(it->second) > last_kept,
-                          "delta: kept rows are not in ascending order");
-          last_kept = it->second;
-          keep_old[it->second] = 1;
-          matched = true;
-        }
-      }
-      if (!matched) inserts.push_back({new_row, pool_ptr[q][pos]});
-      ++new_row;
+      *pool_flag[q][pos] = 1;
+      rows.push_back(pool_ptr[q][pos]);
     }
   }
-  for (std::size_t i = 0; i < keep_old.size(); ++i) {
-    if (!keep_old[i]) matrix_.mark_dead(i);
-  }
-  const CoverageMatrix::PatchStats patch = matrix_.apply_patch(
-      inserts, n, removed_task == kNone ? CoverageMatrix::kNoDevice
-                                        : removed_task);
-  kept_ = std::move(new_kept);
-  stats.rows_erased = patch.rows_erased;
-  stats.rows_inserted = patch.rows_inserted;
-  stats.rows_kept = patch.rows_kept;
-  stats.in_place = patch.in_place;
+  const std::size_t old_rows = matrix_.num_rows();
+  matrix_ = CoverageMatrix(rows, n);
+  stats.rows_kept = kept;
+  stats.rows_erased = old_rows - kept;
+  stats.rows_inserted = rows.size() - kept;
   patch_span.finish();
 
-  // Warm re-solve: the shared greedy drivers over the patched arenas.
+  // Warm re-solve: the shared greedy drivers over the re-packed matrix.
   obs::Span greedy_span("delta.greedy");
   result_ = select_strategies(*scenario_, matrix_, options_.mode,
                               options_.kind, options_.workers);
@@ -370,11 +315,12 @@ namespace {
 
 /// Minimal JSON-object reader for the one-op-per-line script format. Only
 /// what the schema needs: string values, finite numbers, and the vertices
-/// array of [x, y] pairs.
+/// array of [x, y] pairs. Bounded by the line's length, so an embedded NUL
+/// is a byte like any other (and rejected), not the end of the line.
 class LineParser {
  public:
-  LineParser(const std::string& line, std::size_t line_no)
-      : p_(line.c_str()), line_no_(line_no) {}
+  LineParser(std::string_view line, std::size_t line_no)
+      : text_(line), line_no_(line_no) {}
 
   [[noreturn]] void fail(const std::string& what) const {
     std::ostringstream os;
@@ -383,12 +329,15 @@ class LineParser {
   }
 
   void skip_ws() {
-    while (*p_ == ' ' || *p_ == '\t' || *p_ == '\r') ++p_;
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
   }
   bool consume(char c) {
     skip_ws();
-    if (*p_ != c) return false;
-    ++p_;
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
     return true;
   }
   void expect(char c) {
@@ -396,29 +345,32 @@ class LineParser {
   }
   bool at_end() {
     skip_ws();
-    return *p_ == '\0';
+    return pos_ == text_.size();
   }
 
   std::string parse_string() {
     expect('"');
     std::string out;
-    while (*p_ != '"') {
-      if (*p_ == '\0') fail("unterminated string");
-      if (*p_ == '\\') fail("escape sequences are not supported");
-      out.push_back(*p_++);
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      if (text_[pos_] == '\\') fail("escape sequences are not supported");
+      out.push_back(text_[pos_++]);
     }
-    ++p_;
+    if (pos_ == text_.size()) fail("unterminated string");
+    ++pos_;
     return out;
   }
 
   double parse_number() {
     skip_ws();
-    char* end = nullptr;
-    const double v = std::strtod(p_, &end);
-    if (end == p_) fail("expected a number");
-    if (!std::isfinite(v)) fail("numbers must be finite");
-    p_ = end;
-    return v;
+    const util::JsonNumber n = util::read_json_number(text_, pos_);
+    if (n.status == util::JsonNumber::Status::kMalformed) {
+      fail("expected a number");
+    }
+    if (n.status == util::JsonNumber::Status::kNonFinite) {
+      fail("numbers must be finite");
+    }
+    pos_ = n.end;
+    return n.value;
   }
 
   std::size_t to_index(double v) const {
@@ -445,7 +397,8 @@ class LineParser {
   }
 
  private:
-  const char* p_;
+  std::string_view text_;
+  std::size_t pos_ = 0;
   std::size_t line_no_;
 };
 

@@ -6,9 +6,9 @@
 // obstacle added/removed — invalidates only the extraction tasks whose
 // geometry the delta can reach (a 4·d_max disk, see the radius argument in
 // docs/ALGORITHMS.md); those tasks are re-extracted, the per-type pools are
-// re-filtered, and the matrix arenas are patched in place (tombstone +
-// splice via CoverageMatrix::apply_patch) instead of rebuilt. The greedy
-// then re-runs over the warm matrix.
+// re-filtered, and the survivors are re-packed into the matrix with the
+// same CoverageMatrix constructor a cold solve uses. The greedy then re-runs
+// over the warm matrix.
 //
 // The contract is *bit-identity*: after any sequence of deltas, the
 // placement, utilities, and the matrix itself are byte-for-byte what a cold
@@ -66,15 +66,16 @@ struct DeltaStats {
   std::size_t tasks_total = 0;
   /// Raw candidates produced by the re-run tasks (pre-filter).
   std::size_t candidates_regenerated = 0;
-  /// Matrix rows removed / spliced in / carried over by the patch.
+  /// Matrix rows erased / inserted / carried over. A row is kept when its
+  /// task was not re-extracted and it survived the filter before and
+  /// survives it now; every other old row is erased, every other new row
+  /// inserted.
   std::size_t rows_erased = 0;
   std::size_t rows_inserted = 0;
   std::size_t rows_kept = 0;
-  /// True when the affected fraction crossed rebuild_fraction and every
-  /// task was re-extracted (the patch then inserts everything).
+  /// True when the delta reached every task (tasks_regenerated ==
+  /// tasks_total), so nothing was carried over.
   bool full_rebuild = false;
-  /// CoverageMatrix::PatchStats::in_place of the splice.
-  bool in_place = false;
 };
 
 struct DeltaOptions {
@@ -85,55 +86,39 @@ struct DeltaOptions {
   GreedyMode mode = GreedyMode::kLazyGlobal;
   ObjectiveKind kind = ObjectiveKind::kUtility;
   pdcs::ExtractOptions extract;
-  /// When more than this fraction of tasks is invalidated, re-extract all
-  /// of them (counted in delta.full_rebuilds) — the diff bookkeeping would
-  /// cost more than it saves.
-  double rebuild_fraction = 0.5;
   parallel::ThreadPool* workers = nullptr;
 };
 
 /// Warm incremental solver. Construction runs the cold pipeline once;
-/// apply() patches it per delta. Not thread-safe (one mutation at a time);
+/// apply() updates it per delta. Not thread-safe (one mutation at a time);
 /// internal extraction/filter/greedy work parallelizes on options.workers.
 class DeltaSolver {
  public:
   explicit DeltaSolver(model::Scenario::Config config,
                        DeltaOptions options = {});
 
-  /// Apply one mutation: re-extract the invalidated neighborhood, patch the
-  /// matrix, re-run greedy. Throws ConfigError on invalid ops (index out of
+  /// Apply one mutation: re-extract the invalidated neighborhood, re-pack
+  /// the matrix, re-run greedy. Throws ConfigError on invalid ops (index out of
   /// range, non-simple obstacle, bad device parameters).
   DeltaStats apply(const DeltaOp& op);
 
   const model::Scenario& scenario() const { return *scenario_; }
   /// The current scenario's config (the mutated copy of the input).
   const model::Scenario::Config& config() const { return config_; }
-  /// The warm matrix the last greedy ran on (tombstone-free).
+  /// The warm matrix the last greedy ran on.
   const CoverageMatrix& matrix() const { return matrix_; }
   /// The last solve result (selection indices are matrix row indices).
   const GreedyResult& result() const { return result_; }
   std::size_t num_candidates() const { return matrix_.num_rows(); }
 
  private:
-  /// One candidate's identity across deltas: which task emitted it and at
-  /// which position in that task's output. Stable for untouched tasks, so
-  /// (task, emit) matches old matrix rows to re-filtered pool entries.
-  struct Tag {
-    std::uint32_t task = 0;
-    std::uint32_t emit = 0;
-  };
-
   void rebuild_scenario();
-  /// Re-extract `affected` tasks, re-filter every type pool, diff against
-  /// the current matrix rows and patch. `removed_task`/`removed_device` are
-  /// the pre-delta index of a removed device (kNone otherwise).
-  void refresh(const std::vector<std::uint8_t>& affected,
-               std::size_t removed_task, DeltaStats& stats);
+  /// Re-extract `affected` tasks, re-filter every type pool and re-pack the
+  /// survivors into the matrix.
+  void refresh(const std::vector<std::uint8_t>& affected, DeltaStats& stats);
   std::vector<std::uint8_t> affected_tasks(
       const std::vector<geom::Vec2>& points,
       const std::vector<geom::BBox>& boxes) const;
-
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   model::Scenario::Config config_;
   DeltaOptions options_;
@@ -144,9 +129,10 @@ class DeltaSolver {
   /// config_.devices. Inner vectors move wholesale on device insert/erase,
   /// so Candidate addresses stay valid while a refresh borrows them.
   std::vector<std::vector<pdcs::Candidate>> per_task_;
-  /// Per charger type, the tags of the surviving pool entries, aligned with
-  /// the matrix rows of that type (matrix row order is type-major).
-  std::vector<std::vector<Tag>> kept_;
+  /// Index-aligned with per_task_: survived_[i][e] != 0 when task i's e-th
+  /// candidate survived the last filter (it is a matrix row). Moves with
+  /// per_task_ on device insert/erase; feeds DeltaStats::rows_kept.
+  std::vector<std::vector<std::uint8_t>> survived_;
   CoverageMatrix matrix_;
   GreedyResult result_;
 };

@@ -13,7 +13,8 @@
 // eviction never invalidates a request already holding the entry. Each
 // entry carries a shared_mutex — solves/evals take it shared (the warm
 // matrix is read-only for them, and the greedy drivers build private
-// state), deltas take it exclusive (they patch the arenas in place).
+// state), deltas take it exclusive (they re-extract, re-pack the matrix
+// and re-solve the entry).
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
 #include "src/obs/json.hpp"
+#include "src/util/json_number.hpp"
 
 namespace hipo::serve {
 
@@ -300,24 +299,17 @@ class Parser {
 
   Json parse_number() {
     skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
+    const char c = text_[pos_];
+    if (c != '-' && (c < '0' || c > '9')) fail("expected a value");
+    const util::JsonNumber n = util::read_json_number(text_, pos_);
+    if (n.status == util::JsonNumber::Status::kMalformed) {
+      fail("malformed number");
     }
-    if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
-    if (!std::isfinite(v)) fail("numbers must be finite");
-    return Json::number(v);
+    if (n.status == util::JsonNumber::Status::kNonFinite) {
+      fail("numbers must be finite");
+    }
+    pos_ = n.end;
+    return Json::number(n.value);
   }
 
   std::string_view text_;

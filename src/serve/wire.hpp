@@ -5,8 +5,10 @@
 // The parser exists because requests are *inputs from another process*:
 // unlike the emit-only obs::json helpers, the daemon must reject malformed
 // bytes with a useful error instead of corrupting state. It is strict JSON
-// (RFC 8259) minus floating exotica: numbers must be finite, and the only
-// escapes produced by the emitter are the ones json_escape writes.
+// (RFC 8259) minus floating exotica: numbers follow the RFC grammar
+// (util::read_json_number, shared with the delta-script reader) and must be
+// finite, and the only escapes produced by the emitter are the ones
+// json_escape writes.
 #pragma once
 
 #include <cstdint>

@@ -62,6 +62,18 @@ void expect_matches_cold(const opt::DeltaSolver& delta,
   expect_results_identical(delta.result(), cold, label);
 }
 
+/// Apply `op` and check the row bookkeeping: the old rows minus the erased
+/// ones plus the inserted ones are exactly the new matrix's rows.
+opt::DeltaStats apply_checked(opt::DeltaSolver& delta, const opt::DeltaOp& op,
+                              const std::string& label) {
+  const std::size_t old_rows = delta.num_candidates();
+  const opt::DeltaStats stats = delta.apply(op);
+  EXPECT_EQ(old_rows - stats.rows_erased + stats.rows_inserted,
+            delta.num_candidates())
+      << label << " (row bookkeeping)";
+  return stats;
+}
+
 /// Deterministic grid scan for the skip-th position no obstacle interior
 /// contains (valid for devices and obstacle centers alike).
 geom::Vec2 free_spot(const model::Scenario::Config& cfg, std::size_t skip) {
@@ -178,13 +190,15 @@ TEST(DeltaSolver, DeviceChurnBitIdenticalAfterEveryPrefix) {
   ops.push_back(add_device_op(free_spot(delta.config(), 12),
                               delta.config().device_types.size() - 1));
   for (std::size_t k = 0; k < ops.size(); ++k) {
-    const auto stats = delta.apply(ops[k]);
+    const std::string label = "device prefix " + std::to_string(k + 1);
+    const auto stats = apply_checked(delta, ops[k], label);
     EXPECT_EQ(stats.tasks_total, delta.config().devices.size());
-    expect_matches_cold(delta, "device prefix " + std::to_string(k + 1));
+    expect_matches_cold(delta, label);
   }
   // One more computed against the mutated state: move the appended device.
   const std::size_t last = delta.config().devices.size() - 1;
-  delta.apply(move_device_op(last, free_spot(delta.config(), 3)));
+  apply_checked(delta, move_device_op(last, free_spot(delta.config(), 3)),
+                "device prefix tail");
   expect_matches_cold(delta, "device prefix tail");
 }
 
@@ -205,14 +219,17 @@ TEST(DeltaSolver, ObstacleChurnBitIdenticalAfterEveryPrefix) {
 
   const auto rect = obstacle_rect_at(delta.config(),
                                      free_spot(delta.config(), 5), 1.5);
-  delta.apply(add_obstacle_op(rect));
+  apply_checked(delta, add_obstacle_op(rect), "obstacle add");
   expect_matches_cold(delta, "obstacle add");
 
   ASSERT_GE(delta.config().obstacles.size(), 2u);
-  delta.apply(remove_obstacle_op(0));  // a pre-existing obstacle
+  // A pre-existing obstacle.
+  apply_checked(delta, remove_obstacle_op(0), "obstacle remove first");
   expect_matches_cold(delta, "obstacle remove first");
 
-  delta.apply(remove_obstacle_op(delta.config().obstacles.size() - 1));
+  apply_checked(delta,
+                remove_obstacle_op(delta.config().obstacles.size() - 1),
+                "obstacle remove added");
   expect_matches_cold(delta, "obstacle remove added");
 }
 
@@ -263,23 +280,33 @@ TEST(DeltaSolver, RemoveToEmptyAndRegrow) {
   expect_matches_cold(delta, "regrown from empty");
 }
 
-TEST(DeltaSolver, ForcedFullRebuildIsStillBitIdentical) {
+TEST(DeltaSolver, FullRebuildOnlyWhenEveryTaskIsAffected) {
+  // (a) The paper geometry fits inside one 4·d_max disk: any move reaches
+  // every task.
   const auto scenario = test::small_paper_scenario(17);
-  opt::DeltaOptions always_rebuild;
-  always_rebuild.rebuild_fraction = 0.0;
-  opt::DeltaSolver forced(scenario.to_config(), always_rebuild);
-  opt::DeltaSolver incremental(scenario.to_config());
+  opt::DeltaSolver whole(scenario.to_config());
+  const auto all =
+      whole.apply(move_device_op(3, free_spot(whole.config(), 6)));
+  EXPECT_TRUE(all.full_rebuild);
+  EXPECT_EQ(all.tasks_regenerated, all.tasks_total);
+  EXPECT_EQ(all.rows_kept, 0u);
+  expect_matches_cold(whole, "every task affected");
 
-  const auto op = move_device_op(3, free_spot(forced.config(), 6));
-  const auto fstats = forced.apply(op);
-  const auto istats = incremental.apply(op);
-  EXPECT_TRUE(fstats.full_rebuild);
-  EXPECT_EQ(fstats.tasks_regenerated, fstats.tasks_total);
-  EXPECT_TRUE(forced.matrix().same_as(incremental.matrix()));
-  expect_results_identical(forced.result(), incremental.result(),
-                           "forced vs incremental");
-  EXPECT_EQ(fstats.rows_erased + fstats.rows_kept,
-            istats.rows_erased + istats.rows_kept);
+  // (b) A cluster of six devices and a far pair: moving a cluster device
+  // reaches 6 of 8 tasks — most of them, but the far pair stays warm.
+  auto cfg = test::simple_config();  // d_max = 5 → radius ≈ 20
+  cfg.region.hi = {100.0, 100.0};
+  cfg.devices = {test::device_at(5, 5),   test::device_at(7, 6),
+                 test::device_at(9, 5),   test::device_at(5, 9),
+                 test::device_at(8, 8),   test::device_at(10, 10),
+                 test::device_at(90, 90), test::device_at(92, 91)};
+  opt::DeltaSolver most{model::Scenario::Config(cfg)};
+  const auto part = most.apply(move_device_op(0, {6.0, 6.0}));
+  EXPECT_FALSE(part.full_rebuild);
+  EXPECT_EQ(part.tasks_total, 8u);
+  EXPECT_EQ(part.tasks_regenerated, 6u);
+  EXPECT_GT(part.rows_kept, 0u);
+  expect_matches_cold(most, "most tasks affected");
 }
 
 TEST(DeltaSolver, LocalDeltaRegeneratesOnlyTheNeighborhood) {
@@ -406,6 +433,18 @@ TEST(DeltaScript, RejectsMalformedLinesNamingThem) {
                "duplicate key");
   expect_fails("{\"op\":\"add_obstacle\"}", "vertices");
   expect_fails("{\"op\":\"add_device\",\"x\":1e999,\"y\":0}", "finite");
+  // RFC 8259 numbers only: no hex, no leading '+', no empty fraction, no
+  // hex float, no leading zero, no bare fraction.
+  expect_fails("{\"op\":\"remove_device\",\"index\":0x10}", "number");
+  expect_fails("{\"op\":\"remove_device\",\"index\":+2}", "number");
+  expect_fails("{\"op\":\"remove_device\",\"index\":2.}", "number");
+  expect_fails("{\"op\":\"add_device\",\"x\":0x1p4,\"y\":0}", "number");
+  expect_fails("{\"op\":\"remove_device\",\"index\":01}", "number");
+  expect_fails("{\"op\":\"add_device\",\"x\":.5,\"y\":0}", "number");
+  // An embedded NUL does not end the line.
+  expect_fails(std::string("{\"op\":\"remove_device\",\"index\":3}") +
+                   '\0' + "junk",
+               "trailing");
   expect_fails("{\"op\":\"move_device\"", "expected");
   expect_fails("{\"op\":\"remove_device\",\"op\":\"add_device\",\"index\":0}",
                "duplicate key \"op\"");

@@ -39,10 +39,15 @@ namespace {
 
 TEST(WireJson, ParsesDocumentsAndAccessesFields) {
   const serve::Json doc = serve::parse_json(
-      R"({"b":true,"n":-1.5e2,"s":"a\"\\\nAb","arr":[1,2],"o":{"k":null}})");
+      R"({"b":true,"n":-1.5e2,"s":"a\"\\\nAb","arr":[1,2],"o":{"k":null},)"
+      R"("e":2E+3,"u":-1e-400})");
   ASSERT_TRUE(doc.is_object());
   EXPECT_TRUE(doc.find("b")->as_bool());
   EXPECT_EQ(doc.find("n")->as_number(), -150.0);
+  EXPECT_EQ(doc.find("e")->as_number(), 2000.0);
+  // An underflow rounds to a signed zero, as strtod rounds it.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(doc.find("u")->as_number()),
+            std::bit_cast<std::uint64_t>(-0.0));
   EXPECT_EQ(doc.find("s")->as_string(), "a\"\\\nAb");
   EXPECT_EQ(doc.find("arr")->as_array().size(), 2u);
   EXPECT_TRUE(doc.find("o")->find("k")->is_null());
@@ -67,6 +72,10 @@ TEST(WireJson, RejectsMalformedDocumentsWithByteOffsets) {
   expect_fails("{\"a\":1} trailing");
   expect_fails("{\"a\":nan}");
   expect_fails("{\"a\":1e999}");          // non-finite number
+  expect_fails("{\"a\":+1}");             // RFC 8259: no leading '+'
+  expect_fails("{\"a\":.5}");             // ... no bare fraction
+  expect_fails("{\"a\":1.}");             // ... no empty fraction
+  expect_fails("{\"a\":01}");             // ... no leading zero
   expect_fails("{\"a\":1,\"a\":2}");      // duplicate key
   expect_fails("\"unterminated");
   expect_fails("{\"bad\\q\":1}");         // unknown escape
@@ -399,6 +408,24 @@ TEST_F(ServiceTest, MalformedRequestsGetErrorResponsesNotThrows) {
   bad_key.set("type", serve::Json::string("solve"));
   bad_key.set("key", serve::Json::string("NOT-A-KEY"));
   EXPECT_EQ(call(bad_key.dump()).find("error")->as_string(), "bad_request");
+  // A \u0000 in a delta script does not end the line: the bytes after it
+  // are trailing junk, so the op is rejected rather than applied.
+  serve::Json solve = serve::Json::object();
+  solve.set("type", serve::Json::string("solve"));
+  solve.set("scenario",
+            serve::Json::string(scenario_text(test::simple_scenario())));
+  serve::Json nul_delta = serve::Json::object();
+  nul_delta.set("type", serve::Json::string("delta"));
+  nul_delta.set("key", *call_ok(solve.dump()).find("key"));
+  nul_delta.set("script", serve::Json::string(
+                              std::string("{\"op\":\"remove_device\","
+                                          "\"index\":0}") +
+                              '\0' + "junk"));
+  ASSERT_NE(nul_delta.dump().find("\\u0000"), std::string::npos);
+  const serve::Json nul_resp = call(nul_delta.dump());
+  EXPECT_EQ(nul_resp.find("error")->as_string(), "bad_request");
+  EXPECT_NE(nul_resp.find("message")->as_string().find("trailing"),
+            std::string::npos);
   // The id is echoed even on errors so pipelined clients can match frames.
   const serve::Json resp =
       call("{\"id\":\"req-7\",\"type\":\"frobnicate\"}");
