@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -12,7 +11,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/pdcs/extract.hpp"
-#include "src/spatial/grid_index.hpp"
 #include "src/util/error.hpp"
 #include "src/util/json_number.hpp"
 
@@ -221,62 +219,33 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
 void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
                           DeltaStats& stats) {
   const std::size_t n = scenario_->num_devices();
-  const std::size_t num_types = scenario_->num_charger_types();
   HIPO_ASSERT(per_task_.size() == n && survived_.size() == n);
   stats.tasks_total = n;
 
-  // Re-extract the invalidated tasks (same task code, same options, same
-  // device grid as pdcs::extract_all — determinism makes each regenerated
-  // output bit-identical to what the cold pipeline computes).
+  // Re-extract the invalidated tasks with extract_all's task loop —
+  // determinism makes each regenerated output bit-identical to what the
+  // cold pipeline computes.
   {
     obs::Span span("delta.extract");
-    const spatial::GridIndex& index = scenario_->device_index();
-    std::vector<std::size_t> todo;
+    std::vector<std::size_t> tasks;
     for (std::size_t i = 0; i < n; ++i) {
-      if (affected[i]) todo.push_back(i);
+      if (affected[i]) tasks.push_back(i);
     }
-    auto run_task = [&](std::size_t k) {
-      const std::size_t i = todo[k];
-      per_task_[i] =
-          pdcs::extract_device_task(*scenario_, index, i, options_.extract);
-    };
-    parallel::ThreadPool* pool = options_.workers;
-    if (pool != nullptr && pool->num_workers() > 1) {
-      pool->parallel_for(todo.size(), run_task);
-    } else {
-      for (std::size_t k = 0; k < todo.size(); ++k) run_task(k);
-    }
-    stats.tasks_regenerated = todo.size();
-    for (const std::size_t i : todo) {
+    pdcs::run_tasks(*scenario_, tasks, options_.extract, options_.workers,
+                    per_task_);
+    stats.tasks_regenerated = tasks.size();
+    for (const std::size_t i : tasks) {
       stats.candidates_regenerated += per_task_[i].size();
       survived_[i].assign(per_task_[i].size(), 0);
     }
   }
   stats.full_rebuild = stats.tasks_regenerated == stats.tasks_total;
 
-  // Merge task-major into per-type pools (the order extract_all merges in)
-  // and re-run the dominance filter per type. Each pool entry also points
-  // at its candidate's survivor flag.
+  // extract_all's global filter over the task table.
   obs::Span filter_span("delta.filter");
-  std::vector<std::vector<const pdcs::Candidate*>> pool_ptr(num_types);
-  std::vector<std::vector<std::uint8_t*>> pool_flag(num_types);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t e = 0; e < per_task_[i].size(); ++e) {
-      const pdcs::Candidate& c = per_task_[i][e];
-      HIPO_ASSERT(c.strategy.type < num_types);
-      pool_ptr[c.strategy.type].push_back(&c);
-      pool_flag[c.strategy.type].push_back(&survived_[i][e]);
-    }
-  }
-  std::vector<std::vector<std::size_t>> kept_idx(num_types);
-  parallel::chunked_for(options_.workers, num_types, [&](std::size_t q) {
-    if (options_.extract.global_filter) {
-      kept_idx[q] = pdcs::filter_dominated_indices(pool_ptr[q], n);
-    } else {
-      kept_idx[q].resize(pool_ptr[q].size());
-      std::iota(kept_idx[q].begin(), kept_idx[q].end(), std::size_t{0});
-    }
-  });
+  const auto kept_by_type =
+      pdcs::filter_by_type(per_task_, scenario_->num_charger_types(), n,
+                           options_.extract, options_.workers);
   filter_span.finish();
 
   // Re-pack the survivors, type-major — the row order extract_all +
@@ -285,16 +254,16 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
   // had their flags cleared above) and survives this one.
   obs::Span patch_span("delta.patch");
   std::size_t kept = 0;
-  for (std::size_t q = 0; q < num_types; ++q) {
-    for (const std::size_t pos : kept_idx[q]) kept += *pool_flag[q][pos];
+  std::vector<const pdcs::Candidate*> rows;
+  for (const auto& survivors : kept_by_type) {
+    for (const pdcs::RowRef ref : survivors) {
+      kept += survived_[ref.slot][ref.row];
+      rows.push_back(&per_task_[ref.slot][ref.row]);
+    }
   }
   for (auto& flags : survived_) std::fill(flags.begin(), flags.end(), 0);
-  std::vector<const pdcs::Candidate*> rows;
-  for (std::size_t q = 0; q < num_types; ++q) {
-    for (const std::size_t pos : kept_idx[q]) {
-      *pool_flag[q][pos] = 1;
-      rows.push_back(pool_ptr[q][pos]);
-    }
+  for (const auto& survivors : kept_by_type) {
+    for (const pdcs::RowRef ref : survivors) survived_[ref.slot][ref.row] = 1;
   }
   const std::size_t old_rows = matrix_.num_rows();
   matrix_ = CoverageMatrix(rows, n);

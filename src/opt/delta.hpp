@@ -1,14 +1,17 @@
-// Incremental re-solve for dynamic scenarios (ROADMAP open item 2).
+// Incremental re-solve for dynamic scenarios (the paper's Sec. 8.1
+// redeployment).
 //
 // DeltaSolver holds a solved scenario warm: the per-device extraction
-// outputs, the per-type dominance-filtered pools, and the flat CSR
-// CoverageMatrix the greedy runs on. A delta — device added/removed/moved,
-// obstacle added/removed — invalidates only the extraction tasks whose
-// geometry the delta can reach (a 4·d_max disk, see the radius argument in
-// docs/ALGORITHMS.md); those tasks are re-extracted, the per-type pools are
-// re-filtered, and the survivors are re-packed into the matrix with the
-// same CoverageMatrix constructor a cold solve uses. The greedy then re-runs
-// over the warm matrix.
+// outputs, which of their rows survived the global dominance filter, and the
+// flat CSR CoverageMatrix the greedy runs on. A delta — device
+// added/removed/moved, obstacle added/removed — invalidates only the
+// extraction tasks whose geometry the delta can reach (a 4·d_max disk, see
+// the radius argument in docs/ALGORITHMS.md). Those tasks are re-extracted
+// with extract_all's task loop (pdcs::run_tasks), the task table is
+// re-filtered with its global filter (pdcs::filter_by_type), and the
+// survivors are re-packed into the matrix with the same CoverageMatrix
+// constructor a cold solve uses. The greedy then re-runs over the warm
+// matrix.
 //
 // The contract is *bit-identity*: after any sequence of deltas, the
 // placement, utilities, and the matrix itself are byte-for-byte what a cold
@@ -113,7 +116,7 @@ class DeltaSolver {
 
  private:
   void rebuild_scenario();
-  /// Re-extract `affected` tasks, re-filter every type pool and re-pack the
+  /// Re-extract `affected` tasks, re-filter the task table and re-pack the
   /// survivors into the matrix.
   void refresh(const std::vector<std::uint8_t>& affected, DeltaStats& stats);
   std::vector<std::uint8_t> affected_tasks(

@@ -9,6 +9,14 @@
 
 namespace hipo::opt {
 
+GreedyMode parse_greedy_mode(const std::string& name) {
+  if (name == "lazy") return GreedyMode::kLazyGlobal;
+  if (name == "global") return GreedyMode::kGlobal;
+  if (name == "per-type") return GreedyMode::kPerType;
+  throw ConfigError("greedy mode '" + name +
+                    "' is not one of 'lazy', 'global', 'per-type'");
+}
+
 PartitionMatroid placement_matroid(
     const model::Scenario& scenario,
     std::span<const pdcs::Candidate> candidates) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/model/scenario.hpp"
@@ -25,6 +26,10 @@
 namespace hipo::opt {
 
 enum class GreedyMode { kPerType, kGlobal, kLazyGlobal };
+
+/// The mode named "lazy" (kLazyGlobal), "global" or "per-type", as the CLI
+/// tools and the serve wire spell it. ConfigError on any other name.
+GreedyMode parse_greedy_mode(const std::string& name);
 
 struct GreedyResult {
   /// Indices into the candidate span, in selection order.

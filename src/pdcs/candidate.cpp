@@ -152,17 +152,6 @@ std::span<const std::size_t> DominanceFilter::run(const RowSource& rows,
   return kept_;
 }
 
-std::vector<std::size_t> filter_dominated_indices(
-    std::span<const Candidate* const> candidates, std::size_t num_devices) {
-  const auto at = [&](std::size_t i) {
-    HIPO_ASSERT(candidates[i] != nullptr);
-    return row_view(*candidates[i]);
-  };
-  DominanceFilter filter;
-  const auto kept = filter.run(RowSource(candidates.size(), at), num_devices);
-  return {kept.begin(), kept.end()};
-}
-
 std::vector<Candidate> filter_dominated(std::vector<Candidate> candidates,
                                         std::size_t num_devices) {
   const auto at = [&](std::size_t i) { return row_view(candidates[i]); };

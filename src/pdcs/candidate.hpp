@@ -115,8 +115,10 @@ inline bool dominated_by(const Candidate& a, const Candidate& b,
 /// while the buffers grow. Not thread-safe; keep one per thread.
 class DominanceFilter {
  public:
-  /// Survivor positions in survivor order (filter_dominated_indices'
-  /// contract). The span stays valid until the next call.
+  /// Survivor positions in survivor order: the admission order of the
+  /// internal size/power/position sort, which is the order
+  /// filter_dominated returns them in. The span stays valid until the next
+  /// call.
   std::span<const std::size_t> run(const RowSource& rows,
                                    std::size_t num_devices);
 
@@ -144,16 +146,5 @@ class DominanceFilter {
 /// their relative order of first appearance among equals.
 std::vector<Candidate> filter_dominated(std::vector<Candidate> candidates,
                                         std::size_t num_devices);
-
-/// Index form of the same filter, over a borrowed pointer pool: returns the
-/// positions of the survivors *in survivor order* (the admission order of
-/// the internal size/power/index sort — the order filter_dominated returns
-/// them in). The key property the delta layer builds on: the outcome for a
-/// candidate depends only on the multiset of candidates and the relative
-/// input order of exact size/power ties, so a pool edit that preserves the
-/// relative order of untouched candidates preserves their survivor-order
-/// positions relative to each other. Null entries are not allowed.
-std::vector<std::size_t> filter_dominated_indices(
-    std::span<const Candidate* const> candidates, std::size_t num_devices);
 
 }  // namespace hipo::pdcs

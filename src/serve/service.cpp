@@ -73,13 +73,6 @@ bool bool_field(const Json& request, const char* key, bool fallback) {
   return v->as_bool();
 }
 
-opt::GreedyMode parse_greedy(const std::string& name) {
-  if (name == "lazy") return opt::GreedyMode::kLazyGlobal;
-  if (name == "global") return opt::GreedyMode::kGlobal;
-  if (name == "per-type") return opt::GreedyMode::kPerType;
-  throw ConfigError("\"greedy\" expects \"lazy\", \"global\", or \"per-type\"");
-}
-
 opt::ObjectiveKind parse_kind(const std::string& name) {
   if (name == "utility") return opt::ObjectiveKind::kUtility;
   if (name == "log-utility") return opt::ObjectiveKind::kLogUtility;
@@ -327,7 +320,7 @@ Json Service::dispatch(const Json& request, std::uint64_t rid,
 Json Service::do_solve(const Json& request) {
   auto& counters = serve_counters();
   const opt::GreedyMode mode =
-      parse_greedy(string_field(request, "greedy", "lazy"));
+      opt::parse_greedy_mode(string_field(request, "greedy", "lazy"));
   const opt::ObjectiveKind kind =
       parse_kind(string_field(request, "kind", "utility"));
 

@@ -82,7 +82,9 @@ ShardStats extract_shard(const model::Scenario& full, const ShardPlan& plan,
   const SubScenario sub = build_sub_scenario(full, manifest);
   const spatial::GridIndex& index = sub.scenario.device_index();
 
-  auto run_task = [&](std::size_t k) {
+  // extract_all's task loop would write local slots; this body remaps each
+  // task's rows to global ids before storing them.
+  parallel::chunked_for(pool, sub.owned_local.size(), [&](std::size_t k) {
     obs::Stopwatch watch;
     auto cands = pdcs::extract_device_task(sub.scenario, index,
                                            sub.owned_local[k], opt);
@@ -93,12 +95,7 @@ ShardStats extract_shard(const model::Scenario& full, const ShardPlan& plan,
     }
     per_task[manifest.owned[k]] = std::move(cands);
     stats.task_seconds[k] = watch.seconds();
-  };
-  if (pool != nullptr && pool->num_workers() > 1) {
-    pool->parallel_for(sub.owned_local.size(), run_task);
-  } else {
-    for (std::size_t k = 0; k < sub.owned_local.size(); ++k) run_task(k);
-  }
+  });
 
   for (std::size_t i : manifest.owned) {
     stats.rows += per_task[i].size();

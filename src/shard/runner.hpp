@@ -5,9 +5,9 @@
 // Merge rule. Every task's rows land in its own slot of one per-task table
 // (one slot per device); tasks partition across shards (owner-shard rule,
 // pairs under the lower-index device), so each slot is written by exactly
-// one shard. pdcs::merge_by_task then runs extract_all's own device-order
-// merge and finalize_by_type (global dominance filter + type-order
-// concatenation) on that table. The result is independent of shard count,
+// one shard. pdcs::merge_by_task then runs extract_all's own global filter
+// (pdcs::filter_by_type, device-order input) on that table and moves the
+// survivors out type-major. The result is independent of shard count,
 // process count, worker threads, and frame arrival order.
 //
 // Processes. Workers are forked (no exec): copy-on-write shares the parsed

@@ -39,7 +39,7 @@ BBox inflate(const BBox& b, double by) {
 }
 
 /// Slab-clipping segment-vs-box overlap with the reciprocal direction
-/// precomputed once per segment (the test runs once per grid cell).
+/// precomputed once per segment (the test runs once per obstacle edge).
 struct SegmentClipper {
   double org[2];
   double inv[2];
@@ -109,7 +109,6 @@ void flatten(const std::vector<std::vector<std::uint32_t>>& cells,
 }  // namespace
 
 SegmentIndex::SegmentIndex() {
-  cell_edge_start_.assign(2, 0);
   cell_poly_start_.assign(2, 0);
   col_start_.assign(2, 0);
   poly_edge_start_.assign(1, 0);
@@ -148,15 +147,11 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
   ny_ = std::clamp<std::size_t>(
       static_cast<std::size_t>(std::lround(std::sqrt(cells / aspect))), 1,
       kMaxCellsPerAxis);
-  cell_w_ = ext.x / static_cast<double>(nx_);
-  cell_h_ = ext.y / static_cast<double>(ny_);
-  inv_cell_w_ = 1.0 / cell_w_;
-  inv_cell_h_ = 1.0 / cell_h_;
-  std::vector<std::vector<std::uint32_t>> cell_edges(nx_ * ny_);
+  inv_cell_w_ = 1.0 / (ext.x / static_cast<double>(nx_));
+  inv_cell_h_ = 1.0 / (ext.y / static_cast<double>(ny_));
   std::vector<std::vector<std::uint32_t>> cell_polys(nx_ * ny_);
 
   edge_segs_.reserve(n_edges);
-  edge_refs_.reserve(n_edges);
   edge_gate_bbox_.reserve(n_edges);
   edge_dir_.reserve(n_edges);
   edge_norm_.reserve(n_edges);
@@ -165,7 +160,6 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
     const auto& h = polygons_[pi];
     poly_edge_start_.push_back(static_cast<std::uint32_t>(edge_segs_.size()));
     for (std::size_t e = 0; e < h.size(); ++e) {
-      const auto id = static_cast<std::uint32_t>(edge_segs_.size());
       edge_segs_.push_back(h.edge(e));
       const Segment& es = edge_segs_.back();
       edge_gate_bbox_.push_back(inflate(
@@ -176,12 +170,6 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
       edge_norm_.push_back(edge_dir_.back().norm());
       const double len2 = edge_dir_.back().norm2();
       edge_inv_len2_.push_back(len2 > 0.0 ? 1.0 / len2 : 0.0);
-      edge_refs_.push_back({static_cast<std::uint32_t>(pi),
-                            static_cast<std::uint32_t>(e)});
-      for_each_segment_cell(edge_segs_.back(), [&](std::size_t c) {
-        cell_edges[c].push_back(id);
-        return false;
-      });
     }
     std::size_t x0, x1, y0, y1;
     cell_range(inflate(h.bbox(), kMargin), x0, x1, y0, y1);
@@ -192,7 +180,6 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
     }
   }
   poly_edge_start_.push_back(static_cast<std::uint32_t>(edge_segs_.size()));
-  flatten(cell_edges, cell_edge_start_, cell_edge_data_);
   flatten(cell_polys, cell_poly_start_, cell_poly_data_);
 
   poly_bbox_.reserve(polygons_.size());
@@ -243,11 +230,6 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
   }
 }
 
-Segment SegmentIndex::edge(EdgeRef ref) const {
-  HIPO_ASSERT(ref.polygon < polygons_.size());
-  return polygons_[ref.polygon].edge(ref.edge);
-}
-
 std::size_t SegmentIndex::cell_of(Vec2 p) const {
   const auto clamp_idx = [](double v, std::size_t n) {
     if (v < 0.0) return std::size_t{0};
@@ -270,41 +252,6 @@ void SegmentIndex::cell_range(const BBox& box, std::size_t& x0, std::size_t& x1,
   x1 = clamp_idx((box.hi.x - bounds_.lo.x) * inv_cell_w_, nx_);
   y0 = clamp_idx((box.lo.y - bounds_.lo.y) * inv_cell_h_, ny_);
   y1 = clamp_idx((box.hi.y - bounds_.lo.y) * inv_cell_h_, ny_);
-}
-
-BBox SegmentIndex::cell_box(std::size_t cx, std::size_t cy) const {
-  BBox b;
-  b.lo = {bounds_.lo.x + static_cast<double>(cx) * cell_w_,
-          bounds_.lo.y + static_cast<double>(cy) * cell_h_};
-  b.hi = {b.lo.x + cell_w_, b.lo.y + cell_h_};
-  return b;
-}
-
-template <typename Fn>
-void SegmentIndex::for_each_segment_cell(const Segment& seg, Fn&& fn) const {
-  BBox sb;
-  sb.lo = {std::min(seg.a.x, seg.b.x), std::min(seg.a.y, seg.b.y)};
-  sb.hi = {std::max(seg.a.x, seg.b.x), std::max(seg.a.y, seg.b.y)};
-  std::size_t x0, x1, y0, y1;
-  cell_range(inflate(sb, kMargin), x0, x1, y0, y1);
-  // A single row or column is exactly the cells the segment's bbox covers —
-  // no clipping needed.
-  if (x1 - x0 == 0 || y1 - y0 == 0) {
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      for (std::size_t cx = x0; cx <= x1; ++cx) {
-        if (fn(cy * nx_ + cx)) return;
-      }
-    }
-    return;
-  }
-  const SegmentClipper clip(seg);
-  for (std::size_t cy = y0; cy <= y1; ++cy) {
-    for (std::size_t cx = x0; cx <= x1; ++cx) {
-      if (clip.overlaps(inflate(cell_box(cx, cy), kMargin))) {
-        if (fn(cy * nx_ + cx)) return;
-      }
-    }
-  }
 }
 
 bool SegmentIndex::segment_blocked_cold(const Segment& seg,
@@ -554,32 +501,6 @@ std::vector<std::size_t> SegmentIndex::polygons_near(Vec2 p,
   std::vector<std::size_t> out;
   for (std::size_t pi : polygons_in_box(box)) {
     if (boundary_distance(pi, p) <= radius) out.push_back(pi);
-  }
-  return out;
-}
-
-std::vector<SegmentIndex::EdgeRef> SegmentIndex::edges_near(
-    Vec2 p, double radius) const {
-  HIPO_REQUIRE(radius >= 0.0, "radius must be non-negative");
-  std::vector<EdgeRef> out;
-  if (polygons_.empty()) return out;
-  BBox box;
-  box.lo = p - Vec2{radius, radius};
-  box.hi = p + Vec2{radius, radius};
-  std::size_t x0, x1, y0, y1;
-  cell_range(inflate(box, kMargin), x0, x1, y0, y1);
-  std::vector<std::uint32_t> candidates;
-  for (std::size_t cy = y0; cy <= y1; ++cy) {
-    for (std::size_t cx = x0; cx <= x1; ++cx) {
-      const auto cell = edges_in_cell(cy * nx_ + cx);
-      candidates.insert(candidates.end(), cell.begin(), cell.end());
-    }
-  }
-  sort_unique(candidates);
-  for (std::uint32_t id : candidates) {
-    if (geom::point_segment_distance(p, edge_segs_[id]) <= radius) {
-      out.push_back(edge_refs_[id]);
-    }
   }
   return out;
 }

@@ -1,13 +1,14 @@
-// Uniform grid over obstacle polygon edges for the obstacle-query hot path.
+// Uniform grid over obstacle polygons for the obstacle-query hot path.
 //
 // Every power/coverage evaluation bottoms out in two predicates — "does the
 // open segment charger–device cross an obstacle interior?" (Eq. 1's
 // line-of-sight condition) and "is this point inside an obstacle?" (charger
 // placement feasibility) — which the brute-force formulation answers by
-// scanning all polygons and edges. SegmentIndex buckets edges and polygon
-// bounding boxes into a uniform grid (the segment analogue of GridIndex for
-// points), so queries touch only the cells a segment or disk overlaps and
-// then run the *exact* polygon predicates on the few candidates found there.
+// scanning all polygons and edges. SegmentIndex buckets polygon bounding
+// boxes into a uniform grid sized by the edge count (the polygon analogue
+// of GridIndex for points), so queries touch only the cells a segment or
+// disk overlaps and then run the *exact* polygon predicates, edge by edge,
+// on the few candidates found there.
 // Results are therefore bit-identical to the brute-force scan; only the set
 // of polygons examined shrinks.
 //
@@ -45,13 +46,6 @@ SegmentIndexCounters& segment_index_counters();
 
 class SegmentIndex {
  public:
-  /// An edge of an indexed polygon: `polygons()[polygon].edge(edge)`.
-  struct EdgeRef {
-    std::uint32_t polygon = 0;
-    std::uint32_t edge = 0;
-    friend bool operator==(EdgeRef, EdgeRef) = default;
-  };
-
   /// Empty index: no polygons, every query trivially negative.
   SegmentIndex();
 
@@ -66,7 +60,6 @@ class SegmentIndex {
   std::size_t num_polygons() const { return polygons_.size(); }
   std::size_t num_edges() const { return edge_segs_.size(); }
   std::size_t num_cells() const { return nx_ * ny_; }
-  geom::Segment edge(EdgeRef ref) const;
 
   /// True iff the open segment passes through some polygon's interior —
   /// exactly Polygon::blocks_segment over all polygons. Defined inline so
@@ -126,10 +119,6 @@ class SegmentIndex {
   /// relevance filter.
   std::vector<std::size_t> polygons_near(geom::Vec2 p, double radius) const;
 
-  /// Edges within `radius` of `p` (exact point–segment distance), ordered
-  /// by (polygon, edge).
-  std::vector<EdgeRef> edges_near(geom::Vec2 p, double radius) const;
-
   /// Min distance from p to the boundary of polygon `polygon`.
   double boundary_distance(std::size_t polygon, geom::Vec2 p) const;
 
@@ -174,7 +163,6 @@ class SegmentIndex {
            content_sat_[(y1 + 1) * stride + x0] +
            content_sat_[y0 * stride + x0];
   }
-  geom::BBox cell_box(std::size_t cx, std::size_t cy) const;
   /// Bit-exact replica of polygons_[pi].contains_interior(p, kEps) for the
   /// midpoint walk: the reference routine's on_boundary scan costs one
   /// point-segment distance (with a hypot) per edge. A branch-free sweep of
@@ -184,33 +172,22 @@ class SegmentIndex {
   /// loop then runs branchlessly. Falls back to the reference routine in
   /// the measure-zero near-boundary case.
   bool poly_contains_interior(std::uint32_t pi, geom::Vec2 p) const;
-  /// Invokes fn(cell) for every cell the margin-inflated segment overlaps;
-  /// stops early when fn returns true.
-  template <typename Fn>
-  void for_each_segment_cell(const geom::Segment& seg, Fn&& fn) const;
 
   std::vector<geom::Polygon> polygons_;
   geom::BBox bounds_{{0.0, 0.0}, {1.0, 1.0}};
   std::size_t nx_ = 1;
   std::size_t ny_ = 1;
-  double cell_w_ = 1.0;
-  double cell_h_ = 1.0;
-  /// Reciprocals cached because the point->cell maps run on the LOS hot
+  /// Reciprocal cell sizes, cached because the point->cell maps run on the LOS hot
   /// path, where a divide per coordinate is measurable.
   double inv_cell_w_ = 1.0;
   double inv_cell_h_ = 1.0;
-  std::span<const std::uint32_t> edges_in_cell(std::size_t c) const {
-    return {cell_edge_data_.data() + cell_edge_start_[c],
-            cell_edge_start_[c + 1] - cell_edge_start_[c]};
-  }
   std::span<const std::uint32_t> polys_in_cell(std::size_t c) const {
     return {cell_poly_data_.data() + cell_poly_start_[c],
             cell_poly_start_[c + 1] - cell_poly_start_[c]};
   }
 
-  /// Edge id -> geometry / owning polygon / edge index within the polygon.
+  /// Edge id -> geometry.
   std::vector<geom::Segment> edge_segs_;
-  std::vector<EdgeRef> edge_refs_;
   /// Edge id -> kMargin-inflated bounding box, flat. Slab-clip gate in the
   /// query walk: any intersection the eps-tolerant predicate can report
   /// lies within far less than kMargin of both segments, so edges whose
@@ -229,12 +206,10 @@ class SegmentIndex {
   /// polygons are small, so per-edge cell bookkeeping would only add
   /// duplicate tests and unpredictable inner branches.
   std::vector<std::uint32_t> poly_edge_start_;
-  /// Cell -> overlapping edge ids (ascending), CSR layout: one flat data
-  /// array plus per-cell offsets. Queries walk several cells back to back,
-  /// so per-cell heap blocks would cost a dependent cache miss each.
-  std::vector<std::uint32_t> cell_edge_start_;
-  std::vector<std::uint32_t> cell_edge_data_;
-  /// Cell -> polygons whose bbox overlaps the cell (ascending), CSR.
+  /// Cell -> polygons whose bbox overlaps the cell (ascending), CSR layout:
+  /// one flat data array plus per-cell offsets. Queries walk several cells
+  /// back to back, so per-cell heap blocks would cost a dependent cache miss
+  /// each.
   std::vector<std::uint32_t> cell_poly_start_;
   std::vector<std::uint32_t> cell_poly_data_;
   /// 1-D column registration for segment_blocked's gather: every polygon

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include "src/util/rng.hpp"
 #include "tests/test_helpers.hpp"
@@ -83,6 +86,129 @@ TEST(ExtractAll, NoDevicesMeansNoCandidates) {
   const model::Scenario s(std::move(cfg));
   const auto result = extract_all(s);
   EXPECT_TRUE(result.candidates.empty());
+}
+
+// --- the merge contract the perfbench replay depends on ------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Byte equality of two extraction results: every candidate's strategy,
+/// covered set and powers bit for bit, plus the per-type and raw counts.
+void expect_same_bytes(const ExtractionResult& want,
+                       const ExtractionResult& got) {
+  EXPECT_EQ(want.raw_candidates, got.raw_candidates);
+  EXPECT_EQ(want.per_type_counts, got.per_type_counts);
+  ASSERT_EQ(want.candidates.size(), got.candidates.size());
+  for (std::size_t i = 0; i < want.candidates.size(); ++i) {
+    const Candidate& a = want.candidates[i];
+    const Candidate& b = got.candidates[i];
+    ASSERT_EQ(a.strategy.type, b.strategy.type) << "candidate " << i;
+    ASSERT_EQ(bits(a.strategy.pos.x), bits(b.strategy.pos.x)) << i;
+    ASSERT_EQ(bits(a.strategy.pos.y), bits(b.strategy.pos.y)) << i;
+    ASSERT_EQ(bits(a.strategy.orientation), bits(b.strategy.orientation))
+        << "candidate " << i;
+    ASSERT_EQ(a.covered, b.covered) << "candidate " << i;
+    ASSERT_EQ(a.powers.size(), b.powers.size()) << "candidate " << i;
+    for (std::size_t k = 0; k < a.powers.size(); ++k) {
+      ASSERT_EQ(bits(a.powers[k]), bits(b.powers[k])) << "candidate " << i;
+    }
+  }
+}
+
+/// One slot per device, filled by extract_device_task directly.
+std::vector<std::vector<Candidate>> task_table(const model::Scenario& s,
+                                               const ExtractOptions& opt) {
+  std::vector<std::vector<Candidate>> table(s.num_devices());
+  for (std::size_t i = 0; i < s.num_devices(); ++i) {
+    table[i] = extract_device_task(s, s.device_index(), i, opt);
+  }
+  return table;
+}
+
+/// Parameter: ExtractOptions::global_filter.
+class MergeContract : public ::testing::TestWithParam<bool> {
+ protected:
+  ExtractOptions options() const {
+    ExtractOptions opt;
+    opt.global_filter = GetParam();
+    return opt;
+  }
+};
+
+TEST_P(MergeContract, FinalizeByTypeOnTaskMajorStreamsMatchesExtractAll) {
+  const auto s = test::small_paper_scenario(16, 2, 1);
+  const ExtractOptions opt = options();
+  const auto want = extract_all(s, opt);
+  parallel::ThreadPool pool(3);
+  for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr),
+                                  &pool}) {
+    std::size_t raw = 0;
+    std::vector<std::vector<Candidate>> by_type(s.num_charger_types());
+    for (auto& task : task_table(s, opt)) {
+      raw += task.size();
+      for (auto& c : task) by_type[c.strategy.type].push_back(std::move(c));
+    }
+    expect_same_bytes(
+        want, finalize_by_type(std::move(by_type), raw, s.num_devices(), opt,
+                               p));
+  }
+}
+
+TEST_P(MergeContract, MergeByTaskOnTaskTableMatchesExtractAll) {
+  const auto s = test::small_paper_scenario(17, 2, 1);
+  const ExtractOptions opt = options();
+  const auto want = extract_all(s, opt);
+  parallel::ThreadPool pool(3);
+  for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr),
+                                  &pool}) {
+    expect_same_bytes(want, merge_by_task(s, task_table(s, opt), opt, p));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GlobalFilter, MergeContract, ::testing::Bool());
+
+TEST(FilterByType, UnfilteredKeepsEveryRowInTableOrder) {
+  const auto s = test::small_paper_scenario(18, 2, 1);
+  ExtractOptions opt;
+  opt.global_filter = false;
+  const auto table = task_table(s, opt);
+  const auto kept =
+      filter_by_type(table, s.num_charger_types(), s.num_devices(), opt);
+  ASSERT_EQ(kept.size(), s.num_charger_types());
+  std::vector<std::vector<RowRef>> want(s.num_charger_types());
+  for (std::size_t slot = 0; slot < table.size(); ++slot) {
+    for (std::size_t row = 0; row < table[slot].size(); ++row) {
+      want[table[slot][row].strategy.type].push_back({slot, row});
+    }
+  }
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ASSERT_EQ(kept[q].size(), want[q].size()) << "type " << q;
+    for (std::size_t k = 0; k < want[q].size(); ++k) {
+      EXPECT_EQ(kept[q][k].slot, want[q][k].slot);
+      EXPECT_EQ(kept[q][k].row, want[q][k].row);
+    }
+  }
+}
+
+TEST(RunTasks, WritesOnlyTheListedSlotsWithTheirTaskOutput) {
+  const auto s = test::small_paper_scenario(19, 2, 1);
+  const ExtractOptions opt;
+  const auto want = task_table(s, opt);
+  ASSERT_GE(s.num_devices(), 4u);
+  const std::vector<std::size_t> tasks{1, 3};
+  parallel::ThreadPool pool(3);
+  std::vector<std::vector<Candidate>> table(s.num_devices());
+  const auto seconds = run_tasks(s, tasks, opt, &pool, table);
+  EXPECT_EQ(seconds.size(), tasks.size());
+  for (std::size_t i = 0; i < s.num_devices(); ++i) {
+    const bool listed = i == 1 || i == 3;
+    ASSERT_EQ(table[i].size(), listed ? want[i].size() : 0u) << "slot " << i;
+    for (std::size_t r = 0; r < table[i].size(); ++r) {
+      EXPECT_EQ(table[i][r].covered, want[i][r].covered);
+      EXPECT_EQ(bits(table[i][r].strategy.orientation),
+                bits(want[i][r].strategy.orientation));
+    }
+  }
 }
 
 TEST(SimulatedDistributed, SingleMachineIsTotal) {

@@ -72,20 +72,6 @@ std::vector<std::size_t> brute_near(const std::vector<Polygon>& polys, Vec2 p,
   return out;
 }
 
-std::vector<SegmentIndex::EdgeRef> brute_edges_near(
-    const std::vector<Polygon>& polys, Vec2 p, double r) {
-  std::vector<SegmentIndex::EdgeRef> out;
-  for (std::size_t i = 0; i < polys.size(); ++i) {
-    for (std::size_t e = 0; e < polys[i].size(); ++e) {
-      if (geom::point_segment_distance(p, polys[i].edge(e)) <= r) {
-        out.push_back({static_cast<std::uint32_t>(i),
-                       static_cast<std::uint32_t>(e)});
-      }
-    }
-  }
-  return out;
-}
-
 // --- basics ---------------------------------------------------------------
 
 TEST(SegmentIndex, EmptyIndexAnswersNegative) {
@@ -98,7 +84,6 @@ TEST(SegmentIndex, EmptyIndexAnswersNegative) {
   const SegmentIndex empty(box(0, 0, 40, 40), {});
   EXPECT_EQ(empty.num_edges(), 0u);
   EXPECT_FALSE(empty.segment_blocked({{-5, -5}, {45, 45}}));
-  EXPECT_TRUE(empty.edges_near({20, 20}, 100.0).empty());
 }
 
 TEST(SegmentIndex, SingleSquareBasics) {
@@ -182,12 +167,6 @@ TEST_P(SegmentOracleTest, MatchesBruteForce) {
 
     const double r = rng.uniform(0.0, 12.0);
     EXPECT_EQ(index.polygons_near(p, r), brute_near(polys, p, r));
-    const auto edges = index.edges_near(p, r);
-    const auto expect_edges = brute_edges_near(polys, p, r);
-    ASSERT_EQ(edges.size(), expect_edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      EXPECT_EQ(edges[i], expect_edges[i]);
-    }
   }
 }
 

@@ -82,14 +82,8 @@ int main(int argc, char** argv) {
     parallel::ThreadPool pool(static_cast<std::size_t>(threads));
     if (opt.processes == 0) opt.pool = &pool;
 
-    const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
-    HIPO_REQUIRE(greedy_name == "lazy" || greedy_name == "global" ||
-                     greedy_name == "per-type",
-                 "--greedy expects 'lazy', 'global', or 'per-type'");
-    const auto greedy_mode = greedy_name == "lazy" ? opt::GreedyMode::kLazyGlobal
-                             : greedy_name == "global"
-                                 ? opt::GreedyMode::kGlobal
-                                 : opt::GreedyMode::kPerType;
+    const auto greedy_mode = opt::parse_greedy_mode(
+        cli.get_or("greedy", std::string("lazy")));
 
     const bool verify = cli.has("verify");
     const auto out = cli.get("out");

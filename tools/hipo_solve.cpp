@@ -56,13 +56,11 @@ model::Scenario load_scenario(Cli& cli) {
 
 /// The hipo-pipeline options shared by `core::solve` and the delta flow.
 core::SolveOptions hipo_options(Cli& cli, parallel::ThreadPool& pool) {
-  const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
   core::SolveOptions opts;
   opts.local_search = cli.has("local-search");
   opts.pool = &pool;
-  opts.greedy = greedy_name == "lazy"     ? opt::GreedyMode::kLazyGlobal
-                : greedy_name == "global" ? opt::GreedyMode::kGlobal
-                                          : opt::GreedyMode::kPerType;
+  opts.greedy =
+      opt::parse_greedy_mode(cli.get_or("greedy", std::string("lazy")));
   return opts;
 }
 
@@ -152,11 +150,6 @@ model::Placement run_algorithm(const model::Scenario& scenario, Cli& cli) {
                "--grid expects 'square' or 'triangle'");
   Rng rng(static_cast<std::uint64_t>(cli.get_or("seed", 1)) ^
           0x9e3779b97f4a7c15ULL);
-
-  const std::string greedy_name = cli.get_or("greedy", std::string("lazy"));
-  HIPO_REQUIRE(greedy_name == "lazy" || greedy_name == "global" ||
-                   greedy_name == "per-type",
-               "--greedy expects 'lazy', 'global', or 'per-type'");
 
   if (name == "hipo") {
     parallel::ThreadPool pool(static_cast<std::size_t>(threads));
