@@ -750,7 +750,7 @@ std::optional<Violation> check_delta(const Scenario& scenario,
 }
 
 std::span<const NamedOracle> all_oracles() {
-  static constexpr std::array<NamedOracle, 7> kOracles{{
+  static constexpr std::array<NamedOracle, 8> kOracles{{
       {"line_of_sight", &check_line_of_sight},
       {"coverage", &check_coverage},
       {"piecewise", &check_piecewise},
@@ -758,6 +758,7 @@ std::span<const NamedOracle> all_oracles() {
       {"determinism", &check_determinism},
       {"delta", &check_delta},
       {"shard", &check_shard},
+      {"parse", &check_parse},
   }};
   return kOracles;
 }

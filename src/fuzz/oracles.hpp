@@ -33,7 +33,7 @@ struct NamedOracle {
   Oracle fn;
 };
 
-/// The seven oracles, in fixed execution order.
+/// The eight oracles, in fixed execution order.
 std::span<const NamedOracle> all_oracles();
 
 /// (1) SegmentIndex line-of-sight / containment vs. the brute-force
@@ -83,6 +83,23 @@ std::optional<Violation> check_delta(const model::Scenario& scenario,
 /// oracle is sanitizer-friendly. Skips when extraction is intractable.
 std::optional<Violation> check_shard(const model::Scenario& scenario,
                                      std::uint64_t seed);
+
+/// (8) Parsers under byte mutation: the scenario's write_scenario text,
+/// a `solve` request carrying it, and a delta script over its devices and
+/// obstacles each get 500 seeded mutants (bit flips, byte inserts and
+/// deletes, duplicated tokens, spliced lines, changed digits).
+/// model::read_scenario must match the istream reference reader
+/// (reference_io.hpp): same verdict, same error message, and on accept a
+/// bit-identical Config and scenario_key. serve::parse_json and
+/// opt::parse_delta_script may throw only ConfigError, and an accepted
+/// JSON document's canonical dump must re-parse to the same dump. The
+/// detail names the format, the mutant and its escaped mutated line.
+std::optional<Violation> check_parse(const model::Scenario& scenario,
+                                     std::uint64_t seed);
+
+/// The scenario half of check_parse on one text: null when
+/// model::read_scenario and the reference reader agree, else what differs.
+std::optional<std::string> compare_scenario_readers(const std::string& text);
 
 /// Run one oracle, converting any exception that escapes the pipeline (an
 /// InvariantError from a tripped internal assertion, a std::logic_error, a

@@ -1,69 +1,178 @@
 #include "src/model/io.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 
 #include "src/geometry/angles.hpp"
 #include "src/util/error.hpp"
+#include "src/util/json_number.hpp"
 
 namespace hipo::model {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw ConfigError("scenario I/O: line " + std::to_string(line) + ": " +
-                    what);
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// The whitespace operator>> skips in the classic locale ('\n' never
+/// occurs inside a line).
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
 }
 
-/// Reads non-comment, non-blank lines and tokenizes the first word.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
+/// Parses one whole token in the decimal grammar the format has always
+/// accepted (what operator>> reads into a double):
+///
+///   [+-] digits [. digits] [(e|E) [+-] 1*digits]
+///
+/// with at least one mantissa digit, so leading zeros, `+5`, `.5` and `5.`
+/// are numbers and `inf`, `nan`, `0x1p3` and `1e` are not. The value is
+/// the correctly rounded double; an underflow rounds to a signed zero and
+/// an overflow is rejected, so every value read is finite.
+bool parse_decimal(std::string_view tok, double& value) {
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < tok.size() && is_digit(tok[i])) ++i;
+    return i - from;
+  };
+  const auto zeros = [&] {
+    const std::size_t from = i;
+    while (i < tok.size() && tok[i] == '0') ++i;
+    return i - from;
+  };
+  const bool negative = i < tok.size() && tok[i] == '-';
+  const bool plus = i < tok.size() && tok[i] == '+';
+  if (negative || plus) ++i;
+  const std::size_t int_zeros = zeros();
+  const std::size_t int_digits = digits();  // after the leading zeros
+  std::size_t frac_zeros = 0;  // fraction zeros before its first nonzero
+  std::size_t frac_digits = 0;
+  if (i < tok.size() && tok[i] == '.') {
+    ++i;
+    frac_zeros = zeros();
+    frac_digits = frac_zeros + digits();
+  }
+  if (int_zeros + int_digits + frac_digits == 0) return false;
+  long long exp = 0;  // saturates: only its sign and rough size matter
+  if (i < tok.size() && (tok[i] == 'e' || tok[i] == 'E')) {
+    ++i;
+    const bool exp_negative = i < tok.size() && tok[i] == '-';
+    if (i < tok.size() && (tok[i] == '-' || tok[i] == '+')) ++i;
+    const std::size_t from = i;
+    if (digits() == 0) return false;
+    for (std::size_t k = from; k < i && exp < 100000; ++k) {
+      exp = exp * 10 + (tok[k] - '0');
+    }
+    if (exp_negative) exp = -exp;
+  }
+  if (i != tok.size()) return false;
 
-  /// Next meaningful line as a token stream; false at EOF.
-  bool next(std::string& keyword, std::istringstream& rest) {
-    std::string line;
-    while (std::getline(is_, line)) {
+  const long long lead = int_digits > 0
+                             ? static_cast<long long>(int_digits) - 1
+                             : -static_cast<long long>(frac_zeros) - 1;
+  return util::decimal_from_chars(tok.substr(plus ? 1 : 0), negative,
+                                  lead + exp,
+                                  value) == util::JsonNumber::Status::kOk;
+}
+
+/// An index or count: plain decimal digits (no sign) that fit in T.
+template <typename T>
+bool parse_unsigned(std::string_view tok, T& value) {
+  if (tok.empty() || !is_digit(tok.front())) return false;
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), value);
+  return ec == std::errc() && ptr == tok.data() + tok.size();
+}
+
+/// One pass over the text. Lines split as std::getline splits them (a
+/// final line without '\n' still counts); a line whose first byte outside
+/// " \t\r" is '#', or that has none, is skipped, as is a line of other
+/// whitespace only. Every field is exactly one whitespace-separated token.
+class Reader {
+ public:
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  /// Advances to the next meaningful line and returns its first token as
+  /// `keyword`; false at the end of the text.
+  bool next(std::string_view& keyword) {
+    while (pos_ < text_.size()) {
+      const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
+      line_ = text_.substr(pos_, end - pos_);
+      pos_ = end + 1;
       ++line_no_;
-      const auto first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos || line[first] == '#') continue;
-      rest = std::istringstream(line);
-      if (!(rest >> keyword)) continue;
-      return true;
+      const auto first = line_.find_first_not_of(" \t\r");
+      if (first == std::string_view::npos || line_[first] == '#') continue;
+      keyword = token();
+      if (!keyword.empty()) return true;
     }
     return false;
   }
 
-  std::size_t line_no() const { return line_no_; }
+  /// The current line's next token; empty once the line is used up.
+  std::string_view token() {
+    std::size_t i = 0;
+    while (i < line_.size() && is_space(line_[i])) ++i;
+    std::size_t j = i;
+    while (j < line_.size() && !is_space(line_[j])) ++j;
+    const std::string_view tok = line_.substr(i, j - i);
+    line_.remove_prefix(j);
+    return tok;
+  }
+
+  double number(const char* what) {
+    double value = 0.0;
+    if (!parse_decimal(token(), value)) fail(std::string("expected ") + what);
+    return value;
+  }
+
+  template <typename T>
+  T index(const char* what) {
+    T value{};
+    if (!parse_unsigned(token(), value)) {
+      fail(std::string("expected ") + what);
+    }
+    return value;
+  }
+
+  /// Rejects a token after the line's last field.
+  void end_of_line() {
+    const std::string_view extra = token();
+    if (!extra.empty()) {
+      fail("unexpected token '" + std::string(extra) +
+           "' after the last field");
+    }
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw ConfigError("scenario I/O: line " + std::to_string(line_no_) +
+                      ": " + what);
+  }
+
+  void require(bool ok, const char* what) const {
+    if (!ok) fail(what);
+  }
 
  private:
-  std::istream& is_;
+  std::string_view text_;
+  std::size_t pos_ = 0;     // start of the next unread line
+  std::string_view line_;   // unread rest of the current line
   std::size_t line_no_ = 0;
 };
 
-template <typename T>
-T expect(std::istringstream& in, std::size_t line, const char* what) {
-  T value;
-  if (!(in >> value)) fail(line, std::string("expected ") + what);
-  return value;
+std::string slurp(std::istream& is) {
+  std::ostringstream os;
+  os << is.rdbuf();
+  return std::move(os).str();
 }
 
-/// Like expect<double> but additionally rejects NaN and ±inf: every double
-/// field of the format is a coordinate, angle, or physical constant, and a
-/// non-finite value silently corrupts every geometric predicate downstream.
-double expect_finite(std::istringstream& in, std::size_t line,
-                     const char* what) {
-  const double value = expect<double>(in, line, what);
-  if (!std::isfinite(value)) {
-    fail(line, std::string(what) + " must be finite (got non-finite value)");
-  }
-  return value;
-}
-
-void require(bool ok, std::size_t line, const std::string& what) {
-  if (!ok) fail(line, what);
+std::string read_file(const std::string& path, const char* what) {
+  std::ifstream in(path);
+  HIPO_REQUIRE(in.good(), std::string("cannot open ") + what +
+                              " file: " + path);
+  return slurp(in);
 }
 
 }  // namespace
@@ -101,12 +210,11 @@ void write_scenario(std::ostream& os, const Scenario& scenario) {
   }
 }
 
-Scenario read_scenario(std::istream& is) {
-  LineReader reader(is);
-  std::string keyword;
-  std::istringstream rest;
-  if (!reader.next(keyword, rest) || keyword != "hipo-scenario") {
-    fail(reader.line_no(), "missing 'hipo-scenario v1' header");
+Scenario read_scenario(std::string_view text) {
+  Reader in(text);
+  std::string_view keyword;
+  if (!in.next(keyword) || keyword != "hipo-scenario") {
+    in.fail("missing 'hipo-scenario v1' header");
   }
 
   Scenario::Config cfg;
@@ -116,89 +224,83 @@ Scenario read_scenario(std::istream& is) {
   };
   std::vector<PairEntry> pairs;
 
-  while (reader.next(keyword, rest)) {
-    // Consume the keyword already read; remaining tokens are the payload.
-    std::string skip;
-    std::istringstream in(rest.str());
-    in >> skip;
-    const std::size_t line = reader.line_no();
+  while (in.next(keyword)) {
     if (keyword == "region") {
-      cfg.region.lo.x = expect_finite(in, line, "lo.x");
-      cfg.region.lo.y = expect_finite(in, line, "lo.y");
-      cfg.region.hi.x = expect_finite(in, line, "hi.x");
-      cfg.region.hi.y = expect_finite(in, line, "hi.y");
-      require(cfg.region.hi.x > cfg.region.lo.x &&
-                  cfg.region.hi.y > cfg.region.lo.y,
-              line, "region must have hi > lo on both axes");
+      cfg.region.lo.x = in.number("lo.x");
+      cfg.region.lo.y = in.number("lo.y");
+      cfg.region.hi.x = in.number("hi.x");
+      cfg.region.hi.y = in.number("hi.y");
+      in.require(cfg.region.hi.x > cfg.region.lo.x &&
+                     cfg.region.hi.y > cfg.region.lo.y,
+                 "region must have hi > lo on both axes");
     } else if (keyword == "eps1") {
-      cfg.eps1 = expect_finite(in, line, "eps1 value");
-      require(cfg.eps1 > 0.0, line, "eps1 must be positive");
+      cfg.eps1 = in.number("eps1 value");
+      in.require(cfg.eps1 > 0.0, "eps1 must be positive");
     } else if (keyword == "charger_type") {
       ChargerType ct;
-      ct.angle = expect_finite(in, line, "angle");
-      ct.d_min = expect_finite(in, line, "d_min");
-      ct.d_max = expect_finite(in, line, "d_max");
-      require(ct.angle > 0.0 && ct.angle <= geom::kTwoPi, line,
-              "charger angle must be in (0, 2pi]");
-      require(ct.d_min >= 0.0, line, "charger d_min must be >= 0");
-      require(ct.d_max > ct.d_min, line,
-              "charger d_max must be greater than d_min");
-      const int count = expect<int>(in, line, "count");
-      require(count >= 0, line, "charger count must be >= 0");
-      cfg.charger_counts.push_back(count);
+      ct.angle = in.number("angle");
+      ct.d_min = in.number("d_min");
+      ct.d_max = in.number("d_max");
+      in.require(ct.angle > 0.0 && ct.angle <= geom::kTwoPi,
+                 "charger angle must be in (0, 2pi]");
+      in.require(ct.d_min >= 0.0, "charger d_min must be >= 0");
+      in.require(ct.d_max > ct.d_min,
+                 "charger d_max must be greater than d_min");
+      cfg.charger_counts.push_back(in.index<int>("count"));
       cfg.charger_types.push_back(ct);
     } else if (keyword == "device_type") {
-      const double angle = expect_finite(in, line, "angle");
-      require(angle > 0.0 && angle <= geom::kTwoPi, line,
-              "device receiving angle must be in (0, 2pi]");
+      const double angle = in.number("angle");
+      in.require(angle > 0.0 && angle <= geom::kTwoPi,
+                 "device receiving angle must be in (0, 2pi]");
       cfg.device_types.push_back({angle});
     } else if (keyword == "pair") {
       PairEntry e;
-      e.q = expect<std::size_t>(in, line, "charger type index");
-      e.t = expect<std::size_t>(in, line, "device type index");
-      e.pp.a = expect_finite(in, line, "a");
-      e.pp.b = expect_finite(in, line, "b");
-      require(e.pp.a > 0.0 && e.pp.b > 0.0, line,
-              "pair power constants a, b must be positive");
+      e.q = in.index<std::size_t>("charger type index");
+      e.t = in.index<std::size_t>("device type index");
+      e.pp.a = in.number("a");
+      e.pp.b = in.number("b");
+      in.require(e.pp.a > 0.0 && e.pp.b > 0.0,
+                 "pair power constants a, b must be positive");
       pairs.push_back(e);
     } else if (keyword == "obstacle") {
-      const auto n = expect<std::size_t>(in, line, "vertex count");
-      if (n < 3) fail(line, "obstacle needs >= 3 vertices");
+      const auto n = in.index<std::size_t>("vertex count");
+      if (n < 3) in.fail("obstacle needs >= 3 vertices");
       std::vector<geom::Vec2> verts;
       for (std::size_t i = 0; i < n; ++i) {
-        const double x = expect_finite(in, line, "vertex x");
-        const double y = expect_finite(in, line, "vertex y");
+        const double x = in.number("vertex x");
+        const double y = in.number("vertex y");
         verts.push_back({x, y});
       }
       try {
         cfg.obstacles.emplace_back(std::move(verts));
       } catch (const ConfigError& e) {
-        fail(line, std::string("invalid obstacle polygon: ") + e.what());
+        in.fail(std::string("invalid obstacle polygon: ") + e.what());
       }
-      require(cfg.obstacles.back().is_simple(), line,
-              "obstacle polygon must be simple (no self-intersections)");
+      in.require(cfg.obstacles.back().is_simple(),
+                 "obstacle polygon must be simple (no self-intersections)");
     } else if (keyword == "device") {
       Device d;
-      d.pos.x = expect_finite(in, line, "x");
-      d.pos.y = expect_finite(in, line, "y");
-      d.orientation = expect_finite(in, line, "orientation");
-      d.type = expect<std::size_t>(in, line, "type");
-      d.p_th = expect_finite(in, line, "p_th");
-      require(d.p_th > 0.0, line, "device p_th must be positive");
-      double weight;
-      if (in >> weight) {  // optional; defaults to 1
-        require(std::isfinite(weight) && weight > 0.0, line,
-                "device weight must be positive and finite");
-        d.weight = weight;
+      d.pos.x = in.number("x");
+      d.pos.y = in.number("y");
+      d.orientation = in.number("orientation");
+      d.type = in.index<std::size_t>("type");
+      d.p_th = in.number("p_th");
+      in.require(d.p_th > 0.0, "device p_th must be positive");
+      const std::string_view weight = in.token();  // optional; defaults to 1
+      if (!weight.empty()) {
+        in.require(parse_decimal(weight, d.weight), "expected weight");
+        in.require(d.weight > 0.0,
+                   "device weight must be positive and finite");
       }
       cfg.devices.push_back(d);
     } else {
-      fail(line, "unknown keyword '" + keyword + "'");
+      in.fail("unknown keyword '" + std::string(keyword) + "'");
     }
+    in.end_of_line();
   }
 
-  if (cfg.charger_types.empty()) fail(reader.line_no(), "no charger_type");
-  if (cfg.device_types.empty()) fail(reader.line_no(), "no device_type");
+  if (cfg.charger_types.empty()) in.fail("no charger_type");
+  if (cfg.device_types.empty()) in.fail("no device_type");
   // Per-device weights are already required positive, so a zero total means
   // no devices at all — the normalized objective (Eq. 4's 1/N_o weighting)
   // is undefined on such a scenario; reject it at the I/O boundary instead
@@ -206,25 +308,27 @@ Scenario read_scenario(std::istream& is) {
   double weight_total = 0.0;
   for (const auto& d : cfg.devices) weight_total += d.weight;
   if (!(weight_total > 0.0)) {
-    fail(reader.line_no(), "total device weight is zero (scenario has no "
-                           "devices); the normalized objective is undefined");
+    in.fail("total device weight is zero (scenario has no devices); the "
+            "normalized objective is undefined");
   }
   cfg.pair_params.assign(cfg.charger_types.size() * cfg.device_types.size(),
                          PairParams{});
   std::vector<bool> seen(cfg.pair_params.size(), false);
   for (const auto& e : pairs) {
     if (e.q >= cfg.charger_types.size() || e.t >= cfg.device_types.size()) {
-      fail(reader.line_no(), "pair indices out of range");
+      in.fail("pair indices out of range");
     }
     const std::size_t idx = e.q * cfg.device_types.size() + e.t;
     cfg.pair_params[idx] = e.pp;
     seen[idx] = true;
   }
   for (bool s : seen) {
-    if (!s) fail(reader.line_no(), "missing pair entry for some (q, t)");
+    if (!s) in.fail("missing pair entry for some (q, t)");
   }
   return Scenario(std::move(cfg));
 }
+
+Scenario read_scenario(std::istream& is) { return read_scenario(slurp(is)); }
 
 void write_scenario_file(const std::string& path, const Scenario& scenario) {
   std::ofstream out(path);
@@ -233,9 +337,7 @@ void write_scenario_file(const std::string& path, const Scenario& scenario) {
 }
 
 Scenario read_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  HIPO_REQUIRE(in.good(), "cannot open scenario file: " + path);
-  return read_scenario(in);
+  return read_scenario(read_file(path, "scenario"));
 }
 
 void write_placement(std::ostream& os, const Placement& placement) {
@@ -247,28 +349,28 @@ void write_placement(std::ostream& os, const Placement& placement) {
   }
 }
 
-Placement read_placement(std::istream& is) {
-  LineReader reader(is);
-  std::string keyword;
-  std::istringstream rest;
-  if (!reader.next(keyword, rest) || keyword != "hipo-placement") {
-    fail(reader.line_no(), "missing 'hipo-placement v1' header");
+Placement read_placement(std::string_view text) {
+  Reader in(text);
+  std::string_view keyword;
+  if (!in.next(keyword) || keyword != "hipo-placement") {
+    in.fail("missing 'hipo-placement v1' header");
   }
   Placement placement;
-  while (reader.next(keyword, rest)) {
-    std::string skip;
-    std::istringstream in(rest.str());
-    in >> skip;
-    const std::size_t line = reader.line_no();
-    if (keyword != "strategy") fail(line, "expected 'strategy'");
+  while (in.next(keyword)) {
+    if (keyword != "strategy") in.fail("expected 'strategy'");
     Strategy s;
-    s.pos.x = expect<double>(in, line, "x");
-    s.pos.y = expect<double>(in, line, "y");
-    s.orientation = expect<double>(in, line, "orientation");
-    s.type = expect<std::size_t>(in, line, "type");
+    s.pos.x = in.number("x");
+    s.pos.y = in.number("y");
+    s.orientation = in.number("orientation");
+    s.type = in.index<std::size_t>("type");
+    in.end_of_line();
     placement.push_back(s);
   }
   return placement;
+}
+
+Placement read_placement(std::istream& is) {
+  return read_placement(slurp(is));
 }
 
 void write_placement_file(const std::string& path,
@@ -279,9 +381,7 @@ void write_placement_file(const std::string& path,
 }
 
 Placement read_placement_file(const std::string& path) {
-  std::ifstream in(path);
-  HIPO_REQUIRE(in.good(), "cannot open placement file: " + path);
-  return read_placement(in);
+  return read_placement(read_file(path, "placement"));
 }
 
 }  // namespace hipo::model

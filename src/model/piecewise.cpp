@@ -16,6 +16,13 @@ RingLadder::RingLadder(double a, double b, double d_min, double d_max,
   HIPO_REQUIRE(eps1 > 0.0, "ε₁ must be positive");
 
   const double log1e = std::log1p(eps1);
+  // d_max's rung index bounds the ladder's size. Refuse a ladder no memory
+  // holds (a subnormal ε₁ asks for ~1e324 rings) before any rung index is
+  // converted to an integer.
+  constexpr double kMaxRings = 1 << 20;
+  HIPO_REQUIRE(2.0 * std::log1p(d_max / b) / log1e <= kMaxRings,
+               "ε₁ is too small for the charging range: the ring ladder "
+               "would need more than 2^20 rings");
   // l(k) = b((1+ε₁)^{k/2} − 1). k₀ is the smallest k with l(k) >= d_min;
   // K−1 is the largest interior rung below d_max; l(K) = d_max exactly.
   const auto l = [&](long long k) {

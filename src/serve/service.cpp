@@ -30,6 +30,7 @@ struct ServeCounters {
   obs::Histogram& request_seconds;
   obs::Histogram& solve_cold_seconds;
   obs::Histogram& solve_warm_seconds;
+  obs::Histogram& scenario_parse_seconds;
 };
 
 ServeCounters& serve_counters() {
@@ -42,6 +43,7 @@ ServeCounters& serve_counters() {
       obs::histogram("serve.request_seconds", kLatencyBounds),
       obs::histogram("serve.solve_cold_seconds", kLatencyBounds),
       obs::histogram("serve.solve_warm_seconds", kLatencyBounds),
+      obs::histogram("serve.scenario_parse_seconds", kLatencyBounds),
   };
   return c;
 }
@@ -71,6 +73,15 @@ bool bool_field(const Json& request, const char* key, bool fallback) {
   const Json* v = request.find(key);
   if (v == nullptr) return fallback;
   return v->as_bool();
+}
+
+/// The request's inline `scenario` text, read in place; the read is
+/// timed into serve.scenario_parse_seconds.
+model::Scenario read_inline_scenario(const Json& field) {
+  obs::Stopwatch parse;
+  model::Scenario scenario = model::read_scenario(field.as_string());
+  serve_counters().scenario_parse_seconds.observe(parse.seconds());
+  return scenario;
 }
 
 opt::ObjectiveKind parse_kind(const std::string& name) {
@@ -335,8 +346,7 @@ Json Service::do_solve(const Json& request) {
   bool hit = false;
 
   if (scenario_field != nullptr) {
-    std::istringstream is(scenario_field->as_string());
-    model::Scenario scenario = model::read_scenario(is);
+    model::Scenario scenario = read_inline_scenario(*scenario_field);
     key = scenario_key(scenario);
     if (key_field != nullptr && key_field->as_string() != key) {
       throw ConfigError("request \"key\" does not match the scenario's "
@@ -445,8 +455,7 @@ Json Service::do_eval(const Json& request) {
 
   if (const Json* scenario_field = request.find("scenario")) {
     // Inline eval never builds extraction artifacts — no cache traffic.
-    std::istringstream is(scenario_field->as_string());
-    const model::Scenario scenario = model::read_scenario(is);
+    const model::Scenario scenario = read_inline_scenario(*scenario_field);
     return respond(scenario, scenario_key(scenario));
   }
   const Json* key_field = request.find("key");

@@ -21,6 +21,15 @@ std::size_t clamp_idx(double v, std::size_t n) {
   return static_cast<std::size_t>(v);
 }
 
+/// Cells along one axis: `want` rounded and clamped into [1, cap]. A
+/// region far thinner than the cell count would otherwise ask for more
+/// cells along its long axis than the size_t range (or memory) holds; NaN
+/// (an infinite extent) gives 1.
+std::size_t axis_cells(double want, double cap) {
+  if (!(want >= 1.0)) return 1;
+  return static_cast<std::size_t>(std::lround(std::min(want, cap)));
+}
+
 }  // namespace
 
 GridIndex::GridIndex(const BBox& bounds, std::vector<Vec2> points,
@@ -33,10 +42,9 @@ GridIndex::GridIndex(const BBox& bounds, std::vector<Vec2> points,
   const double cells = std::max(1.0, n / target_per_cell);
   const Vec2 ext = bounds.extent();
   const double aspect = ext.x / ext.y;
-  nx_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::lround(std::sqrt(cells * aspect))));
-  ny_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::lround(std::sqrt(cells / aspect))));
+  const double cap = std::ceil(cells);
+  nx_ = axis_cells(std::sqrt(cells * aspect), cap);
+  ny_ = axis_cells(std::sqrt(cells / aspect), cap);
   cell_w_ = ext.x / static_cast<double>(nx_);
   cell_h_ = ext.y / static_cast<double>(ny_);
   // Counting sort by cell; a stable pass keeps each cell's indices

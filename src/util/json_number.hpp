@@ -10,6 +10,9 @@
 // reader takes the maximal run of number-like bytes (alphanumerics, '+',
 // '-', '.') as the token, so `0x10` is one malformed token rather than a
 // `0` followed by junk. It is bounded by the view's length, never by a NUL.
+//
+// The conversion step, decimal_from_chars, is shared with the scenario
+// reader (src/model/io.cpp), whose stream-style grammar is wider.
 #pragma once
 
 #include <charconv>
@@ -26,6 +29,28 @@ struct JsonNumber {
   /// One past the token's last byte (also on failure).
   std::size_t end = 0;
 };
+
+/// std::from_chars over `tok`, which the caller has already matched against
+/// its decimal grammar (no leading '+'). Rounds as strtod does: an
+/// underflow gives a signed zero, an overflow kNonFinite. from_chars
+/// reports both alike; `lead`, the decimal exponent of the token's leading
+/// nonzero digit plus its (saturated) exponent field, tells them apart:
+/// below zero the value is < 1, so it underflowed.
+inline JsonNumber::Status decimal_from_chars(std::string_view tok,
+                                             bool negative, long long lead,
+                                             double& value) {
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    if (lead >= 0) return JsonNumber::Status::kNonFinite;
+    value = negative ? -0.0 : 0.0;
+    return JsonNumber::Status::kOk;
+  }
+  if (ec != std::errc() || ptr != tok.data() + tok.size()) {
+    return JsonNumber::Status::kMalformed;
+  }
+  return JsonNumber::Status::kOk;
+}
 
 /// Read the number token starting at text[pos]. kOk values are the
 /// correctly rounded double, as strtod gives: an underflow rounds to a
@@ -78,24 +103,9 @@ inline JsonNumber read_json_number(std::string_view text, std::size_t pos) {
   }
   if (i != tok.size()) return out;
 
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), out.value);
-  if (ec == std::errc::result_out_of_range) {
-    // from_chars reports underflow and overflow alike. The decimal
-    // exponent of the leading nonzero digit tells them apart: below zero
-    // the value is < 1, so it underflowed.
-    const long long lead =
-        int_zero ? -static_cast<long long>(frac_zeros) - 1
-                 : static_cast<long long>(int_digits) - 1;
-    if (lead + exp >= 0) {
-      out.status = JsonNumber::Status::kNonFinite;
-      return out;
-    }
-    out.value = negative ? -0.0 : 0.0;
-  } else if (ec != std::errc() || ptr != tok.data() + tok.size()) {
-    return out;
-  }
-  out.status = JsonNumber::Status::kOk;
+  const long long lead = int_zero ? -static_cast<long long>(frac_zeros) - 1
+                                  : static_cast<long long>(int_digits) - 1;
+  out.status = decimal_from_chars(tok, negative, lead + exp, out.value);
   return out;
 }
 

@@ -47,13 +47,66 @@ TEST(FuzzOracles, AllPassOnHandBuiltScenarios) {
   EXPECT_FALSE(run_all(test::blocked_scenario(), 7).has_value());
 }
 
-TEST(FuzzOracles, AllSevenRegistered) {
+TEST(FuzzOracles, AllEightRegistered) {
   const auto oracles = all_oracles();
-  ASSERT_EQ(oracles.size(), 7u);
+  ASSERT_EQ(oracles.size(), 8u);
   EXPECT_STREQ(oracles[0].name, "line_of_sight");
   EXPECT_STREQ(oracles[4].name, "determinism");
   EXPECT_STREQ(oracles[5].name, "delta");
   EXPECT_STREQ(oracles[6].name, "shard");
+  EXPECT_STREQ(oracles[7].name, "parse");
+}
+
+TEST(ParseOracle, CleanOnGeneratedScenarios) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    const auto v = check_parse(model::Scenario(random_config(seed)), seed);
+    EXPECT_FALSE(v.has_value())
+        << "seed " << seed << ": [" << v->oracle << "] " << v->detail;
+  }
+}
+
+TEST(ParseOracle, ReadersAgreeOnCommittedScenarioFiles) {
+  // The original bytes of every committed scenario, comments, spacing and
+  // number spellings included, not a write_scenario re-rendering.
+  int files = 0;
+  for (const char* sub : {"data", "tests/corpus"}) {
+    const auto dir = std::filesystem::path(HIPO_SOURCE_DIR) / sub;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".hipo") continue;
+      std::ifstream in(entry.path());
+      std::stringstream text;
+      text << in.rdbuf();
+      const auto why = compare_scenario_readers(text.str());
+      EXPECT_FALSE(why.has_value()) << entry.path() << ": " << *why;
+      ++files;
+    }
+  }
+  EXPECT_GE(files, 7);
+}
+
+TEST(ParseOracle, ReadersAgreeOnEdgeTexts) {
+  const std::string base =
+      "hipo-scenario v1\n"
+      "region 0 0 10 10\n"
+      "eps1 0.3\n"
+      "charger_type 1.0 1.0 5.0 2\n"
+      "device_type 3.0\n"
+      "pair 0 0 100 40\n";
+  for (const std::string& tail :
+       {std::string("device 5 5 0 0 0.05"),
+        std::string("device 5 5 0 0 0.05\n"),
+        std::string("device +5 .5e1 -0 00 5.e-2 +1\r\n"),
+        std::string("\v\f\n\t# note\ndevice 5 5 0 0 0.05 1e-400"),
+        std::string("device 5 5 0 0 0.05 0x1"),
+        std::string("device 5 5 0 0 1e400"), std::string("device 5 5 0 -0 1"),
+        std::string("\f# not a comment\ndevice 5 5 0 0 0.05"),
+        std::string("device 5 5 0 0 0.05 2 3"), std::string("pair 0 0 1 1 x"),
+        std::string("device 5\0 5 0 0 0.05", 20), std::string("")}) {
+    const auto why = compare_scenario_readers(base + tail);
+    EXPECT_FALSE(why.has_value()) << "tail '" << tail << "': " << *why;
+  }
+  EXPECT_FALSE(compare_scenario_readers("").has_value());
+  EXPECT_FALSE(compare_scenario_readers("\n\n# only\n").has_value());
 }
 
 TEST(FuzzOracles, DeltaOracleExercisesTractableScenarios) {

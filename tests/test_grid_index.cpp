@@ -65,6 +65,23 @@ TEST(GridIndex, FarAndNonFiniteCentersClampToBoundaryCells) {
   EXPECT_TRUE(GridIndex().query_radius({5, 5}, 100.0).empty());
 }
 
+TEST(GridIndex, ExtremeAspectRatiosStayBounded) {
+  // A box 1e190 times wider than tall (or taller than wide) once asked for
+  // ~1e95 cells along its long axis: the build threw std::length_error, and
+  // at ~1e18 it tried to allocate gigabytes. The long axis now gets at most
+  // as many cells as the whole grid targets.
+  const GridIndex wide(box(0, 0, 1e190, 1), {{0, 0}, {5e189, 0.5}, {1e190, 1}});
+  EXPECT_EQ(wide.query_radius({5e189, 0}, 1.0),
+            (std::vector<std::size_t>{1}));
+  const GridIndex tall(box(0, 0, 1, 1e18), {{0, 0}, {1, 1e18}});
+  EXPECT_EQ(tall.query_radius({0, 0}, 2e18),
+            (std::vector<std::size_t>{0, 1}));
+  const double huge = std::numeric_limits<double>::max();
+  const GridIndex infinite(box(-huge, 0, huge, 1), {{0, 0}});
+  EXPECT_EQ(infinite.query_radius({0, 0}, 1.0),
+            (std::vector<std::size_t>{0}));
+}
+
 TEST(GridIndex, RejectsDegenerateBox) {
   EXPECT_THROW(GridIndex(box(0, 0, 0, 10), {}), hipo::ConfigError);
   EXPECT_THROW(GridIndex(box(0, 0, 10, 10), {}, 0.0), hipo::ConfigError);

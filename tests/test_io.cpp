@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "src/model/scenario_gen.hpp"
@@ -245,6 +250,91 @@ TEST(ScenarioIoValidation, ErrorNamesOffendingLine) {
                   "line 4");
 }
 
+// Every field is exactly one whitespace token, consumed whole; a token
+// after the last field is an error naming the line.
+
+TEST(ScenarioIoTokens, FractionalTypeTokenIsRejectedNotSplit) {
+  // Read field by field from one stream, `0.5` used to become type 0 and
+  // p_th .5, and the real p_th the weight.
+  const std::string ok = "device 4 4 0.5 0 0.04";
+  EXPECT_NO_THROW(read_scenario(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                              "charger_type 1.0 1.0 5.0 2",
+                                              "device_type 3.0",
+                                              "pair 0 0 100 40", ok)));
+  expect_rejected(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                "charger_type 1.0 1.0 5.0 2",
+                                "device_type 3.0", "pair 0 0 100 40",
+                                "device 4 4 0.5 0.5 0.04"),
+                  "line 7: expected type");
+}
+
+TEST(ScenarioIoTokens, FractionalChargerCountIsRejected) {
+  // `4.9` used to deploy 4 chargers.
+  expect_rejected(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                "charger_type 1.0 1.0 5.0 4.9"),
+                  "line 4: expected count");
+}
+
+TEST(ScenarioIoTokens, TrailingTokensAreRejected) {
+  expect_rejected(scenario_text("region 0 0 10 10 junk junk"),
+                  "line 2: unexpected token 'junk'");
+  // After the optional weight, too.
+  expect_rejected(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                "charger_type 1.0 1.0 5.0 2",
+                                "device_type 3.0", "pair 0 0 100 40",
+                                "device 4 4 0.5 0 0.04 2 7"),
+                  "line 7: unexpected token '7'");
+  expect_rejected(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                "charger_type 1.0 1.0 5.0 2",
+                                "device_type 3.0", "pair 0 0 100 40",
+                                "obstacle 3 1 1 4 1 2 3 # roof"),
+                  "line 7: unexpected token '#'");
+}
+
+TEST(ScenarioIoTokens, IndexAndCountFieldsTakeNoSign) {
+  expect_rejected(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                "charger_type 1.0 1.0 5.0 +2"),
+                  "line 4: expected count");
+  expect_rejected(scenario_text("region 0 0 10 10", "eps1 0.3",
+                                "charger_type 1.0 1.0 5.0 2",
+                                "device_type 3.0", "pair -0 0 100 40"),
+                  "line 6: expected charger type index");
+}
+
+TEST(ScenarioIo, ExtremeRegionAspectBuilds) {
+  // The region line of a byte-mutated scenario: 1e189 times wider than
+  // tall. The device grid used to throw std::length_error sizing itself.
+  const auto s = read_scenario(scenario_text(
+      "region 0 0 25.900407709730E189 22.692010558275072", "eps1 0.3",
+      "charger_type 1.0 1.0 5.0 2", "device_type 3.0", "pair 0 0 100 40",
+      "device 5 5 0 0 0.05"));
+  EXPECT_EQ(s.num_devices(), 1u);
+}
+
+TEST(ScenarioIo, SubnormalEps1IsRejectedNotLadderedForever) {
+  // `4.9e-324` is a valid number and a positive ε₁, but its ring ladder
+  // would need ~1e324 rungs; Scenario construction refuses it.
+  EXPECT_THROW(read_scenario(scenario_text("region 0 0 10 10", "eps1 4.9e-324",
+                                           "charger_type 1.0 1.0 5.0 2",
+                                           "device_type 3.0", "pair 0 0 100 40",
+                                           "device 5 5 0 0 0.05")),
+               hipo::ConfigError);
+}
+
+TEST(ScenarioIoTokens, StringViewAndStreamOverloadsAgree) {
+  const auto original = test::small_paper_scenario(44, 2, 1);
+  std::stringstream buffer;
+  write_scenario(buffer, original);
+  const std::string text = buffer.str();
+  const auto from_view = read_scenario(std::string_view(text));
+  const auto from_stream = read_scenario(buffer);
+  std::stringstream a, b;
+  write_scenario(a, from_view);
+  write_scenario(b, from_stream);
+  EXPECT_EQ(a.str(), text);
+  EXPECT_EQ(b.str(), text);
+}
+
 TEST(ScenarioIo, FileRoundTrip) {
   const auto original = test::simple_scenario();
   const std::string path = testing::TempDir() + "hipo_io_test.scenario";
@@ -282,6 +372,131 @@ TEST(PlacementIo, EmptyPlacement) {
 TEST(PlacementIo, BadKeywordThrows) {
   std::stringstream buffer("hipo-placement v1\ncharger 1 2 3 0\n");
   EXPECT_THROW(read_placement(buffer), hipo::ConfigError);
+}
+
+TEST(PlacementIo, FieldsAreWholeTokens) {
+  EXPECT_THROW(read_placement("hipo-placement v1\nstrategy 1 2 0.5 0.5\n"),
+               hipo::ConfigError);
+  EXPECT_THROW(read_placement("hipo-placement v1\nstrategy 1 2 0.5 0 9\n"),
+               hipo::ConfigError);
+  EXPECT_EQ(read_placement("hipo-placement v1\r\n\tstrategy 1 2 0.5 3\r\n")
+                .at(0)
+                .type,
+            3u);
+}
+
+// The number tokens where operator>> and std::from_chars differ, pinned to
+// the format's verdict. Each is tried as the `x` of a strategy and as the
+// `x` of a device; a scalar is read bit for bit, and a rejection names
+// line 2 of the placement.
+
+/// The token read as a strategy's x, or nullopt when the reader rejects it.
+std::optional<double> placement_x(const std::string& token) {
+  try {
+    return read_placement("hipo-placement v1\nstrategy " + token +
+                          " 2 0.5 0\n")
+        .at(0)
+        .pos.x;
+  } catch (const hipo::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: expected x"),
+              std::string::npos)
+        << e.what();
+    return std::nullopt;
+  }
+}
+
+/// The token read as a device's x in a scenario, or nullopt on rejection.
+std::optional<double> device_x(const std::string& token) {
+  try {
+    return read_scenario(scenario_text("region -1 0 100 10", "eps1 0.3",
+                                       "charger_type 1.0 1.0 5.0 2",
+                                       "device_type 3.0", "pair 0 0 100 40",
+                                       "device " + token + " 5 0 0 0.05"))
+        .device(0)
+        .pos.x;
+  } catch (const hipo::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 7: expected x"),
+              std::string::npos)
+        << e.what();
+    return std::nullopt;
+  }
+}
+
+void expect_number(const std::string& token, double value) {
+  for (const auto& got : {placement_x(token), device_x(token)}) {
+    ASSERT_TRUE(got.has_value()) << token;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+              std::bit_cast<std::uint64_t>(value))
+        << token << " read as " << *got;
+  }
+}
+
+void expect_not_a_number(const std::string& token) {
+  EXPECT_FALSE(placement_x(token).has_value()) << token;
+  EXPECT_FALSE(device_x(token).has_value()) << token;
+}
+
+TEST(NumberTokens, LeadingPlusIsAccepted) {
+  expect_number("+5", 5.0);
+  expect_number("+.5", 0.5);
+  expect_not_a_number("+-5");
+  expect_not_a_number("++5");
+}
+
+TEST(NumberTokens, NegativeZeroIsAScalarButNotAnIndex) {
+  expect_number("-0", -0.0);
+  EXPECT_THROW(read_placement("hipo-placement v1\nstrategy 1 2 0.5 -0\n"),
+               hipo::ConfigError);
+}
+
+TEST(NumberTokens, OverflowIsRejected) {
+  expect_not_a_number("1e400");
+  expect_not_a_number("-1e400");
+  expect_not_a_number("1.7976931348623159e308");
+}
+
+TEST(NumberTokens, UnderflowRoundsToSignedZero) {
+  expect_number("1e-400", 0.0);
+  expect_number("-1e-400", -0.0);
+  expect_number("0.0000001e-320", 0.0);
+}
+
+TEST(NumberTokens, SmallestSubnormalIsKept) {
+  expect_number("4.9e-324", std::numeric_limits<double>::denorm_min());
+}
+
+TEST(NumberTokens, InfIsRejected) {
+  expect_not_a_number("inf");
+  expect_not_a_number("-inf");
+  expect_not_a_number("infinity");
+}
+
+TEST(NumberTokens, NanIsRejected) {
+  expect_not_a_number("nan");
+  expect_not_a_number("-nan");
+  expect_not_a_number("NaN");
+}
+
+TEST(NumberTokens, HexFloatIsRejected) {
+  expect_not_a_number("0x1p3");
+  expect_not_a_number("0x10");
+}
+
+TEST(NumberTokens, BareFractionIsAccepted) {
+  expect_number(".5", 0.5);
+  expect_number("-.5", -0.5);
+  expect_not_a_number(".");
+}
+
+TEST(NumberTokens, TrailingDotIsAccepted) {
+  expect_number("5.", 5.0);
+  expect_number("5.e1", 50.0);
+}
+
+TEST(NumberTokens, ExponentWithoutDigitsIsRejected) {
+  expect_not_a_number("1e");
+  expect_not_a_number("1e+");
+  expect_not_a_number("e5");
 }
 
 }  // namespace

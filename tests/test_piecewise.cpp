@@ -15,6 +15,11 @@ TEST(RingLadder, ValidatesParameters) {
   EXPECT_THROW(RingLadder(1.0, 0.0, 1.0, 2.0, 0.1), hipo::ConfigError);
   EXPECT_THROW(RingLadder(1.0, 1.0, 2.0, 1.0, 0.1), hipo::ConfigError);
   EXPECT_THROW(RingLadder(1.0, 1.0, 1.0, 2.0, 0.0), hipo::ConfigError);
+  // A ladder past 2^20 rings is refused up front; a subnormal ε₁ (as a
+  // mutated scenario line can give) once looped for ~1e324 rungs.
+  EXPECT_THROW(RingLadder(1.0, 1.0, 0.0, 2.0, 4.9e-324), hipo::ConfigError);
+  EXPECT_THROW(RingLadder(1.0, 1e-300, 0.0, 1e300, 0.3), hipo::ConfigError);
+  EXPECT_NO_THROW(RingLadder(100.0, 40.0, 1.0, 5.0, 1e-4));
 }
 
 TEST(RingLadder, ExactPowerFormula) {

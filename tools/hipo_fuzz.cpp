@@ -7,8 +7,8 @@
 //   hipo_fuzz --replay-dir tests/corpus       # replay a whole corpus
 //
 // Each iteration generates one scenario from the iteration's seed and runs
-// the seven oracles (line_of_sight, coverage, piecewise, greedy, determinism,
-// delta, shard). A violation is auto-shrunk to a locally minimal config,
+// the eight oracles (line_of_sight, coverage, piecewise, greedy,
+// determinism, delta, shard, parse). A violation is auto-shrunk to a locally minimal config,
 // written to --corpus as a replay file, and reported; the exit status is the
 // number of distinct violations (0 = clean). A usage error (unknown flag,
 // malformed value) prints a message and exits 1.
