@@ -1,7 +1,8 @@
 // Ablation: PDCS candidate-generation families (Algorithm 2/4 construction
 // steps). Disables one family at a time — pair lines, inscribed-angle arcs,
-// ring×ring intersections, ring×obstacle/hole constructions, singleton
-// boundary samples — and reports the utility and candidate-count impact.
+// ring×ring intersections, ring×obstacle/hole constructions,
+// receiving-sector sides, singleton boundary samples — and reports the
+// utility and candidate-count impact.
 #include "bench/harness.hpp"
 
 #include "src/model/scenario_gen.hpp"
@@ -43,6 +44,11 @@ int main(int argc, char** argv) {
     pdcs::ExtractOptions o;
     o.use_obstacle_ring = false;
     variants.push_back({"- obstacle/hole", o});
+  }
+  {
+    pdcs::ExtractOptions o;
+    o.use_sector_rays = false;
+    variants.push_back({"- sector sides", o});
   }
   {
     pdcs::ExtractOptions o;

@@ -3,11 +3,11 @@
 // single-device deltas, swept over candidate-pool sizes (~8k and ~32k).
 //
 // The scenario is built for locality: clusters of devices spread over a
-// region much larger than the 4·d_max invalidation disk, so a device move
-// re-extracts only its neighborhood. (The paper's Table 2 geometry in a
-// 40×40 region has 4·d_max ≥ the region diagonal — every delta would be a
-// full rebuild there; dynamic scenarios only pay off when the field out-
-// scales the charging range, which is what this harness models.)
+// region much larger than the pdcs::task_reach (≈ 2·d_max) invalidation
+// disk, so a device move re-extracts only its neighborhood. (In the paper's
+// Table 2 geometry a 40×40 region is barely larger than that disk; dynamic
+// scenarios only pay off when the field out-scales the charging range,
+// which is what this harness models.)
 //
 // Every timed warm replan is also an equivalence check: the warm matrix
 // must be byte-identical to a fresh build of the mutated scenario, and the
@@ -40,7 +40,7 @@ using namespace hipo;
 
 namespace {
 
-constexpr double kDMax = 5.0;      // charging range; 4·d_max = 20 m disk
+constexpr double kDMax = 5.0;      // charging range; 2·d_max = 10 m disk
 constexpr double kSpacing = 12.0;  // cluster pitch (> 2·d_max: independent)
 constexpr std::size_t kPerCluster = 3;
 

@@ -40,7 +40,7 @@ using namespace hipo;
 
 namespace {
 
-constexpr double kDMax = 5.0;      // charging range; 4·d_max = 20 m disk
+constexpr double kDMax = 5.0;      // charging range; 2·d_max = 10 m disk
 constexpr double kSpacing = 12.0;  // cluster pitch (> 2·d_max: independent)
 constexpr std::size_t kPerCluster = 3;
 

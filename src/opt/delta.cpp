@@ -72,14 +72,13 @@ void DeltaSolver::rebuild_scenario() {
 std::vector<std::uint8_t> DeltaSolver::affected_tasks(
     const std::vector<geom::Vec2>& points,
     const std::vector<geom::BBox>& boxes) const {
-  // Invalidation radius: a task's output depends on geometry at most
-  // 4·d_max from its device — candidate positions sit within 3·d_max of it
-  // (pair anchors are ≤ 2·d_max away, positions within charging range of an
-  // anchor), and each position's covered pool / LOS segments reach another
-  // d_max. Anything farther can touch neither the constructions nor the
-  // predicates, so its task re-extracts to the identical output. The slack
-  // absorbs the coverage epsilon on the pool query.
-  const double r = 4.0 * scenario_->max_charge_range() + 1e-3;
+  // Invalidation radius: a task's output depends only on geometry within
+  // pdcs::task_reach of its device — candidate positions sit within d_max
+  // of it (pair positions within range of both anchors), and each
+  // position's covered pool / LOS segments reach another d_max. Anything
+  // farther can touch neither the constructions nor the predicates, so its
+  // task re-extracts to the identical output.
+  const double r = pdcs::task_reach(*scenario_);
   const std::size_t n = scenario_->num_devices();
   std::vector<std::uint8_t> affected(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -188,8 +187,8 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
   // 3. Device-id renumber in the surviving cached outputs: removing column
   // r shifts every id above it down. Only unaffected tasks matter (the
   // rest are re-extracted), and none of them can cover r — a candidate
-  // covering r sits within d_max of it, its task within 4·d_max, which is
-  // inside the invalidation radius.
+  // covering r sits within d_max of it, its task's device within 2·d_max,
+  // which is inside the invalidation radius.
   if (removed_task != kNone) {
     for (std::size_t i = 0; i < per_task_.size(); ++i) {
       if (affected[i]) continue;

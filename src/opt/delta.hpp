@@ -5,13 +5,13 @@
 // outputs, which of their rows survived the global dominance filter, and the
 // flat CSR CoverageMatrix the greedy runs on. A delta — device
 // added/removed/moved, obstacle added/removed — invalidates only the
-// extraction tasks whose geometry the delta can reach (a 4·d_max disk, see
-// the radius argument in docs/ALGORITHMS.md). Those tasks are re-extracted
-// with extract_all's task loop (pdcs::run_tasks), the task table is
-// re-filtered with its global filter (pdcs::filter_by_type), and the
-// survivors are re-packed into the matrix with the same CoverageMatrix
-// constructor a cold solve uses. The greedy then re-runs over the warm
-// matrix.
+// extraction tasks whose geometry the delta can reach (a pdcs::task_reach
+// ≈ 2·d_max disk, see the radius argument in docs/ALGORITHMS.md). Those
+// tasks are re-extracted with extract_all's task loop (pdcs::run_tasks),
+// the task table is re-filtered with its global filter
+// (pdcs::filter_by_type), and the survivors are re-packed into the matrix
+// with the same CoverageMatrix constructor a cold solve uses. The greedy
+// then re-runs over the warm matrix.
 //
 // The contract is *bit-identity*: after any sequence of deltas, the
 // placement, utilities, and the matrix itself are byte-for-byte what a cold

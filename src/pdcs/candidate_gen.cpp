@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/circle.hpp"
@@ -16,6 +17,10 @@ using geom::Circle;
 using geom::Segment;
 using geom::Vec2;
 
+double task_reach(const model::Scenario& scenario) {
+  return 2.0 * scenario.max_charge_range() + 1e-3;
+}
+
 const std::vector<double>& ring_radii(const model::Scenario& scenario,
                                       std::size_t q, std::size_t j) {
   return scenario.ladder_for_device(q, j).boundaries();
@@ -23,10 +28,11 @@ const std::vector<double>& ring_radii(const model::Scenario& scenario,
 
 namespace {
 
-/// Deduplicating position collector with feasibility and range filters.
-/// One sink serves every construction of a task: reset() starts a new
-/// anchor pair and appends that pair's positions to `out`, deduplicated
-/// among themselves in first-insertion order.
+/// Deduplicating position collector with feasibility and range filters: a
+/// position is kept only within `range` + kCoverEps of both anchors. One
+/// sink serves every construction of a task: reset() starts a new anchor
+/// pair and appends that pair's positions to `out`, deduplicated among
+/// themselves in first-insertion order.
 class PositionSink {
  public:
   void reset(const model::Scenario& scenario, Vec2 anchor_a, Vec2 anchor_b,
@@ -34,14 +40,13 @@ class PositionSink {
     scenario_ = &scenario;
     a_ = anchor_a;
     b_ = anchor_b;
-    range_ = range;
+    reach_ = range + geom::kCoverEps;
     out_ = &out;
     seen_.clear();
   }
 
   void add(Vec2 p) {
-    if (geom::distance(p, a_) > range_ + geom::kCoverEps &&
-        geom::distance(p, b_) > range_ + geom::kCoverEps)
+    if (geom::distance(p, a_) > reach_ || geom::distance(p, b_) > reach_)
       return;
     if (!scenario_->position_feasible(p)) return;
     if (seen_.insert(quantize(p), true)) out_->push_back(p);
@@ -71,7 +76,7 @@ class PositionSink {
   const model::Scenario* scenario_ = nullptr;
   Vec2 a_;
   Vec2 b_;
-  double range_ = 0.0;
+  double reach_ = 0.0;
   std::vector<Vec2>* out_ = nullptr;
   util::FlatMap<std::uint64_t, bool, KeyHash> seen_;
 };
@@ -84,6 +89,15 @@ geom::BBox anchor_box(Vec2 a, Vec2 b, double range) {
   return box;
 }
 
+/// Axis-aligned box covering the lens where the disks of `range` around
+/// both anchors overlap (non-empty when |a − b| <= 2·range).
+geom::BBox lens_box(Vec2 a, Vec2 b, double range) {
+  geom::BBox box;
+  box.lo = {std::max(a.x, b.x) - range, std::max(a.y, b.y) - range};
+  box.hi = {std::min(a.x, b.x) + range, std::min(a.y, b.y) + range};
+  return box;
+}
+
 /// Buffers the position constructions reuse between calls.
 struct PositionScratch {
   PositionSink sink;
@@ -92,20 +106,21 @@ struct PositionScratch {
   std::vector<double> dirs;
 };
 
-/// Obstacle edges within `range` of either anchor, into `edges`. The
-/// obstacle index prunes to polygons near the anchors; the exact per-edge
+/// Obstacle edges within `reach` of both anchors, into `edges`: an edge
+/// that misses either disk has no point in the lens the sink keeps. The
+/// obstacle index prunes to polygons near the lens; the exact per-edge
 /// distance filter (and hence the resulting edge list and its order)
 /// matches the full scan.
 void nearby_obstacle_edges(const model::Scenario& scenario, Vec2 a, Vec2 b,
-                           double range, std::vector<Segment>& edges) {
+                           double reach, std::vector<Segment>& edges) {
   const auto& index = scenario.obstacle_index();
   edges.clear();
-  for (std::size_t pi : index.polygons_in_box(anchor_box(a, b, range))) {
+  for (std::size_t pi : index.polygons_in_box(lens_box(a, b, reach))) {
     const auto& h = index.polygons()[pi];
     for (std::size_t e = 0; e < h.size(); ++e) {
       const Segment seg = h.edge(e);
-      if (geom::point_segment_distance(a, seg) <= range ||
-          geom::point_segment_distance(b, seg) <= range) {
+      if (geom::point_segment_distance(a, seg) <= reach &&
+          geom::point_segment_distance(b, seg) <= reach) {
         edges.push_back(seg);
       }
     }
@@ -120,30 +135,44 @@ void append_pair_positions(const model::Scenario& scenario, std::size_t q,
   const Vec2 oi = scenario.device(i).pos;
   const Vec2 oj = scenario.device(j).pos;
   const auto& ct = scenario.charger_type(q);
+  const double reach = ct.d_max + geom::kCoverEps;
+  const double chord = geom::distance(oi, oj);
+  if (chord > 2.0 * reach) return;  // empty lens
   PositionSink& sink = scratch.sink;
   sink.reset(scenario, oi, oj, ct.d_max, out);
 
   const std::vector<double>& ri = ring_radii(scenario, q, i);
   const std::vector<double>& rj = ring_radii(scenario, q, j);
   const std::vector<Segment>& edges = scratch.edges;
-  nearby_obstacle_edges(scenario, oi, oj, ct.d_max, scratch.edges);
+  nearby_obstacle_edges(scenario, oi, oj, reach, scratch.edges);
 
-  // Ring circles of both devices.
+  // Ring circles of both devices: o_i's first, then o_j's. A ring shorter
+  // than chord − reach stays farther than reach from the other anchor, so
+  // none of its points lies in the lens.
   std::vector<Circle>& circles = scratch.circles;
   circles.clear();
   for (double r : ri)
-    if (r > geom::kEps) circles.emplace_back(oi, r);
+    if (r > geom::kEps && r >= chord - reach) circles.emplace_back(oi, r);
+  const std::size_t num_ri = circles.size();
   for (double r : rj)
-    if (r > geom::kEps) circles.emplace_back(oj, r);
+    if (r > geom::kEps && r >= chord - reach) circles.emplace_back(oj, r);
+  const std::span<const Circle> rings_i(circles.data(), num_ri);
+  const std::span<const Circle> rings_j(circles.data() + num_ri,
+                                        circles.size() - num_ri);
+
+  // Inscribed-angle circles: points seeing the pair under the charging
+  // angle α_q.
+  std::vector<Circle> arcs;
+  if ((opt.use_pair_arcs || opt.use_sector_rays) &&
+      ct.angle < geom::kPi - 1e-9 && chord > geom::kEps) {
+    arcs = geom::inscribed_angle_circles(oi, oj, ct.angle);
+  }
 
   // (a) Ring × ring intersections (Algorithm 4 step 9).
   if (opt.use_ring_ring) {
-    for (double r1 : ri) {
-      if (r1 <= geom::kEps) continue;
-      for (double r2 : rj) {
-        if (r2 <= geom::kEps) continue;
-        sink.add_all(
-            geom::circle_circle_intersections(Circle(oi, r1), Circle(oj, r2)));
+    for (const Circle& c1 : rings_i) {
+      for (const Circle& c2 : rings_j) {
+        sink.add_all(geom::circle_circle_intersections(c1, c2));
       }
     }
   }
@@ -165,22 +194,18 @@ void append_pair_positions(const model::Scenario& scenario, std::size_t q,
   // (c) Inscribed-angle arcs (Algorithm 4 steps 6–8): circles through the
   // pair seen under the charging angle α_q; intersect with ring circles and
   // obstacle edges, plus interior samples.
-  if (opt.use_pair_arcs && ct.angle < geom::kPi - 1e-9) {
-    const double chord = geom::distance(oi, oj);
-    if (chord > geom::kEps) {
-      for (const Circle& arc :
-           geom::inscribed_angle_circles(oi, oj, ct.angle)) {
-        for (const Circle& c : circles) {
-          sink.add_all(geom::circle_circle_intersections(arc, c));
-        }
-        for (const Segment& e : edges) {
-          sink.add_all(geom::circle_segment_intersections(arc, e));
-        }
+  if (opt.use_pair_arcs && !arcs.empty()) {
+    for (const Circle& arc : arcs) {
+      for (const Circle& c : circles) {
+        sink.add_all(geom::circle_circle_intersections(arc, c));
       }
-      if (opt.arc_samples > 0) {
-        sink.add_all(geom::inscribed_angle_arc_points(oi, oj, ct.angle,
-                                                      opt.arc_samples));
+      for (const Segment& e : edges) {
+        sink.add_all(geom::circle_segment_intersections(arc, e));
       }
+    }
+    if (opt.arc_samples > 0) {
+      sink.add_all(geom::inscribed_angle_arc_points(oi, oj, ct.angle,
+                                                    opt.arc_samples));
     }
   }
 
@@ -208,6 +233,36 @@ void append_pair_positions(const model::Scenario& scenario, std::size_t q,
           const Vec2 u = dir / dist;
           for (double r : radii) {
             if (r > dist) sink.add(o + u * r);
+          }
+        }
+      }
+    }
+  }
+
+  // (e) Receiving-sector sides (Section 4.1.2): each anchor's straight
+  // area boundaries φ_o ± α_o/2, as segments of length d_max, intersected
+  // with the other anchor's ring circles, the inscribed-angle circles and
+  // obstacle edges. The anchor's own rings along these sides are the
+  // singleton's samples.
+  if (opt.use_sector_rays) {
+    for (int anchor = 0; anchor < 2; ++anchor) {
+      const auto& dev = scenario.device(anchor == 0 ? i : j);
+      const double alpha_o = scenario.device_type(dev.type).angle;
+      if (alpha_o >= geom::kTwoPi) continue;
+      const std::span<const Circle> other = anchor == 0 ? rings_j : rings_i;
+      for (const double side : {dev.orientation - alpha_o / 2.0,
+                                dev.orientation + alpha_o / 2.0}) {
+        const Segment ray(dev.pos,
+                          dev.pos + geom::unit_vector(side) * ct.d_max);
+        for (const Circle& c : other) {
+          sink.add_all(geom::circle_segment_intersections(c, ray));
+        }
+        for (const Circle& arc : arcs) {
+          sink.add_all(geom::circle_segment_intersections(arc, ray));
+        }
+        for (const Segment& e : edges) {
+          if (const auto x = geom::segment_intersection_point(ray, e)) {
+            sink.add(*x);
           }
         }
       }

@@ -4,23 +4,39 @@
 // geometric areas", Section 5).
 //
 // For a charger type q and a device pair (o_i, o_j), candidate charger
-// positions are generated at the critical conditions of Theorem 4.1:
-//   * the straight line through the pair (the charger's clockwise sector
-//     boundary passes through both) intersected with feasible-geometric-area
-//     boundaries — ring circles of both devices and obstacle edges;
-//   * the inscribed-angle arcs through the pair with circumferential angle
-//     α_q (both line boundaries of the sector touch the two devices)
-//     intersected with the same boundaries, plus interior arc samples;
-//   * ring×ring circle intersections of the two devices' approximated power
-//     receiving areas (Algorithm 4 step 9);
-//   * ring×obstacle-edge intersections and hole-boundary rays (obstacle
-//     vertex directions) at ring radii (Algorithm 4 step 10).
-// Singleton constructions (receiving-sector boundary directions at ring
-// radii) cover isolated devices, replacing Algorithm 2 step 8's random
-// boundary point with deterministic samples.
+// positions are generated at the critical conditions of Theorem 4.1. The
+// families, each with its ExtractOptions switch:
+//   * pair line (use_pair_line): the straight line through the pair (the
+//     charger's clockwise sector boundary passes through both) intersected
+//     with feasible-geometric-area boundaries — ring circles of both devices
+//     and obstacle edges;
+//   * inscribed-angle arcs (use_pair_arcs): circles through the pair with
+//     circumferential angle α_q (both line boundaries of the sector touch
+//     the two devices) intersected with the same boundaries, plus interior
+//     arc samples;
+//   * ring × ring (use_ring_ring): intersections of the two devices'
+//     approximated power receiving areas (Algorithm 4 step 9);
+//   * obstacle/hole (use_obstacle_ring): ring × obstacle-edge intersections
+//     and hole-boundary rays (obstacle vertex directions) at ring radii
+//     (Algorithm 4 step 10);
+//   * receiving-sector sides (use_sector_rays): each anchor's two sector
+//     sides φ_o ± α_o/2 (Section 4.1.2's straight area boundaries), as
+//     segments of length d_max, intersected with the other anchor's ring
+//     circles, the pair's inscribed-angle circles and obstacle edges.
+// A pair position is kept only when it lies within d_max + kCoverEps of
+// *both* anchors: anywhere else the charger cannot reach both devices of
+// the pair, and what it can reach another pair or the singleton covers.
+// The constructions only intersect inside that two-disk lens.
+// Singleton constructions (use_singleton: receiving-sector boundary
+// directions at ring radii) cover isolated devices, replacing Algorithm 2
+// step 8's random boundary point with deterministic samples.
 //
 // At every generated position the point-case sweep (Algorithm 1) produces
 // candidates, which are dominance-filtered per task and again globally.
+//
+// Locality: every position of task i lies within d_max of o_i, and its
+// coverage pool and line-of-sight segments reach another d_max, so a task's
+// output depends only on geometry within task_reach() of its device.
 #pragma once
 
 #include <cstddef>
@@ -47,9 +63,17 @@ struct ExtractOptions {
   bool use_ring_ring = true;
   bool use_obstacle_ring = true;
   bool use_singleton = true;
+  bool use_sector_rays = true;
   /// Skip the final global dominance filter (per-task filters still run).
   bool global_filter = true;
 };
+
+/// Radius around device i beyond which no geometry — device, orientation or
+/// obstacle — can change extract_device_task(i)'s output: 2·d_max (positions
+/// within d_max of o_i, their pools and LOS segments another d_max) plus a
+/// slack that absorbs the kCoverEps tolerances. The delta layer's
+/// invalidation radius and the shard plan's halo.
+double task_reach(const model::Scenario& scenario);
 
 /// Ring boundary radii of device j w.r.t. charger type q: the ladder's
 /// d_min plus all outer rung radii (ascending). Computed once per ladder,
@@ -59,7 +83,7 @@ const std::vector<double>& ring_radii(const model::Scenario& scenario,
 
 /// Candidate charger positions for the pair (i, j) under charger type q.
 /// Positions are deduplicated and filtered to feasible placements within
-/// charging range of at least one of the two devices.
+/// charging range (d_max + kCoverEps) of both devices.
 std::vector<geom::Vec2> pair_candidate_positions(
     const model::Scenario& scenario, std::size_t q, std::size_t i,
     std::size_t j, const ExtractOptions& opt);

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/pdcs/candidate_gen.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::shard {
 
 namespace {
-
-/// Slack added to the halo radius: absorbs the kCoverEps / kMargin
-/// tolerances of the underlying queries (the same slack as
-/// opt::DeltaSolver's invalidation radius).
-constexpr double kHaloSlack = 1e-3;
 
 /// Euclidean distance from a point to an axis-aligned box (0 inside).
 double point_box_distance(geom::Vec2 p, const geom::BBox& b) {
@@ -26,7 +22,7 @@ double point_box_distance(geom::Vec2 p, const geom::BBox& b) {
 ShardPlan::ShardPlan(const model::Scenario& scenario, const PlanOptions& opt) {
   HIPO_REQUIRE(opt.shards >= 1, "shard plan needs at least one shard");
   region_ = scenario.region();
-  halo_ = 4.0 * scenario.max_charge_range() + kHaloSlack;
+  halo_ = pdcs::task_reach(scenario);
 
   // Factor S into gx · gy == S with the factors as square as possible, the
   // larger factor along the longer region extent. Prime S degenerates to a

@@ -8,16 +8,17 @@
 //
 // Halo radius. A task for device o_i reads geometry at up to
 //
-//   * 2·d_max   — the Algorithm 4 neighbor set (pair partner o_j),
-//   * 3·d_max   — candidate positions (within d_max + ε of o_i or o_j),
-//   * 4·d_max   — coverage pools (within d_max + ε of a position) and the
-//                 line-of-sight segments / feasibility probes those imply,
+//   * d_max     — candidate positions (within d_max + ε of both o_i and
+//                 its pair partner o_j),
+//   * 2·d_max   — the Algorithm 4 neighbor set (pair partner o_j), and
+//                 coverage pools (within d_max + ε of a position) with the
+//                 line-of-sight segments / feasibility probes they imply,
 //
-// so the visibility halo is 2·(2·d_max) + ε around the owned cell — twice
-// the paper's 2·d_max neighbor radius, for the same reason the delta
-// layer's invalidation radius is 4·max_charge_range() + 1e-3. Obstacles
-// enter every query through an exact bbox gate (SegmentIndex), so the same
-// radius bounds the obstacle subset.
+// so the visibility halo is pdcs::task_reach() = 2·max_charge_range() +
+// 1e-3 around the owned cell — the paper's 2·d_max neighbor radius, and the
+// delta layer's invalidation radius. Obstacles enter every query through an
+// exact bbox gate (SegmentIndex), so the same radius bounds the obstacle
+// subset.
 //
 // Ownership is deterministic: a device exactly on an interior cell border
 // belongs to the higher-index cell (floor semantics); the region's high
@@ -64,7 +65,7 @@ class ShardPlan {
   std::size_t num_shards() const { return manifests_.size(); }
   std::size_t grid_x() const { return gx_; }
   std::size_t grid_y() const { return gy_; }
-  /// The visibility radius around each owned cell: 4·max_charge_range + ε.
+  /// The visibility radius around each owned cell: pdcs::task_reach.
   double halo_radius() const { return halo_; }
 
   const ShardManifest& shard(std::size_t k) const { return manifests_[k]; }

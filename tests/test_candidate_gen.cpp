@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <span>
 
@@ -38,7 +39,7 @@ TEST(PairPositions, AllFeasibleAndInRange) {
     EXPECT_TRUE(s.position_feasible(p));
     const double d0 = geom::distance(p, s.device(0).pos);
     const double d1 = geom::distance(p, s.device(1).pos);
-    EXPECT_TRUE(d0 <= d_max + 1e-6 || d1 <= d_max + 1e-6);
+    EXPECT_TRUE(d0 <= d_max + 1e-6 && d1 <= d_max + 1e-6);
   }
 }
 
@@ -427,21 +428,43 @@ TEST(ReferenceOracle, ClusterBeyondOneMaskWord) {
   EXPECT_GT(expect_tasks_match(s, {n - 3, n - 2, n - 1}), 0u);
 }
 
-TEST(ReferenceOracle, PairPoolReachesPastTheNeighborSet) {
-  // o_j is a neighbor of o_i (9.5 m < 2·d_max); o_k sits 3.5·d_max from
-  // o_i, outside o_i's neighbor set, but within d_max of pair positions
-  // near o_j. The per-position pool must still reach it.
-  auto cfg = test::simple_config();
-  cfg.devices = {test::device_at(1.0, 10.0), test::device_at(10.5, 10.0),
-                 test::device_at(18.5, 10.0)};
-  const model::Scenario s(std::move(cfg));
-  const double d_max = s.charger_type(0).d_max;
-  ASSERT_GT(geom::distance(s.device(0).pos, s.device(2).pos), 2.0 * d_max);
-  expect_tasks_match(s, {0});
-  const auto task = extract_device_task(s, device_index(s), 0, ExtractOptions{});
-  EXPECT_TRUE(std::any_of(task.begin(), task.end(), [](const Candidate& c) {
-    return std::find(c.covered.begin(), c.covered.end(), 2u) != c.covered.end();
-  }));
+TEST(ReferenceOracle, TaskPositionsStayInsideTheTwoAnchorLens) {
+  // Directional devices and obstacles, so every family fires. A task-i
+  // pair position lies within d_max + kCoverEps of o_i and of its partner
+  // o_j; a singleton position (and so every row of the task) within that
+  // of o_i.
+  model::GenOptions gen;
+  gen.device_multiplier = 2;
+  gen.num_obstacles = 6;
+  hipo::Rng rng(2027);
+  const auto s = model::make_paper_scenario(gen, rng);
+  const auto index = device_index(s);
+  const ExtractOptions opt;
+  std::size_t pair_positions = 0;
+  for (std::size_t i = 0; i < s.num_devices(); ++i) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    const Vec2 oi = s.device(i).pos;
+    for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
+      const double reach = s.charger_type(q).d_max + geom::kCoverEps;
+      for (const Vec2 p : singleton_candidate_positions(s, q, i, opt)) {
+        EXPECT_LE(geom::distance(p, oi), reach);
+      }
+      for (std::size_t j : index.query_radius(oi, 2.0 * reach)) {
+        if (j <= i) continue;
+        for (const Vec2 p : pair_candidate_positions(s, q, i, j, opt)) {
+          EXPECT_LE(geom::distance(p, oi), reach);
+          EXPECT_LE(geom::distance(p, s.device(j).pos), reach);
+          ++pair_positions;
+        }
+      }
+    }
+    for (const Candidate& c : extract_device_task(s, index, i, opt)) {
+      EXPECT_LE(geom::distance(c.strategy.pos, oi),
+                s.charger_type(c.strategy.type).d_max + geom::kCoverEps);
+    }
+  }
+  EXPECT_GT(pair_positions, 0u);
+  EXPECT_GT(expect_tasks_match(s), 0u);
 }
 
 TEST(ReferenceOracle, SectorBoundarySlack) {
@@ -487,6 +510,171 @@ TEST(ReferenceOracle, PointCaseAtRandomPositions) {
     SCOPED_TRACE(trial);
     expect_byte_equal(extract_point_case(s, q, pos, all),
                       reference_point_case(s, q, pos, all));
+  }
+}
+
+bool covers_pair(const std::vector<Candidate>& pool) {
+  return std::any_of(pool.begin(), pool.end(), [](const Candidate& c) {
+    return c.covered == std::vector<std::size_t>{0, 1};
+  });
+}
+
+TEST(SectorRays, FindTheOnlyJointCoverOnAReceivingSectorSide) {
+  // A full-circle charger (no inscribed arcs), d ∈ [1, 5]. o_0 receives
+  // within ±15° of +x; omni o_1 sits δ short of d_max from o_0's upper
+  // sector side, so its range disk cuts a sliver off o_0's receiving
+  // sector. The sliver's corners are where that side crosses o_1's outer
+  // ring, and it spans no ring radius of o_0, so no pair-line, ring × ring
+  // or singleton position falls inside it: only the sector-side family
+  // finds a charger that covers both devices.
+  auto cfg = test::simple_config();
+  cfg.charger_types = {{geom::kTwoPi, 1.0, 5.0}};
+  cfg.device_types = {{geom::kPi / 6.0}, {geom::kTwoPi}};
+  cfg.pair_params = {{100.0, 40.0}, {100.0, 40.0}};
+  cfg.charger_counts = {1};
+  const Vec2 a{4.0, 4.0};
+  cfg.devices = {test::device_at(a.x, a.y, 0.0, 0)};
+  const auto radii = ring_radii(model::Scenario(model::Scenario::Config(cfg)),
+                                0, 0);
+
+  // The widest gap between o_0's ring radii hosts the sliver.
+  std::size_t gap = 1;
+  for (std::size_t k = 1; k < radii.size(); ++k) {
+    if (radii[k] - radii[k - 1] > radii[gap] - radii[gap - 1]) gap = k;
+  }
+  const double delta = 1e-4;
+  const double half_chord = std::sqrt(25.0 - (5.0 - delta) * (5.0 - delta));
+  ASSERT_GT(radii[gap] - radii[gap - 1], 4.0 * half_chord);
+  const double t = 0.5 * (radii[gap - 1] + radii[gap]);
+  const Vec2 side = geom::unit_vector(geom::kPi / 12.0);
+  const Vec2 outward = geom::unit_vector(geom::kPi / 12.0 + geom::kPi / 2.0);
+  const Vec2 b = a + side * t + outward * (5.0 - delta);
+  cfg.devices.push_back(test::device_at(b.x, b.y, 0.0, 1));
+  const model::Scenario s(std::move(cfg));
+
+  EXPECT_TRUE(covers_pair(extract_all(s).candidates));
+  ExtractOptions no_rays;
+  no_rays.use_sector_rays = false;
+  EXPECT_FALSE(covers_pair(extract_all(s, no_rays).candidates));
+}
+
+/// Same positions, orientations, covered sets and powers, row for row.
+bool same_rows(const std::vector<Candidate>& a,
+               const std::vector<Candidate>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Candidate& x, const Candidate& y) {
+                      return x.strategy.pos == y.strategy.pos &&
+                             x.strategy.orientation == y.strategy.orientation &&
+                             x.covered == y.covered && x.powers == y.powers;
+                    });
+}
+
+/// Distance from p to the boundary of polygon h.
+double boundary_distance(Vec2 p, const geom::Polygon& h) {
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t e = 0; e < h.size(); ++e) {
+    best = std::min(best, geom::point_segment_distance(p, h.edge(e)));
+  }
+  return best;
+}
+
+TEST(ExtractDeviceTask, OutputDependsOnlyOnGeometryWithinTaskReach) {
+  // 100 devices, half of them directional, and four obstacles on a 60 m
+  // square with d_max = 5. After a move with a new orientation, an
+  // obstacle add and an obstacle remove, every task whose device lies
+  // farther than task_reach from the changed geometry re-extracts to the
+  // same bytes. The band between task_reach and 4·d_max must be populated,
+  // or the test could not tell a 2·d_max reach from a wider one.
+  auto cfg = test::simple_config();
+  cfg.region.hi = {60.0, 60.0};
+  cfg.device_types = {{geom::kTwoPi}, {geom::kPi / 2.0}};
+  cfg.pair_params = {{100.0, 40.0}, {90.0, 35.0}};
+  cfg.obstacles = {geom::make_rect({12.0, 40.0}, {16.0, 44.0}),
+                   geom::make_rect({40.0, 12.0}, {45.0, 14.0}),
+                   geom::make_rect({22.0, 24.0}, {25.0, 30.0}),
+                   geom::make_rect({44.0, 44.0}, {47.0, 49.0})};
+  const geom::Polygon added = geom::make_rect({33.0, 28.0}, {36.0, 31.0});
+  hipo::Rng rng(21);
+  while (cfg.devices.size() < 100) {
+    const Vec2 p{rng.uniform(0.5, 59.5), rng.uniform(0.5, 59.5)};
+    bool clear = !added.contains(p) && boundary_distance(p, added) > 0.5;
+    for (const auto& h : cfg.obstacles) clear = clear && !h.contains(p);
+    if (!clear) continue;
+    cfg.devices.push_back(test::device_at(p.x, p.y,
+                                          rng.uniform(0.0, geom::kTwoPi),
+                                          cfg.devices.size() % 2));
+  }
+  const model::Scenario before{model::Scenario::Config(cfg)};
+  const double reach = task_reach(before);
+  const double d_max = before.max_charge_range();
+  ASSERT_DOUBLE_EQ(reach, 2.0 * d_max + 1e-3);
+  const ExtractOptions opt;
+  const auto before_index = device_index(before);
+  std::vector<std::vector<Candidate>> cold(before.num_devices());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    cold[i] = extract_device_task(before, before_index, i, opt);
+  }
+
+  struct Change {
+    const char* label;
+    model::Scenario::Config cfg;
+    std::vector<Vec2> points;
+    std::vector<geom::Polygon> polygons;
+  };
+  std::vector<Change> changes;
+  {
+    // The device nearest the centre moves 3 m and turns.
+    std::size_t k = 0;
+    for (std::size_t i = 1; i < cfg.devices.size(); ++i) {
+      if (geom::distance(cfg.devices[i].pos, {30.0, 30.0}) <
+          geom::distance(cfg.devices[k].pos, {30.0, 30.0})) {
+        k = i;
+      }
+    }
+    Change move{"move", cfg, {cfg.devices[k].pos}, {}};
+    model::Device& d = move.cfg.devices[k];
+    d.pos = d.pos + Vec2{3.0, 0.0};
+    d.orientation += 2.0;
+    move.points.push_back(d.pos);
+    changes.push_back(std::move(move));
+  }
+  {
+    Change add{"add obstacle", cfg, {}, {added}};
+    add.cfg.obstacles.push_back(added);
+    changes.push_back(std::move(add));
+  }
+  {
+    Change remove{"remove obstacle", cfg, {}, {cfg.obstacles[2]}};
+    remove.cfg.obstacles.erase(remove.cfg.obstacles.begin() + 2);
+    changes.push_back(std::move(remove));
+  }
+
+  for (Change& change : changes) {
+    SCOPED_TRACE(change.label);
+    const model::Scenario after(std::move(change.cfg));
+    const auto after_index = device_index(after);
+    std::size_t banded = 0;
+    std::size_t changed_inside = 0;
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+      const Vec2 oi = after.device(i).pos;
+      double dist = std::numeric_limits<double>::infinity();
+      for (const Vec2 p : change.points) {
+        dist = std::min(dist, geom::distance(oi, p));
+      }
+      for (const auto& h : change.polygons) {
+        dist = std::min(dist, boundary_distance(oi, h));
+      }
+      const auto warm = extract_device_task(after, after_index, i, opt);
+      if (dist <= reach) {
+        changed_inside += !same_rows(warm, cold[i]);
+        continue;
+      }
+      SCOPED_TRACE("task " + std::to_string(i));
+      banded += dist <= 4.0 * d_max;
+      expect_byte_equal(warm, cold[i]);
+    }
+    EXPECT_GE(banded, 10u);
+    EXPECT_GT(changed_inside, 0u);
   }
 }
 

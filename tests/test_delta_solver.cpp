@@ -150,10 +150,10 @@ opt::DeltaOp remove_obstacle_op(std::size_t index) {
   return op;
 }
 
-/// A spread-out scenario where the 4·d_max invalidation disk is small
+/// A spread-out scenario where the task_reach invalidation disk is small
 /// relative to the region — deltas in one corner must not touch the rest.
 model::Scenario::Config spread_config() {
-  auto cfg = test::simple_config();  // one type, d_max = 5 → radius ≈ 20
+  auto cfg = test::simple_config();  // one type, d_max = 5 → radius ≈ 10
   cfg.region.lo = {0.0, 0.0};
   cfg.region.hi = {100.0, 100.0};
   cfg.charger_counts = {4};
@@ -281,12 +281,15 @@ TEST(DeltaSolver, RemoveToEmptyAndRegrow) {
 }
 
 TEST(DeltaSolver, FullRebuildOnlyWhenEveryTaskIsAffected) {
-  // (a) The paper geometry fits inside one 4·d_max disk: any move reaches
-  // every task.
-  const auto scenario = test::small_paper_scenario(17);
-  opt::DeltaSolver whole(scenario.to_config());
-  const auto all =
-      whole.apply(move_device_op(3, free_spot(whole.config(), 6)));
+  // (a) A cluster inside one task_reach ≈ 2·d_max disk around the move's
+  // destination: the move reaches every task.
+  auto cluster = test::simple_config();  // d_max = 5 → radius ≈ 10
+  cluster.devices = {test::device_at(6, 8),   test::device_at(9, 6),
+                     test::device_at(12, 7),  test::device_at(14, 10),
+                     test::device_at(11, 14), test::device_at(7, 13)};
+  cluster.obstacles = {geom::make_rect({9.5, 9.0}, {10.5, 9.5})};
+  opt::DeltaSolver whole{model::Scenario::Config(cluster)};
+  const auto all = whole.apply(move_device_op(3, {10.0, 11.0}));
   EXPECT_TRUE(all.full_rebuild);
   EXPECT_EQ(all.tasks_regenerated, all.tasks_total);
   EXPECT_EQ(all.rows_kept, 0u);
@@ -294,7 +297,7 @@ TEST(DeltaSolver, FullRebuildOnlyWhenEveryTaskIsAffected) {
 
   // (b) A cluster of six devices and a far pair: moving a cluster device
   // reaches 6 of 8 tasks — most of them, but the far pair stays warm.
-  auto cfg = test::simple_config();  // d_max = 5 → radius ≈ 20
+  auto cfg = test::simple_config();  // d_max = 5 → radius ≈ 10
   cfg.region.hi = {100.0, 100.0};
   cfg.devices = {test::device_at(5, 5),   test::device_at(7, 6),
                  test::device_at(9, 5),   test::device_at(5, 9),
@@ -314,7 +317,7 @@ TEST(DeltaSolver, LocalDeltaRegeneratesOnlyTheNeighborhood) {
   const std::size_t rows_before = delta.matrix().num_rows();
 
   // Move a corner device by one meter: only the corner cluster (2 devices
-  // plus nothing else within the 4·d_max ≈ 20 m disk) may re-extract.
+  // plus nothing else within the task_reach ≈ 10 m disk) may re-extract.
   const auto stats = delta.apply(move_device_op(0, {6.0, 6.0}));
   EXPECT_FALSE(stats.full_rebuild);
   EXPECT_EQ(stats.tasks_total, 18u);

@@ -22,7 +22,7 @@
 namespace hipo::shard {
 namespace {
 
-/// A [0,100]² scenario whose halo (4·d_max + ε = 20.001) is well below the
+/// A [0,100]² scenario whose halo (2·d_max + ε = 10.001) is well below the
 /// region size, so multi-shard plans genuinely subset devices and
 /// obstacles. Devices are rejection-sampled deterministically; extras are
 /// pinned to shard borders and to exactly 2·d_max from a border.
@@ -147,8 +147,8 @@ TEST(ShardPlan, SingleShardIsDegenerate) {
 TEST(ShardPlan, HaloSubsetsDevicesAndObstacles) {
   const auto s = spread_scenario(34, 60, true, false);
   const ShardPlan plan(s, {.shards = 4});
-  EXPECT_DOUBLE_EQ(plan.halo_radius(), 4.0 * s.max_charge_range() + 1e-3);
-  // With a 20 m halo on 50 m cells of a 100 m region, at least one shard
+  EXPECT_DOUBLE_EQ(plan.halo_radius(), pdcs::task_reach(s));
+  // With a 10 m halo on 50 m cells of a 100 m region, at least one shard
   // must see strictly fewer devices than the whole scenario — otherwise the
   // test exercises nothing.
   bool any_proper_subset = false;
