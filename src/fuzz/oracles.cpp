@@ -815,8 +815,8 @@ std::optional<Violation> check_shard(const Scenario& scenario,
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
                                    std::size_t{7}}) {
     // Plan first so we know where the cell borders land, then pin extra
-    // devices exactly on a border and exactly 2·d_max from one — the
-    // neighbor-radius edge cases the halo argument must survive.
+    // devices exactly on a border and exactly 2·d_max from one — pairs whose
+    // Algorithm 4 neighbor set crosses a border.
     const shard::ShardPlan probe(scenario, {.shards = shards});
     model::Scenario::Config cfg = scenario.to_config();
     const geom::BBox region = scenario.region();

@@ -78,9 +78,9 @@ std::optional<Violation> check_delta(const model::Scenario& scenario,
 /// (7) Sharded extraction: for shard counts {2, 4, 7}, the merged
 /// multi-shard candidate pool must be bit-identical to single-process
 /// extract_all — on a scenario augmented with devices pinned exactly on a
-/// shard border and exactly 2·d_max away from one (the neighbor-radius
-/// boundary cases of the halo argument). In-process runner only, so the
-/// oracle is sanitizer-friendly. Skips when extraction is intractable.
+/// shard border and exactly 2·d_max away from one (pairs whose Algorithm 4
+/// neighbor set crosses a border). In-process runner only, so the oracle is
+/// sanitizer-friendly. Skips when extraction is intractable.
 std::optional<Violation> check_shard(const model::Scenario& scenario,
                                      std::uint64_t seed);
 

@@ -72,7 +72,7 @@ struct ExtractOptions {
 /// obstacle — can change extract_device_task(i)'s output: 2·d_max (positions
 /// within d_max of o_i, their pools and LOS segments another d_max) plus a
 /// slack that absorbs the kCoverEps tolerances. The delta layer's
-/// invalidation radius and the shard plan's halo.
+/// invalidation radius.
 double task_reach(const model::Scenario& scenario);
 
 /// Ring boundary radii of device j w.r.t. charger type q: the ladder's

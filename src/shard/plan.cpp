@@ -1,35 +1,21 @@
 #include "src/shard/plan.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "src/pdcs/candidate_gen.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::shard {
 
-namespace {
-
-/// Euclidean distance from a point to an axis-aligned box (0 inside).
-double point_box_distance(geom::Vec2 p, const geom::BBox& b) {
-  const double dx = std::max({b.lo.x - p.x, 0.0, p.x - b.hi.x});
-  const double dy = std::max({b.lo.y - p.y, 0.0, p.y - b.hi.y});
-  return std::hypot(dx, dy);
-}
-
-}  // namespace
-
 ShardPlan::ShardPlan(const model::Scenario& scenario, const PlanOptions& opt) {
   HIPO_REQUIRE(opt.shards >= 1, "shard plan needs at least one shard");
   region_ = scenario.region();
-  halo_ = pdcs::task_reach(scenario);
 
   // Factor S into gx · gy == S with the factors as square as possible, the
   // larger factor along the longer region extent. Prime S degenerates to a
-  // 1 × S strip — still a valid partition, just with more halo overlap.
+  // 1 × S strip — still a valid partition. `f <= s / f` cannot overflow.
   const std::size_t s = opt.shards;
   std::size_t small = 1;
-  for (std::size_t f = 1; f * f <= s; ++f) {
+  for (std::size_t f = 1; f <= s / f; ++f) {
     if (s % f == 0) small = f;
   }
   const std::size_t large = s / small;
@@ -40,38 +26,9 @@ ShardPlan::ShardPlan(const model::Scenario& scenario, const PlanOptions& opt) {
   cell_h_ = ext.y / static_cast<double>(gy_);
 
   manifests_.resize(s);
-  for (std::size_t cy = 0; cy < gy_; ++cy) {
-    for (std::size_t cx = 0; cx < gx_; ++cx) {
-      ShardManifest& m = manifests_[cy * gx_ + cx];
-      m.shard_id = cy * gx_ + cx;
-      m.owned_box.lo = {region_.lo.x + static_cast<double>(cx) * cell_w_,
-                        region_.lo.y + static_cast<double>(cy) * cell_h_};
-      m.owned_box.hi = {m.owned_box.lo.x + cell_w_,
-                        m.owned_box.lo.y + cell_h_};
-    }
-  }
-
+  for (std::size_t k = 0; k < s; ++k) manifests_[k].shard_id = k;
   for (std::size_t j = 0; j < scenario.num_devices(); ++j) {
-    const geom::Vec2 p = scenario.device(j).pos;
-    manifests_[owner_of(p)].owned.push_back(j);
-    for (ShardManifest& m : manifests_) {
-      if (point_box_distance(p, m.owned_box) <= halo_) {
-        m.visible.push_back(j);
-      }
-    }
-  }
-
-  // Obstacle visibility by bbox against the halo-inflated cell. This is a
-  // Chebyshev (per-axis) inflation — a superset of the Euclidean halo —
-  // which only ever widens visibility; every obstacle query in candidate
-  // generation applies its own exact bbox gate, so supersets are free.
-  const auto& obstacles = scenario.obstacles();
-  for (ShardManifest& m : manifests_) {
-    for (std::size_t pi = 0; pi < obstacles.size(); ++pi) {
-      if (obstacles[pi].bbox().intersects(m.owned_box, halo_)) {
-        m.obstacles.push_back(pi);
-      }
-    }
+    manifests_[owner_of(scenario.device(j).pos)].owned.push_back(j);
   }
 }
 

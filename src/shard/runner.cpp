@@ -358,6 +358,12 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
     stats_out->merge_seconds = merge_watch.seconds();
   }
   if (obs::metrics_enabled()) [[unlikely]] {
+    // Bumped from the collected stats, so a forked run counts what its
+    // children extracted.
+    for (const ShardStats& st : stats) {
+      obs::counter("shard.tasks").bump(st.tasks);
+      obs::counter("shard.rows").bump(st.rows);
+    }
     obs::counter("shard.runs").bump();
     obs::counter("shard.workers")
         .bump(opt.processes >= 1 ? std::min(opt.processes, plan.num_shards())

@@ -287,16 +287,19 @@ bool SegmentIndex::segment_blocked_cold(const Segment& seg,
   // clipping the query against the kMargin-inflated edge bbox never drops
   // a reportable intersection).
   //
-  // All bookkeeping lives in fixed stack buffers; overflow (pathologically
-  // crowded neighborhoods or huge polygons) falls back to the exact
-  // Polygon::blocks_segment routine itself.
+  // All bookkeeping lives in fixed stack buffers; overflow (crowded column
+  // ranges or huge polygons) falls back to the exact
+  // Polygon::blocks_segment routine itself. The fallback still scans only
+  // the widened column range: a column spans the whole region height, so
+  // large regions overflow routinely, and every polygon outside the range
+  // fails blocks_segment's own bbox gate.
   constexpr std::size_t kSmall = 48;
   const std::size_t xs = x0 > col_span_ ? x0 - col_span_ : 0;
   const std::uint32_t beg = col_start_[xs];
   const std::uint32_t end = col_start_[x1 + 1];
   if (end - beg > kSmall) {
-    for (const auto& h : polygons_) {
-      if (h.blocks_segment(seg)) return true;
+    for (std::uint32_t k = beg; k < end; ++k) {
+      if (polygons_[col_data_[k]].blocks_segment(seg)) return true;
     }
     return false;
   }

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/opt/coverage_matrix.hpp"
 #include "src/opt/greedy.hpp"
 #include "src/pdcs/extract.hpp"
@@ -22,10 +23,10 @@
 namespace hipo::shard {
 namespace {
 
-/// A [0,100]² scenario whose halo (2·d_max + ε = 10.001) is well below the
-/// region size, so multi-shard plans genuinely subset devices and
-/// obstacles. Devices are rejection-sampled deterministically; extras are
-/// pinned to shard borders and to exactly 2·d_max from a border.
+/// A [0,100]² scenario whose task reach (2·d_max + ε = 10.001) is well below
+/// the region size, so multi-shard plans split genuinely distinct
+/// neighborhoods. Devices are rejection-sampled deterministically; extras
+/// are pinned to shard borders and to exactly 2·d_max from a border.
 model::Scenario spread_scenario(std::uint64_t seed, std::size_t devices,
                                 bool straddling_obstacle,
                                 bool border_devices) {
@@ -57,8 +58,8 @@ model::Scenario spread_scenario(std::uint64_t seed, std::size_t devices,
   }
   if (border_devices) {
     // Exactly on the 2×2 borders (x=50 / y=50), on the region corner of the
-    // interior cross, and exactly 2·d_max = 10 m from a border — the
-    // neighbor-radius boundary cases the halo argument must survive.
+    // interior cross, and exactly 2·d_max = 10 m from a border — pairs whose
+    // Algorithm 4 neighbor set crosses a shard border.
     cfg.devices.push_back(test::device_at(50.0, 10.0));
     cfg.devices.push_back(test::device_at(50.0, 50.0));
     cfg.devices.push_back(test::device_at(10.0, 50.0));
@@ -110,10 +111,6 @@ TEST(ShardPlan, OwnershipPartitionsDevices) {
     EXPECT_EQ(m.shard_id, k);
     total += m.owned.size();
     EXPECT_TRUE(std::is_sorted(m.owned.begin(), m.owned.end()));
-    EXPECT_TRUE(std::is_sorted(m.visible.begin(), m.visible.end()));
-    // owned ⊆ visible.
-    EXPECT_TRUE(std::includes(m.visible.begin(), m.visible.end(),
-                              m.owned.begin(), m.owned.end()));
     for (std::size_t j : m.owned) {
       EXPECT_EQ(plan.owner_of(s.device(j).pos), k);
       ++owners[j];
@@ -140,24 +137,6 @@ TEST(ShardPlan, SingleShardIsDegenerate) {
   EXPECT_EQ(plan.num_shards(), 1u);
   const auto& m = plan.shard(0);
   EXPECT_EQ(m.owned.size(), s.num_devices());
-  EXPECT_EQ(m.visible.size(), s.num_devices());
-  EXPECT_EQ(m.obstacles.size(), s.num_obstacles());
-}
-
-TEST(ShardPlan, HaloSubsetsDevicesAndObstacles) {
-  const auto s = spread_scenario(34, 60, true, false);
-  const ShardPlan plan(s, {.shards = 4});
-  EXPECT_DOUBLE_EQ(plan.halo_radius(), pdcs::task_reach(s));
-  // With a 10 m halo on 50 m cells of a 100 m region, at least one shard
-  // must see strictly fewer devices than the whole scenario — otherwise the
-  // test exercises nothing.
-  bool any_proper_subset = false;
-  for (std::size_t k = 0; k < plan.num_shards(); ++k) {
-    if (plan.shard(k).visible.size() < s.num_devices()) {
-      any_proper_subset = true;
-    }
-  }
-  EXPECT_TRUE(any_proper_subset);
 }
 
 TEST(ShardExtract, SingleShardMatchesExtractAll) {
@@ -194,18 +173,13 @@ TEST(ShardExtract, EmptyShardsAreHarmless) {
 }
 
 TEST(ShardExtract, ObstacleStraddlingThreeShards) {
-  // A 1×7 strip plan over the straddling rect: the rect spans cells around
-  // x ∈ [44, 57] of cell width 100/7 ≈ 14.3 — at least three shards.
+  // A 7×1 strip plan over the straddling rect: x ∈ [40, 72] crosses cells
+  // of width 100/7 ≈ 14.3 — at least three shards own part of it.
   const auto s = spread_scenario(37, 30, true, false);
   const ShardPlan plan(s, {.shards = 7});
-  std::size_t sees_first_obstacle = 0;
-  for (std::size_t k = 0; k < plan.num_shards(); ++k) {
-    const auto& obs = plan.shard(k).obstacles;
-    if (std::find(obs.begin(), obs.end(), 0u) != obs.end()) {
-      ++sees_first_obstacle;
-    }
-  }
-  EXPECT_GE(sees_first_obstacle, 3u);
+  ASSERT_EQ(plan.grid_y(), 1u);
+  const geom::BBox box = s.obstacles()[0].bbox();
+  EXPECT_GE(plan.owner_of(box.hi) - plan.owner_of(box.lo), 2u);
   expect_identical(pdcs::extract_all(s), sharded(s, 7));
 }
 
@@ -213,7 +187,7 @@ TEST(ShardExtract, ThreadPoolDoesNotChangeResult) {
   const auto s = spread_scenario(38, 36, true, true);
   const auto want = pdcs::extract_all(s);
   parallel::ThreadPool pool(4);
-  for (std::size_t shards : {1u, 4u}) {
+  for (std::size_t shards : {1u, 2u, 4u, 7u}) {
     SCOPED_TRACE(shards);
     expect_identical(want, sharded(s, shards, 0, &pool));
   }
@@ -242,19 +216,25 @@ TEST(ShardExtract, ArenaOverCeilingThrows) {
 }
 
 TEST(ShardRunner, ForkedProcessesMatchInProcess) {
+  // No pool here: a fork while pool workers are live can leave the child
+  // blocked on a lock a worker held (seen under ASan). The in-process tests
+  // cover the pool.
   const auto s = spread_scenario(41, 32, true, true);
   const auto want = pdcs::extract_all(s);
-  for (std::size_t procs : {1u, 2u, 4u}) {
-    SCOPED_TRACE(procs);
-    RunnerStats stats;
-    const auto got = sharded(s, 4, procs, nullptr, &stats);
-    expect_identical(want, got);
-    EXPECT_EQ(stats.shards, 4u);
-    EXPECT_EQ(stats.processes, procs);
-    EXPECT_EQ(stats.shard_seconds.size(), 4u);
-    EXPECT_EQ(stats.rows, want.raw_candidates);
-    // Worker-measured task seconds must cover every owned task.
-    for (double t : got.task_seconds) EXPECT_GE(t, 0.0);
+  for (std::size_t shards : {1u, 2u, 4u, 7u}) {
+    for (std::size_t procs : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << shards << " shards, " << procs
+                                        << " procs");
+      RunnerStats stats;
+      const auto got = sharded(s, shards, procs, nullptr, &stats);
+      expect_identical(want, got);
+      EXPECT_EQ(stats.shards, shards);
+      EXPECT_EQ(stats.processes, std::min(procs, shards));
+      EXPECT_EQ(stats.shard_seconds.size(), shards);
+      EXPECT_EQ(stats.rows, want.raw_candidates);
+      // Worker-measured task seconds must cover every owned task.
+      for (double t : got.task_seconds) EXPECT_GE(t, 0.0);
+    }
   }
 }
 
@@ -291,6 +271,26 @@ TEST(ShardRunner, ForkedStatsAccountingMatchesInProcess) {
   EXPECT_EQ(forked.rows, in_process.rows);
   EXPECT_EQ(forked.peak_shard_bytes, in_process.peak_shard_bytes);
   EXPECT_EQ(forked.pool_bytes, in_process.pool_bytes);
+}
+
+// Workers count in their own registries, so the shard counters are bumped
+// in the parent from the collected stats: both modes report the same.
+TEST(ShardRunner, ForkedCountersMatchInProcess) {
+  const auto s = spread_scenario(44, 24, true, false);
+  const auto counters = [&](std::size_t procs) {
+    obs::reset_metrics();
+    obs::set_metrics_enabled(true);
+    sharded(s, 4, procs);
+    obs::set_metrics_enabled(false);
+    return std::vector<std::uint64_t>{obs::counter("shard.tasks").value(),
+                                      obs::counter("shard.rows").value()};
+  };
+  const auto in_process = counters(0);
+  const auto forked = counters(2);
+  obs::reset_metrics();
+  EXPECT_EQ(in_process[0], s.num_devices());
+  EXPECT_GT(in_process[1], 0u);
+  EXPECT_EQ(forked, in_process);
 }
 
 TEST(ShardRunner, ForkedWorkersOverCeilingAreReaped) {

@@ -130,6 +130,7 @@ int run_daemon(Cli& cli) {
   obs::set_metrics_enabled(true);
   if (trace_path) obs::set_trace_enabled(true);
   HIPO_REQUIRE(port >= 0 && port <= 65535, "--port must be 0..65535");
+  HIPO_REQUIRE(threads >= 0, "--threads must be >= 0 (0 = hardware)");
   HIPO_REQUIRE(cache_entries >= 0, "--cache-entries must be >= 0");
   HIPO_REQUIRE(max_inflight >= 1, "--max-inflight must be >= 1");
   HIPO_REQUIRE(max_connections >= 1, "--max-connections must be >= 1");

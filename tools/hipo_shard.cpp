@@ -1,10 +1,10 @@
-// hipo_shard — sharded PDCS extraction front end: plan spatial shards with
-// a visibility halo, extract each shard's owned tasks (optionally in forked
-// worker processes, each shard's retained rows metered against a memory
-// ceiling), merge the rows with extract_all's own device-order merge, and
-// run the greedy selection on the merged pool. The merged pool — and
-// therefore the placement — is bit-identical to a single-process
-// `hipo_solve` run for any shard, process, or thread count.
+// hipo_shard — sharded PDCS extraction front end: partition the device
+// tasks into spatial shards, run each shard's owned tasks with extract_all's
+// task loop (optionally in forked worker processes, each shard's retained
+// rows metered against a memory ceiling), merge the rows with extract_all's
+// own device-order merge, and run the greedy selection on the merged pool.
+// The merged pool — and therefore the placement — is bit-identical to a
+// single-process `hipo_solve` run for any shard, process, or thread count.
 //
 //   hipo_shard --scenario field.hipo [--out placement.hipo]
 //              [--demo paper|field] [--seed N]
@@ -71,8 +71,12 @@ int main(int argc, char** argv) {
     const auto scenario = load_scenario(cli);
 
     shard::RunnerOptions opt;
-    opt.shards = static_cast<std::size_t>(cli.get_or("shards", 1));
-    opt.processes = static_cast<std::size_t>(cli.get_or("procs", 0));
+    const int shards = cli.get_or("shards", 1);
+    HIPO_REQUIRE(shards >= 1, "--shards must be >= 1");
+    opt.shards = static_cast<std::size_t>(shards);
+    const int procs = cli.get_or("procs", 0);
+    HIPO_REQUIRE(procs >= 0, "--procs must be >= 0 (0 = in-process)");
+    opt.processes = static_cast<std::size_t>(procs);
     const int ceiling_mb = cli.get_or("mem-ceiling-mb", 0);
     HIPO_REQUIRE(ceiling_mb >= 0, "--mem-ceiling-mb must be >= 0");
     opt.mem_ceiling_bytes = static_cast<std::size_t>(ceiling_mb) << 20;
