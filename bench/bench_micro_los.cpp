@@ -1,8 +1,10 @@
 // Obstacle-query microbenchmark: line-of-sight and placement-feasibility
-// latency, brute-force polygon scan vs the SegmentIndex-backed Scenario
-// path, swept over obstacle counts; plus one end-to-end extraction+greedy
-// A/B on an obstacle-heavy instance. Emits machine-readable JSON
-// (BENCH_los.json) alongside the human-readable table.
+// latency, a direct scan of scenario.obstacles() (Polygon::blocks_segment /
+// Polygon::contains) vs the SegmentIndex-backed Scenario path, swept over
+// obstacle counts, with the two paths' blocked (feasible) counts asserted
+// equal on every pass.
+// Emits machine-readable JSON (BENCH_los.json) alongside the human-readable
+// table.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -10,8 +12,6 @@
 #include <vector>
 
 #include "src/model/scenario_gen.hpp"
-#include "src/opt/greedy.hpp"
-#include "src/pdcs/extract.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
@@ -25,30 +25,6 @@ using geom::Segment;
 using geom::Vec2;
 
 namespace {
-
-/// Rebuilds `base` with the obstacle grid disabled (one-cell index), so
-/// every query degenerates to the brute-force scan. Results are identical.
-model::Scenario without_acceleration(const model::Scenario& base) {
-  model::Scenario::Config cfg;
-  for (std::size_t q = 0; q < base.num_charger_types(); ++q) {
-    cfg.charger_types.push_back(base.charger_type(q));
-  }
-  for (std::size_t t = 0; t < base.num_device_types(); ++t) {
-    cfg.device_types.push_back(base.device_type(t));
-  }
-  for (std::size_t q = 0; q < base.num_charger_types(); ++q) {
-    for (std::size_t t = 0; t < base.num_device_types(); ++t) {
-      cfg.pair_params.push_back(base.pair_params(q, t));
-    }
-  }
-  cfg.charger_counts = base.charger_counts();
-  cfg.devices = base.devices();
-  cfg.obstacles = base.obstacles();
-  cfg.region = base.region();
-  cfg.eps1 = base.eps1();
-  cfg.accelerate_obstacles = false;
-  return model::Scenario(std::move(cfg));
-}
 
 struct QueryTiming {
   int obstacles = 0;
@@ -168,48 +144,6 @@ QueryTiming time_feasible(const model::Scenario& scenario, Rng& rng,
   return out;
 }
 
-struct EndToEnd {
-  int obstacles = 0;
-  std::size_t candidates = 0;
-  double accel_s = 0.0;
-  double brute_s = 0.0;
-  double accel_utility = 0.0;
-  double brute_utility = 0.0;
-  double speedup() const { return accel_s > 0.0 ? brute_s / accel_s : 0.0; }
-};
-
-EndToEnd time_end_to_end(int num_obstacles, int device_multiplier,
-                         std::uint64_t seed) {
-  model::GenOptions gen;
-  gen.num_obstacles = num_obstacles;
-  gen.device_multiplier = device_multiplier;
-  Rng rng(seed);
-  const auto fast = model::make_paper_scenario(gen, rng);
-  const auto slow = without_acceleration(fast);
-
-  EndToEnd out;
-  out.obstacles = num_obstacles;
-
-  obs::Stopwatch t;
-  const auto rf = pdcs::extract_all(fast);
-  const auto gf = opt::select_strategies(fast, rf.candidates);
-  out.accel_s = t.seconds();
-  out.candidates = rf.candidates.size();
-  out.accel_utility = gf.exact_utility;
-
-  t.reset();
-  const auto rs = pdcs::extract_all(slow);
-  const auto gs = opt::select_strategies(slow, rs.candidates);
-  out.brute_s = t.seconds();
-  out.brute_utility = gs.exact_utility;
-
-  HIPO_REQUIRE(rf.candidates.size() == rs.candidates.size(),
-               "candidate count mismatch between accelerated and brute runs");
-  HIPO_REQUIRE(out.accel_utility == out.brute_utility,
-               "utility mismatch between accelerated and brute runs");
-  return out;
-}
-
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f", v);
@@ -223,8 +157,6 @@ int main(int argc, char** argv) {
   const int iters = cli.get_or("iters", 200000);
   const int reps = cli.get_or("reps", 5);
   const auto seed = static_cast<std::uint64_t>(cli.get_or("seed", 42));
-  const int e2e_mult = cli.get_or("e2e-mult", 2);
-  const int e2e_obstacles = cli.get_or("e2e-obstacles", 16);
   const std::string out_path = cli.get_or("out", std::string("BENCH_los.json"));
   cli.finish();
 
@@ -249,15 +181,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const EndToEnd e2e =
-      time_end_to_end(e2e_obstacles, e2e_mult, seed_combine(seed, 999));
-  std::cout << "\nend-to-end (extract_all + greedy, " << e2e.obstacles
-            << " obstacles, " << e2e.candidates
-            << " candidates): accelerated " << fmt(e2e.accel_s * 1e3)
-            << " ms vs brute " << fmt(e2e.brute_s * 1e3) << " ms ("
-            << fmt(e2e.speedup()) << "x), utilities identical: "
-            << e2e.accel_utility << "\n";
-
   std::ofstream json(out_path);
   HIPO_REQUIRE(json.good(), "cannot open output file " + out_path);
   json << "{\n  \"bench\": \"micro_los\",\n  \"build\": "
@@ -279,14 +202,8 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << feas[i].speedup() << "}"
          << (i + 1 < feas.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"end_to_end\": {\"obstacles\": " << e2e.obstacles
-       << ", \"device_multiplier\": " << e2e_mult
-       << ", \"candidates\": " << e2e.candidates
-       << ", \"accelerated_s\": " << e2e.accel_s
-       << ", \"brute_s\": " << e2e.brute_s
-       << ", \"speedup\": " << e2e.speedup()
-       << ", \"utilities_identical\": true},\n  \"peak_rss_bytes\": "
-       << obs::peak_rss_bytes() << "\n}\n";
+  json << "  ],\n  \"peak_rss_bytes\": " << obs::peak_rss_bytes()
+       << "\n}\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

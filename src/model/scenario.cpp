@@ -54,9 +54,8 @@ Scenario::Scenario(Config config)
                    "device placed inside an obstacle");
     }
   }
-  obstacle_index_ = spatial::SegmentIndex(
-      region_, std::move(config.obstacles),
-      config.accelerate_obstacles ? 0.25 : 1e30);
+  obstacle_index_ =
+      spatial::SegmentIndex(region_, std::move(config.obstacles));
   has_obstacles_ = obstacle_index_.num_polygons() != 0;
 
   std::vector<Vec2> points;
@@ -214,13 +213,6 @@ double Scenario::total_exact_power(std::span<const Strategy> placement,
   return total;
 }
 
-double Scenario::total_approx_power(std::span<const Strategy> placement,
-                                    std::size_t j) const {
-  double total = 0.0;
-  for (const auto& s : placement) total += approx_power(s, j);
-  return total;
-}
-
 double Scenario::utility(std::size_t j, double x) const {
   const double pth = device(j).p_th;
   return x >= pth ? 1.0 : x / pth;
@@ -281,16 +273,6 @@ double Scenario::placement_utility_from(std::span<const double> powers) const {
   double total = 0.0;
   for (std::size_t j = 0; j < devices_.size(); ++j) {
     total += devices_[j].weight * utility(j, powers[j]);
-  }
-  return total / total_weight();
-}
-
-double Scenario::placement_utility_approx(
-    std::span<const Strategy> placement) const {
-  if (devices_.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t j = 0; j < devices_.size(); ++j) {
-    total += devices_[j].weight * utility(j, total_approx_power(placement, j));
   }
   return total / total_weight();
 }

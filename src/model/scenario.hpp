@@ -36,19 +36,12 @@ class Scenario {
     /// Piecewise-approximation error ε₁ (Lemma 4.1). The end-to-end target
     /// ratio ε of Theorem 4.2 corresponds to ε₁ = 2ε/(1−2ε).
     double eps1 = 0.3 / 0.7;
-    /// When false, the obstacle index is built with a single cell, which
-    /// degenerates every obstacle query to the brute-force scan over all
-    /// polygons. Only useful for A/B benchmarking (bench_micro_los) and
-    /// equivalence tests; results are identical either way.
-    bool accelerate_obstacles = true;
   };
 
   explicit Scenario(Config config);
 
-  /// Reconstruct a Config describing this scenario — the starting point for
-  /// mutation (opt::DeltaSolver). Round-trips everything except
-  /// accelerate_obstacles, which is not stored and comes back as the
-  /// default (true); results are identical either way.
+  /// Reconstruct the Config describing this scenario — the starting point
+  /// for mutation (opt::DeltaSolver). Round-trips every field.
   Config to_config() const;
 
   // --- structure ------------------------------------------------------
@@ -144,8 +137,6 @@ class Scenario {
   /// Additive power (Eq. 2) over a placement at one device.
   double total_exact_power(std::span<const Strategy> placement,
                            std::size_t j) const;
-  double total_approx_power(std::span<const Strategy> placement,
-                            std::size_t j) const;
 
   /// Charging utility Eq. (3) for device j given received power x.
   double utility(std::size_t j, double x) const;
@@ -158,7 +149,6 @@ class Scenario {
   double placement_utility(std::span<const Strategy> placement) const;
   /// The same objective from already computed exact_powers(placement).
   double placement_utility_from(std::span<const double> powers) const;
-  double placement_utility_approx(std::span<const Strategy> placement) const;
 
   /// Per-device utilities under a placement (exact power).
   std::vector<double> per_device_utility(

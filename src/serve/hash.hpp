@@ -7,10 +7,8 @@
 // vertex moved, eps1 retuned — changes it. Doubles contribute their exact
 // IEEE-754 bit patterns (no rounding ambiguity), and every field is fed
 // behind a distinct tag with its container length, so field permutations or
-// concatenation coincidences cannot collide structurally.
-//
-// Deliberately NOT hashed: Config::accelerate_obstacles (a query-plan knob;
-// results are identical either way, and to_config() does not round-trip it).
+// concatenation coincidences cannot collide structurally. Every
+// Scenario::Config field is hashed.
 #pragma once
 
 #include <cstdint>

@@ -33,13 +33,8 @@ ShardPlan::ShardPlan(const model::Scenario& scenario, const PlanOptions& opt) {
 }
 
 std::size_t ShardPlan::owner_of(geom::Vec2 p) const {
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
-  const std::size_t cx = clamp_idx((p.x - region_.lo.x) / cell_w_, gx_);
-  const std::size_t cy = clamp_idx((p.y - region_.lo.y) / cell_h_, gy_);
+  const std::size_t cx = spatial::clamp_idx((p.x - region_.lo.x) / cell_w_, gx_);
+  const std::size_t cy = spatial::clamp_idx((p.y - region_.lo.y) / cell_h_, gy_);
   return cy * gx_ + cx;
 }
 

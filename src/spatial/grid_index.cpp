@@ -12,15 +12,6 @@ using geom::Vec2;
 
 namespace {
 
-/// Cell coordinate `v` (in cell units) clamped into [0, n). Tests the range
-/// before converting: a double-to-integer cast of NaN or of a value past
-/// the integer range is undefined.
-std::size_t clamp_idx(double v, std::size_t n) {
-  if (!(v >= 0.0)) return 0;
-  if (v >= static_cast<double>(n)) return n - 1;
-  return static_cast<std::size_t>(v);
-}
-
 /// Cells along one axis: `want` rounded and clamped into [1, cap]. A
 /// region far thinner than the cell count would otherwise ask for more
 /// cells along its long axis than the size_t range (or memory) holds; NaN

@@ -5,6 +5,7 @@
 // O(No) scan per query.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -12,6 +13,18 @@
 #include "src/geometry/vec2.hpp"
 
 namespace hipo::spatial {
+
+/// Cell coordinate `v` (in cell units) clamped into [0, n): floor(v) in
+/// range, 0 for NaN and below, n - 1 from n up. Every uniform grid here
+/// maps coordinates through it. The clamp runs in double before the
+/// conversion — casting NaN or a value past the integer range is
+/// undefined — and compiles to a max/min pair with no branch; the signed
+/// conversion is one instruction, where a direct double-to-size_t cast
+/// costs a compare and a fix-up.
+inline std::size_t clamp_idx(double v, std::size_t n) {
+  return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(
+      std::min(std::max(0.0, v), static_cast<double>(n - 1))));
+}
 
 class GridIndex {
  public:

@@ -30,6 +30,12 @@ namespace {
 
 /// Grid resolution cap per axis; keeps degenerate inputs bounded.
 constexpr std::size_t kMaxCellsPerAxis = 512;
+/// Grid resolution: about four cells per polygon edge. Fine cells keep a
+/// charging-range segment's bbox down to a handful of short cell lists.
+constexpr double kEdgesPerCell = 0.25;
+/// Largest polygon the exact replica in segment_blocked_cold handles with
+/// its stack buffer; bigger ones go through Polygon::blocks_segment.
+constexpr std::size_t kSmall = 48;
 
 BBox inflate(const BBox& b, double by) {
   BBox out;
@@ -85,10 +91,6 @@ void sort_unique(std::vector<std::uint32_t>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-}  // namespace
-
-namespace {
-
 /// Flattens per-cell id lists into CSR (offsets + one flat array).
 void flatten(const std::vector<std::vector<std::uint32_t>>& cells,
              std::vector<std::uint32_t>& start,
@@ -110,19 +112,15 @@ void flatten(const std::vector<std::vector<std::uint32_t>>& cells,
 
 SegmentIndex::SegmentIndex() {
   cell_poly_start_.assign(2, 0);
-  col_start_.assign(2, 0);
   poly_edge_start_.assign(1, 0);
   content_sat_.assign(4, 0);
 }
 
 SegmentIndex::SegmentIndex(const BBox& bounds,
-                           std::vector<geom::Polygon> polygons,
-                           double target_edges_per_cell)
+                           std::vector<geom::Polygon> polygons)
     : polygons_(std::move(polygons)) {
   HIPO_REQUIRE(bounds.hi.x > bounds.lo.x && bounds.hi.y > bounds.lo.y,
                "SegmentIndex needs a non-degenerate bounding box");
-  HIPO_REQUIRE(target_edges_per_cell > 0.0,
-               "target_edges_per_cell must be positive");
 
   // Cover every polygon even if it pokes outside the nominal bounds.
   bounds_ = bounds;
@@ -138,7 +136,7 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
 
   const double cells = std::max(
       1.0, static_cast<double>(std::max<std::size_t>(n_edges, 1)) /
-               target_edges_per_cell);
+               kEdgesPerCell);
   const Vec2 ext = bounds_.extent();
   const double aspect = ext.x / ext.y;
   nx_ = std::clamp<std::size_t>(
@@ -156,6 +154,7 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
   edge_dir_.reserve(n_edges);
   edge_norm_.reserve(n_edges);
   poly_edge_start_.reserve(polygons_.size() + 1);
+  poly_first_cell_.reserve(polygons_.size());
   for (std::size_t pi = 0; pi < polygons_.size(); ++pi) {
     const auto& h = polygons_[pi];
     poly_edge_start_.push_back(static_cast<std::uint32_t>(edge_segs_.size()));
@@ -173,6 +172,8 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
     }
     std::size_t x0, x1, y0, y1;
     cell_range(inflate(h.bbox(), kMargin), x0, x1, y0, y1);
+    poly_first_cell_.push_back(
+        {static_cast<std::uint32_t>(x0), static_cast<std::uint32_t>(y0)});
     for (std::size_t cy = y0; cy <= y1; ++cy) {
       for (std::size_t cx = x0; cx <= x1; ++cx) {
         cell_polys[cy * nx_ + cx].push_back(static_cast<std::uint32_t>(pi));
@@ -184,19 +185,6 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
 
   poly_bbox_.reserve(polygons_.size());
   for (const auto& h : polygons_) poly_bbox_.push_back(h.bbox());
-
-  // 1-D column registration: each polygon once, under its first column.
-  {
-    std::vector<std::vector<std::uint32_t>> cols(nx_);
-    col_span_ = 0;
-    for (std::size_t pi = 0; pi < polygons_.size(); ++pi) {
-      std::size_t x0, x1, y0, y1;
-      cell_range(inflate(poly_bbox_[pi], kMargin), x0, x1, y0, y1);
-      cols[x0].push_back(static_cast<std::uint32_t>(pi));
-      col_span_ = std::max(col_span_, x1 - x0);
-    }
-    flatten(cols, col_start_, col_data_);
-  }
 
   // SAT grid: 4x the CSR resolution per axis (capped). Registration is
   // per-polygon over the kMargin-inflated bbox, mirroring the CSR lists,
@@ -231,11 +219,6 @@ SegmentIndex::SegmentIndex(const BBox& bounds,
 }
 
 std::size_t SegmentIndex::cell_of(Vec2 p) const {
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
   const std::size_t cx = clamp_idx((p.x - bounds_.lo.x) * inv_cell_w_, nx_);
   const std::size_t cy = clamp_idx((p.y - bounds_.lo.y) * inv_cell_h_, ny_);
   return cy * nx_ + cx;
@@ -243,11 +226,6 @@ std::size_t SegmentIndex::cell_of(Vec2 p) const {
 
 void SegmentIndex::cell_range(const BBox& box, std::size_t& x0, std::size_t& x1,
                               std::size_t& y0, std::size_t& y1) const {
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0.0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
   x0 = clamp_idx((box.lo.x - bounds_.lo.x) * inv_cell_w_, nx_);
   x1 = clamp_idx((box.hi.x - bounds_.lo.x) * inv_cell_w_, nx_);
   y0 = clamp_idx((box.lo.y - bounds_.lo.y) * inv_cell_h_, ny_);
@@ -256,67 +234,29 @@ void SegmentIndex::cell_range(const BBox& box, std::size_t& x0, std::size_t& x1,
 
 bool SegmentIndex::segment_blocked_cold(const Segment& seg,
                                         const BBox& sb) const {
-  // Only the column extent matters for the gather below.
-  const auto col_idx = [this](double v) {
-    const auto i = static_cast<std::ptrdiff_t>((v - bounds_.lo.x) *
-                                               inv_cell_w_);
-    return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-        i, 0, static_cast<std::ptrdiff_t>(nx_) - 1));
-  };
-  const std::size_t x0 = col_idx(sb.lo.x - kMargin);
-  const std::size_t x1 = col_idx(sb.hi.x + kMargin);
-
   // The hot path replicates Polygon::blocks_segment polygon by polygon,
-  // restricted to candidates found near the query. Gather phase: scan the
-  // 1-D column registrations covering the (kMargin-inflated) segment bbox
-  // -- one flat, duplicate-free CSR range -- and apply blocks_segment's
-  // own bbox gate, operation-for-operation BBox::intersects(sb, kEps),
-  // evaluated arithmetically because a conditional here mispredicts
-  // constantly. Any polygon passing that gate starts within col_span_
-  // columns left of the query's column range and is therefore inside the
-  // widened scan, so the candidate set equals the set of polygons the full
-  // scan would do exact work on.
+  // restricted to the polygons registered in the cells of the
+  // (kMargin-inflated) segment bbox. Any polygon able to pass
+  // blocks_segment's own bbox gate has an inflated bbox overlapping the
+  // query's, so its cell range shares at least one cell with the query's
+  // and the walk reaches it; it is tested only in the first shared cell,
+  // (max(x0, its column), max(y0, its row)), so exactly once. The walked
+  // set is thus the set of polygons the full scan would do exact work on.
   //
-  // Per candidate, replicate the blocks_segment body over the polygon's
-  // own contiguous edge range: collect boundary-intersection parameters,
-  // sort, and test sub-segment midpoints against the interior. Each edge
-  // is tested once, in polygon order, exactly as the original; obstacle
-  // polygons are small, so no per-edge spatial pruning is needed beyond a
-  // conservative slab-clip gate (any witness the eps-tolerant predicate
-  // can report lies within far less than kMargin of both segments, so
-  // clipping the query against the kMargin-inflated edge bbox never drops
-  // a reportable intersection).
-  //
-  // All bookkeeping lives in fixed stack buffers; overflow (crowded column
-  // ranges or huge polygons) falls back to the exact
-  // Polygon::blocks_segment routine itself. The fallback still scans only
-  // the widened column range: a column spans the whole region height, so
-  // large regions overflow routinely, and every polygon outside the range
-  // fails blocks_segment's own bbox gate.
-  constexpr std::size_t kSmall = 48;
-  const std::size_t xs = x0 > col_span_ ? x0 - col_span_ : 0;
-  const std::uint32_t beg = col_start_[xs];
-  const std::uint32_t end = col_start_[x1 + 1];
-  if (end - beg > kSmall) {
-    for (std::uint32_t k = beg; k < end; ++k) {
-      if (polygons_[col_data_[k]].blocks_segment(seg)) return true;
-    }
-    return false;
-  }
-  std::uint32_t cand[kSmall];  // gate-passing polygons, each at most once
-  std::size_t n_cand = 0;
-  for (std::uint32_t k = beg; k < end; ++k) {
-    const std::uint32_t pi = col_data_[k];
-    const BBox& pb = poly_bbox_[pi];
-    const unsigned pass =
-        static_cast<unsigned>(pb.lo.x <= sb.hi.x + geom::kEps) &
-        static_cast<unsigned>(sb.lo.x <= pb.hi.x + geom::kEps) &
-        static_cast<unsigned>(pb.lo.y <= sb.hi.y + geom::kEps) &
-        static_cast<unsigned>(sb.lo.y <= pb.hi.y + geom::kEps);
-    cand[n_cand] = pi;
-    n_cand += pass;
-  }
-  if (n_cand == 0) return false;
+  // Per polygon, apply the bbox gate -- operation-for-operation
+  // BBox::intersects(sb, kEps) -- then replicate the blocks_segment body
+  // over the polygon's own contiguous edge range: collect
+  // boundary-intersection parameters, sort, and test sub-segment midpoints
+  // against the interior. Each edge is tested once, in polygon order,
+  // exactly as the original; obstacle polygons are small, so no per-edge
+  // spatial pruning is needed beyond a conservative slab-clip gate (any
+  // witness the eps-tolerant predicate can report lies within far less
+  // than kMargin of both segments, so clipping the query against the
+  // kMargin-inflated edge bbox never drops a reportable intersection).
+  // Polygons with more edges than the stack buffer holds run the
+  // reference routine itself.
+  std::size_t x0, x1, y0, y1;
+  cell_range(inflate(sb, kMargin), x0, x1, y0, y1);
 
   const Vec2 d = seg.direction();
   const double len2 = d.norm2();
@@ -366,22 +306,12 @@ bool SegmentIndex::segment_blocked_cold(const Segment& seg,
     return std::nullopt;
   };
   const SegmentClipper clip(seg);
-
-  if (len2 <= 0.0) {  // degenerate query: blocks_segment tests seg.a only
-    for (std::size_t k = 0; k < n_cand; ++k) {
-      if (poly_contains_interior(cand[k], seg.a)) return true;
-    }
-    return false;
-  }
-  for (std::size_t k = 0; k < n_cand; ++k) {
-    const std::uint32_t pi = cand[k];
-    const auto& poly = polygons_[pi];
+  // Polygon pi blocks seg: the blocks_segment body past its bbox gate.
+  const auto blocks = [&](std::uint32_t pi) {
+    if (len2 <= 0.0) return poly_contains_interior(pi, seg.a);
     const std::uint32_t e0 = poly_edge_start_[pi];
     const std::uint32_t e1 = poly_edge_start_[pi + 1];
-    if (e1 - e0 > kSmall) {  // huge polygon: use the reference routine
-      if (poly.blocks_segment(seg)) return true;
-      continue;
-    }
+    if (e1 - e0 > kSmall) return polygons_[pi].blocks_segment(seg);
     // Sub-segment parameters: endpoints plus this polygon's boundary
     // intersections, exactly as in blocks_segment. The slab-clip gate
     // skips the exact test for edges the query segment cannot reach.
@@ -412,10 +342,27 @@ bool SegmentIndex::segment_blocked_cold(const Segment& seg,
         return true;
       }
     }
+    return false;
+  };
+
+  for (std::size_t cy = y0; cy <= y1; ++cy) {
+    for (std::size_t cx = x0; cx <= x1; ++cx) {
+      for (const std::uint32_t pi : polys_in_cell(cy * nx_ + cx)) {
+        const FirstCell first = poly_first_cell_[pi];
+        const BBox& pb = poly_bbox_[pi];
+        if (std::max<std::size_t>(x0, first.x) == cx &&
+            std::max<std::size_t>(y0, first.y) == cy &&
+            pb.lo.x <= sb.hi.x + geom::kEps &&
+            sb.lo.x <= pb.hi.x + geom::kEps &&
+            pb.lo.y <= sb.hi.y + geom::kEps &&
+            sb.lo.y <= pb.hi.y + geom::kEps && blocks(pi)) {
+          return true;
+        }
+      }
+    }
   }
   return false;
 }
-
 
 bool SegmentIndex::poly_contains_interior(std::uint32_t pi, Vec2 p) const {
   if (!poly_bbox_[pi].contains(p, geom::kEps)) return false;
@@ -453,23 +400,9 @@ bool SegmentIndex::poly_contains_interior(std::uint32_t pi, Vec2 p) const {
   return inside != 0;
 }
 
-
 bool SegmentIndex::point_in_any_cold(Vec2 p) const {
-  const auto cell = polys_in_cell(cell_of(p));
-  // Density cutover: clustered obstacle sets can register most polygons in
-  // p's cell, and then the gather through the cell list only adds an
-  // indirection per polygon over the straight scan. Scanning *all* flat
-  // bboxes is safe — any polygon able to pass the bbox gate at p is
-  // registered in p's cell, so the extra rows fail the gate — and cheaper
-  // once the cell covers half the set.
-  if (cell.size() * 2 >= polygons_.size()) {
-    for (std::uint32_t pi = 0; pi < polygons_.size(); ++pi) {
-      if (poly_bbox_[pi].contains(p, kMargin) && polygons_[pi].contains(p))
-        return true;
-    }
-    return false;
-  }
-  for (std::uint32_t pi : cell) {
+  // Every polygon able to contain p is registered in p's cell.
+  for (const std::uint32_t pi : polys_in_cell(cell_of(p))) {
     if (poly_bbox_[pi].contains(p, kMargin) && polygons_[pi].contains(p))
       return true;
   }

@@ -4,11 +4,15 @@
 // open segment charger–device cross an obstacle interior?" (Eq. 1's
 // line-of-sight condition) and "is this point inside an obstacle?" (charger
 // placement feasibility) — which the brute-force formulation answers by
-// scanning all polygons and edges. SegmentIndex buckets polygon bounding
-// boxes into a uniform grid sized by the edge count (the polygon analogue
-// of GridIndex for points), so queries touch only the cells a segment or
-// disk overlaps and then run the *exact* polygon predicates, edge by edge,
-// on the few candidates found there.
+// scanning all polygons and edges. SegmentIndex registers each polygon's
+// bounding box in the cells of one uniform grid sized by the edge count
+// (the polygon analogue of GridIndex for points), so a query touches only
+// the cells its segment bbox or point falls in and then runs the *exact*
+// polygon predicates, edge by edge, on the few candidates found there. A
+// segment query tests each polygon once, in the first cell that the
+// polygon's cell range shares with the query's. A summed-area table of the
+// registrations answers the common nothing-nearby case before any cell
+// list is read.
 // Results are therefore bit-identical to the brute-force scan; only the set
 // of polygons examined shrinks.
 //
@@ -26,6 +30,7 @@
 #include "src/geometry/segment.hpp"
 #include "src/geometry/vec2.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/spatial/grid_index.hpp"
 
 namespace hipo::spatial {
 
@@ -50,11 +55,8 @@ class SegmentIndex {
   SegmentIndex();
 
   /// Index over `polygons`, gridded across `bounds` (expanded as needed to
-  /// cover every polygon's bounding box). `target_edges_per_cell` controls
-  /// resolution; a huge value degenerates to one cell, i.e. the brute-force
-  /// scan (used for A/B benchmarking).
-  SegmentIndex(const geom::BBox& bounds, std::vector<geom::Polygon> polygons,
-               double target_edges_per_cell = 1.5);
+  /// cover every polygon's bounding box).
+  SegmentIndex(const geom::BBox& bounds, std::vector<geom::Polygon> polygons);
 
   const std::vector<geom::Polygon>& polygons() const { return polygons_; }
   std::size_t num_polygons() const { return polygons_.size(); }
@@ -128,11 +130,12 @@ class SegmentIndex {
   /// (kEps = 1e-9, kCoverEps = 1e-7), so an entity within predicate
   /// tolerance of a cell is always registered in it.
   static constexpr double kMargin = 1e-6;
-  /// segment_blocked past its inline early-out: gather nearby polygons
-  /// and replicate Polygon::blocks_segment on each.
+  /// segment_blocked past its inline early-out: walk the cells of the
+  /// inflated segment bbox and replicate Polygon::blocks_segment on each
+  /// polygon registered there, once per polygon.
   bool segment_blocked_cold(const geom::Segment& seg,
                             const geom::BBox& sb) const;
-  /// point_in_any past its inline early-out.
+  /// point_in_any past its inline early-out: the polygons of p's cell.
   bool point_in_any_cold(geom::Vec2 p) const;
   std::size_t cell_of(geom::Vec2 p) const;
   void cell_range(const geom::BBox& box, std::size_t& x0, std::size_t& x1,
@@ -140,13 +143,6 @@ class SegmentIndex {
   /// Like cell_range but on the (finer) summed-area-table grid.
   void sat_range(const geom::BBox& box, std::size_t& x0, std::size_t& x1,
                  std::size_t& y0, std::size_t& y1) const {
-    // ptrdiff_t clamp: branchless (cmov) and well-defined for the
-    // negative values an out-of-bounds query produces.
-    const auto clamp_idx = [](double v, std::size_t n) {
-      const auto i = static_cast<std::ptrdiff_t>(v);
-      return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-          i, 0, static_cast<std::ptrdiff_t>(n) - 1));
-    };
     x0 = clamp_idx((box.lo.x - bounds_.lo.x) * inv_sat_w_, sat_nx_);
     x1 = clamp_idx((box.hi.x - bounds_.lo.x) * inv_sat_w_, sat_nx_);
     y0 = clamp_idx((box.lo.y - bounds_.lo.y) * inv_sat_h_, sat_ny_);
@@ -206,22 +202,21 @@ class SegmentIndex {
   /// polygons are small, so per-edge cell bookkeeping would only add
   /// duplicate tests and unpredictable inner branches.
   std::vector<std::uint32_t> poly_edge_start_;
-  /// Cell -> polygons whose bbox overlaps the cell (ascending), CSR layout:
-  /// one flat data array plus per-cell offsets. Queries walk several cells
-  /// back to back, so per-cell heap blocks would cost a dependent cache miss
-  /// each.
+  /// Cell -> polygons whose kMargin-inflated bbox overlaps the cell
+  /// (ascending), CSR layout: one flat data array plus per-cell offsets.
+  /// Queries walk several cells back to back, so per-cell heap blocks would
+  /// cost a dependent cache miss each.
   std::vector<std::uint32_t> cell_poly_start_;
   std::vector<std::uint32_t> cell_poly_data_;
-  /// 1-D column registration for segment_blocked's gather: every polygon
-  /// listed exactly once, under the first grid column its kMargin-inflated
-  /// bbox overlaps. A query scans columns [x0 - col_span_, x1] as one flat
-  /// CSR range -- a single predictable loop with no duplicates, where a 2-D
-  /// walk pays a branch miss per row and per repeated registration.
-  /// col_span_ is the widest per-polygon column span, so the widened scan
-  /// range catches every polygon whose box reaches the query's columns.
-  std::vector<std::uint32_t> col_start_;
-  std::vector<std::uint32_t> col_data_;
-  std::size_t col_span_ = 0;
+  /// Polygon -> lowest (column, row) of its registered cell range. A
+  /// segment query over cells [x0, x1] x [y0, y1] tests polygon pi only in
+  /// cell (max(x0, column), max(y0, row)): the first cell both ranges
+  /// share, so each polygon is tested exactly once.
+  struct FirstCell {
+    std::uint32_t x;
+    std::uint32_t y;
+  };
+  std::vector<FirstCell> poly_first_cell_;
   /// Polygon bounding boxes, flat — the hot-path bbox gate reads these
   /// instead of chasing into the Polygon objects.
   std::vector<geom::BBox> poly_bbox_;

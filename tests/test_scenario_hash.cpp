@@ -1,8 +1,7 @@
 // serve::scenario_hash — the cache key of the solver service. Two contracts:
 // canonicalization (the hash is over the parsed model, so file ordering and
 // number spelling cannot split the cache) and sensitivity (every semantic
-// Scenario field moves the hash; the only excluded knob is
-// accelerate_obstacles, which never changes results).
+// Scenario field moves the hash).
 #include "src/serve/hash.hpp"
 
 #include <gtest/gtest.h>
@@ -143,14 +142,6 @@ TEST(ScenarioHash, EverySemanticFieldChangesTheHash) {
     c.device_types.push_back({3.0});
     c.pair_params.push_back({60.0, 30.0});
   });
-}
-
-TEST(ScenarioHash, AccelerateObstaclesIsExcluded) {
-  // The obstacle-index acceleration knob never changes results, so it must
-  // not split the cache.
-  auto slow = base_config();
-  slow.accelerate_obstacles = false;
-  EXPECT_EQ(hash_of(std::move(slow)), hash_of(base_config()));
 }
 
 TEST(ScenarioHash, TaggedStreamSeparatesStructuralTwins) {

@@ -7,10 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/discretize/shadow_map.hpp"
 #include "src/model/scenario_gen.hpp"
-#include "src/pdcs/extract.hpp"
 #include "src/util/rng.hpp"
 
 namespace hipo::spatial {
@@ -42,6 +43,25 @@ std::vector<Polygon> random_polygons(hipo::Rng& rng, int count) {
   return polys;
 }
 
+/// Star-convex obstacles with 49 to 96 vertices inside [0,40]^2 — more
+/// edges than segment_blocked's stack replica holds, so the index falls
+/// back to Polygon::blocks_segment for each of them.
+std::vector<Polygon> many_edged_polygons(hipo::Rng& rng, int count) {
+  std::vector<Polygon> polys;
+  for (int i = 0; i < count; ++i) {
+    const Vec2 c{rng.uniform(2, 38), rng.uniform(2, 38)};
+    const double r = rng.uniform(0.5, 4.0);
+    const int sides = 49 + static_cast<int>(rng.uniform(0, 48));
+    std::vector<double> unit_radii, angles;
+    for (int k = 0; k < sides; ++k) {
+      unit_radii.push_back(rng.uniform(0.0, 1.0));
+      angles.push_back((k + rng.uniform(0.1, 0.9)) * geom::kTwoPi / sides);
+    }
+    polys.push_back(geom::make_star_convex_polygon(c, r, unit_radii, angles));
+  }
+  return polys;
+}
+
 // --- brute-force oracles --------------------------------------------------
 
 bool brute_blocked(const std::vector<Polygon>& polys, const Segment& seg) {
@@ -68,6 +88,17 @@ std::vector<std::size_t> brute_near(const std::vector<Polygon>& polys, Vec2 p,
           std::min(nearest, geom::point_segment_distance(p, polys[i].edge(e)));
     }
     if (nearest <= r) out.push_back(i);
+  }
+  return out;
+}
+
+/// polygons_in_box's contract: every polygon whose bbox meets `box` within
+/// the index's 1e-6 safety margin, ascending.
+std::vector<std::size_t> brute_in_box(const std::vector<Polygon>& polys,
+                                      const BBox& b) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    if (polys[i].bbox().intersects(b, 1e-6)) out.push_back(i);
   }
   return out;
 }
@@ -141,6 +172,37 @@ TEST(SegmentIndex, ObstacleLargerThanGridCell) {
   EXPECT_TRUE(index.point_in_any({20, 20}));
 }
 
+TEST(SegmentIndex, FarAndNonFiniteQueriesMatchBruteForce) {
+  // Coordinates far outside the grid, infinite or NaN must clamp to the
+  // boundary cells (a cast of such a value to an integer is undefined) and
+  // still answer exactly as the brute-force scan does.
+  hipo::Rng rng(29);
+  auto polys = random_polygons(rng, 24);
+  polys.push_back(geom::make_rect({0, 0}, {40, 2}));
+  const SegmentIndex index(box(0, 0, 40, 40), polys);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> coords{nan, inf, -inf, 1e300, -1e300,
+                                   1.0, 20.0, 39.0};
+  std::vector<Vec2> points;
+  for (double x : coords) {
+    for (double y : coords) points.push_back({x, y});
+  }
+  for (const Vec2& a : points) {
+    EXPECT_EQ(index.point_in_any(a), brute_in_any(polys, a))
+        << a.x << "," << a.y;
+    for (const Vec2& b : points) {
+      const Segment seg{a, b};
+      EXPECT_EQ(index.segment_blocked(seg), brute_blocked(polys, seg))
+          << a.x << "," << a.y << " -> " << b.x << "," << b.y;
+      const BBox q = box(std::min(a.x, b.x), std::min(a.y, b.y),
+                         std::max(a.x, b.x), std::max(a.y, b.y));
+      EXPECT_EQ(index.polygons_in_box(q), brute_in_box(polys, q))
+          << a.x << "," << a.y << " .. " << b.x << "," << b.y;
+    }
+  }
+}
+
 // --- randomized oracle comparison ----------------------------------------
 
 class SegmentOracleTest : public ::testing::TestWithParam<int> {};
@@ -150,17 +212,11 @@ TEST_P(SegmentOracleTest, MatchesBruteForce) {
   hipo::Rng rng(static_cast<std::uint64_t>(num_polys) * 977 + 5);
   const auto polys = random_polygons(rng, num_polys);
   const SegmentIndex index(box(0, 0, 40, 40), polys);
-  // The degenerate one-cell index is the brute-force path itself; checking
-  // it too guards the accelerate_obstacles=false configuration.
-  const SegmentIndex one_cell(box(0, 0, 40, 40), polys, 1e30);
-  EXPECT_EQ(one_cell.num_cells(), 1u);
 
   for (int trial = 0; trial < 300; ++trial) {
     const Segment seg{{rng.uniform(-5, 45), rng.uniform(-5, 45)},
                       {rng.uniform(-5, 45), rng.uniform(-5, 45)}};
-    const bool expect = brute_blocked(polys, seg);
-    EXPECT_EQ(index.segment_blocked(seg), expect);
-    EXPECT_EQ(one_cell.segment_blocked(seg), expect);
+    EXPECT_EQ(index.segment_blocked(seg), brute_blocked(polys, seg));
 
     const Vec2 p = seg.a;
     EXPECT_EQ(index.point_in_any(p), brute_in_any(polys, p));
@@ -185,36 +241,32 @@ TEST_P(SegmentOracleTest, ShortSegmentsMatchBruteForce) {
   }
 }
 
-// 256 overflows the 48-polygon stack gather on most queries, so the
-// crowded-range fallback is compared against the brute force too.
+TEST_P(SegmentOracleTest, ManyEdgedPolygonsMatchBruteForce) {
+  // Polygons past the replica's 48-edge buffer: segment queries take the
+  // Polygon::blocks_segment branch, mixed with the degenerate-query path.
+  const int num_polys = GetParam();
+  hipo::Rng rng(static_cast<std::uint64_t>(num_polys) * 613 + 3);
+  const auto polys = many_edged_polygons(rng, num_polys);
+  const SegmentIndex index(box(0, 0, 40, 40), polys);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Vec2 a{rng.uniform(-5, 45), rng.uniform(-5, 45)};
+    const double len = trial % 10 == 0 ? 0.0 : rng.uniform(0.0, 12.0);
+    const Segment seg{a, a + geom::unit_vector(rng.uniform(0, geom::kTwoPi)) *
+                                 len};
+    EXPECT_EQ(index.segment_blocked(seg), brute_blocked(polys, seg));
+    EXPECT_EQ(index.point_in_any(a), brute_in_any(polys, a));
+    const double r = rng.uniform(0.0, 12.0);
+    EXPECT_EQ(index.polygons_near(a, r), brute_near(polys, a, r));
+  }
+}
+
+// 256 polygons crowd each cell with many registrations, most of them
+// duplicates of polygons spanning several cells, so the first-cell rule
+// that tests each polygon once is compared against the brute force too.
 INSTANTIATE_TEST_SUITE_P(PolygonCounts, SegmentOracleTest,
                          ::testing::Values(1, 4, 16, 64, 256));
 
 // --- integration with Scenario and ShadowMap ------------------------------
-
-/// Rebuilds `base` with the obstacle grid disabled (one-cell index = the
-/// brute-force scan); everything else identical.
-model::Scenario without_acceleration(const model::Scenario& base) {
-  model::Scenario::Config cfg;
-  for (std::size_t q = 0; q < base.num_charger_types(); ++q) {
-    cfg.charger_types.push_back(base.charger_type(q));
-  }
-  for (std::size_t t = 0; t < base.num_device_types(); ++t) {
-    cfg.device_types.push_back(base.device_type(t));
-  }
-  for (std::size_t q = 0; q < base.num_charger_types(); ++q) {
-    for (std::size_t t = 0; t < base.num_device_types(); ++t) {
-      cfg.pair_params.push_back(base.pair_params(q, t));
-    }
-  }
-  cfg.charger_counts = base.charger_counts();
-  cfg.devices = base.devices();
-  cfg.obstacles = base.obstacles();
-  cfg.region = base.region();
-  cfg.eps1 = base.eps1();
-  cfg.accelerate_obstacles = false;
-  return model::Scenario(std::move(cfg));
-}
 
 class ScenarioEquivalenceTest : public ::testing::TestWithParam<int> {};
 
@@ -263,31 +315,6 @@ TEST_P(ScenarioEquivalenceTest, ShadowMapConstructorsAgree) {
       EXPECT_EQ(by_vector.first_block_distance(theta),
                 by_index.first_block_distance(theta));
     }
-  }
-}
-
-TEST_P(ScenarioEquivalenceTest, ExtractionIsBitIdentical) {
-  // The whole pipeline — candidate extraction through greedy selection —
-  // must produce bit-identical results with and without the obstacle grid.
-  model::GenOptions gen;
-  gen.num_obstacles = GetParam();
-  gen.device_multiplier = 2;
-  hipo::Rng rng(static_cast<std::uint64_t>(GetParam()) * 389 + 29);
-  const auto fast = model::make_paper_scenario(gen, rng);
-  const auto slow = without_acceleration(fast);
-
-  const auto rf = pdcs::extract_all(fast);
-  const auto rs = pdcs::extract_all(slow);
-  ASSERT_EQ(rf.candidates.size(), rs.candidates.size());
-  for (std::size_t i = 0; i < rf.candidates.size(); ++i) {
-    const auto& a = rf.candidates[i];
-    const auto& b = rs.candidates[i];
-    EXPECT_EQ(a.strategy.pos.x, b.strategy.pos.x);
-    EXPECT_EQ(a.strategy.pos.y, b.strategy.pos.y);
-    EXPECT_EQ(a.strategy.orientation, b.strategy.orientation);
-    EXPECT_EQ(a.strategy.type, b.strategy.type);
-    EXPECT_EQ(a.covered, b.covered);
-    EXPECT_EQ(a.powers, b.powers);
   }
 }
 
