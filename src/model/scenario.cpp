@@ -43,10 +43,22 @@ Scenario::Scenario(Config config)
     HIPO_REQUIRE(dt.angle > 0.0 && dt.angle <= geom::kTwoPi,
                  "device angle must be in (0, 2π]");
   }
+  for (const auto& h : config.obstacles) {
+    for (const Vec2 v : h.vertices()) {
+      HIPO_REQUIRE(std::isfinite(v.x) && std::isfinite(v.y),
+                   "obstacle vertices must be finite");
+    }
+    HIPO_REQUIRE(h.is_simple(), "obstacle polygon must be simple");
+  }
   for (const auto& d : devices_) {
     HIPO_REQUIRE(d.type < device_types_.size(), "device type out of range");
-    HIPO_REQUIRE(d.p_th > 0.0, "device P_th must be positive");
-    HIPO_REQUIRE(d.weight > 0.0, "device weight must be positive");
+    HIPO_REQUIRE(std::isfinite(d.pos.x) && std::isfinite(d.pos.y) &&
+                     std::isfinite(d.orientation),
+                 "device position and orientation must be finite");
+    HIPO_REQUIRE(std::isfinite(d.p_th) && d.p_th > 0.0,
+                 "device P_th must be positive and finite");
+    HIPO_REQUIRE(std::isfinite(d.weight) && d.weight > 0.0,
+                 "device weight must be positive and finite");
     HIPO_REQUIRE(region_.contains(d.pos, geom::kEps),
                  "device outside the region");
     for (const auto& h : config.obstacles) {

@@ -1,7 +1,7 @@
 // hipo::obs — the observability layer: tracing spans (Chrome/Perfetto
 // trace-event JSON), a sharded metrics registry (counters, gauges, accums,
-// fixed-bucket histograms), pipeline-phase markers, and the build-info
-// provenance stamp. See docs/ALGORITHMS.md ("Observability") and
+// fixed-bucket histograms), pipeline-phase markers, the build-info
+// provenance stamp, and the strict wire JSON reader and frame codec. See docs/ALGORITHMS.md ("Observability") and
 // docs/FORMATS.md for the JSON schemas.
 #pragma once
 
@@ -14,3 +14,4 @@
 #include "src/obs/rss.hpp"
 #include "src/obs/stopwatch.hpp"
 #include "src/obs/trace.hpp"
+#include "src/obs/wire.hpp"

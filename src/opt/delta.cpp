@@ -5,14 +5,13 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/obs/wire.hpp"
 #include "src/pdcs/extract.hpp"
 #include "src/util/error.hpp"
-#include "src/util/json_number.hpp"
 
 namespace hipo::opt {
 
@@ -25,35 +24,11 @@ double box_distance(geom::Vec2 p, const geom::BBox& box) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-void validate_device(const model::Device& d, std::size_t num_device_types) {
-  HIPO_REQUIRE(std::isfinite(d.pos.x) && std::isfinite(d.pos.y) &&
-                   std::isfinite(d.orientation),
-               "delta: device position/orientation must be finite");
-  HIPO_REQUIRE(d.type < num_device_types,
-               "delta: device type index out of range");
-  HIPO_REQUIRE(std::isfinite(d.p_th) && d.p_th > 0.0,
-               "delta: device p_th must be positive");
-  HIPO_REQUIRE(std::isfinite(d.weight) && d.weight > 0.0,
-               "delta: device weight must be positive");
-}
-
-/// Scenario's constructor enforces these too, but checking *before* the
-/// config mutation keeps a rejected op from leaving the solver half-mutated.
-void validate_device_position(const model::Scenario::Config& cfg,
-                              geom::Vec2 pos) {
-  HIPO_REQUIRE(cfg.region.contains(pos, geom::kEps),
-               "delta: device outside the region");
-  for (const geom::Polygon& h : cfg.obstacles) {
-    HIPO_REQUIRE(!h.contains_interior(pos),
-                 "delta: device placed inside an obstacle");
-  }
-}
-
 }  // namespace
 
 DeltaSolver::DeltaSolver(model::Scenario::Config config, DeltaOptions options)
     : config_(std::move(config)), options_(options) {
-  rebuild_scenario();
+  scenario_.emplace(model::Scenario::Config(config_));
   per_task_.assign(scenario_->num_devices(), {});
   survived_.assign(scenario_->num_devices(), {});
   // Cold build = "everything invalidated": the same refresh every delta
@@ -61,12 +36,6 @@ DeltaSolver::DeltaSolver(model::Scenario::Config config, DeltaOptions options)
   std::vector<std::uint8_t> affected(scenario_->num_devices(), 1);
   DeltaStats stats;
   refresh(affected, stats);
-}
-
-void DeltaSolver::rebuild_scenario() {
-  // Scenario's constructor consumes its config, so it gets a copy;
-  // config_ stays the mutable source of truth across deltas.
-  scenario_.emplace(model::Scenario::Config(config_));
 }
 
 std::vector<std::uint8_t> DeltaSolver::affected_tasks(
@@ -106,79 +75,66 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
   obs::Span span("delta.apply", static_cast<std::uint64_t>(op.kind));
   DeltaStats stats;
 
-  // 1. Validate + mutate the config, recording the delta's geometry.
+  // 1. Apply the op to a copy of the config and build the next Scenario
+  // from it. The Scenario constructor is the one validator (device fields,
+  // region, obstacle containment, simple finite obstacles); only index
+  // ranges, which a Config cannot express, are checked here. Nothing is
+  // committed until the build succeeds, so a rejected op leaves the solver
+  // untouched.
+  model::Scenario::Config next = config_;
   std::vector<geom::Vec2> points;
   std::vector<geom::BBox> boxes;
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t removed_task = kNone;
+  const auto erase_at = [](auto& v, std::size_t i) {
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+  };
   switch (op.kind) {
-    case DeltaOp::Kind::kAddDevice: {
-      validate_device(op.device, config_.device_types.size());
-      validate_device_position(config_, op.device.pos);
+    case DeltaOp::Kind::kAddDevice:
       points.push_back(op.device.pos);
-      config_.devices.push_back(op.device);
-      per_task_.emplace_back();
-      survived_.emplace_back();
+      next.devices.push_back(op.device);
       break;
-    }
-    case DeltaOp::Kind::kRemoveDevice: {
-      HIPO_REQUIRE(op.index < config_.devices.size(),
+    case DeltaOp::Kind::kRemoveDevice:
+      HIPO_REQUIRE(op.index < next.devices.size(),
                    "delta: remove_device index out of range");
-      points.push_back(config_.devices[op.index].pos);
-      config_.devices.erase(config_.devices.begin() +
-                            static_cast<std::ptrdiff_t>(op.index));
-      per_task_.erase(per_task_.begin() +
-                      static_cast<std::ptrdiff_t>(op.index));
-      survived_.erase(survived_.begin() +
-                      static_cast<std::ptrdiff_t>(op.index));
+      points.push_back(next.devices[op.index].pos);
+      erase_at(next.devices, op.index);
       removed_task = op.index;
       break;
-    }
     case DeltaOp::Kind::kMoveDevice: {
-      HIPO_REQUIRE(op.index < config_.devices.size(),
+      HIPO_REQUIRE(op.index < next.devices.size(),
                    "delta: move_device index out of range");
-      HIPO_REQUIRE(std::isfinite(op.pos.x) && std::isfinite(op.pos.y),
-                   "delta: move_device position must be finite");
-      validate_device_position(config_, op.pos);
-      if (op.has_orientation) {
-        HIPO_REQUIRE(std::isfinite(op.orientation),
-                     "delta: move_device orientation must be finite");
-      }
-      model::Device& d = config_.devices[op.index];
+      model::Device& d = next.devices[op.index];
       points.push_back(d.pos);
       points.push_back(op.pos);
       d.pos = op.pos;
       if (op.has_orientation) d.orientation = op.orientation;
       break;
     }
-    case DeltaOp::Kind::kAddObstacle: {
-      HIPO_REQUIRE(op.obstacle.size() >= 3,
-                   "delta: add_obstacle needs at least 3 vertices");
-      for (const geom::Vec2 v : op.obstacle) {
-        HIPO_REQUIRE(std::isfinite(v.x) && std::isfinite(v.y),
-                     "delta: obstacle vertices must be finite");
-      }
-      geom::Polygon poly(op.obstacle);
-      HIPO_REQUIRE(poly.is_simple(),
-                   "delta: obstacle polygon must be simple");
-      for (const model::Device& d : config_.devices) {
-        HIPO_REQUIRE(!poly.contains_interior(d.pos),
-                     "delta: obstacle would swallow a device");
-      }
-      boxes.push_back(poly.bbox());
-      config_.obstacles.push_back(std::move(poly));
+    case DeltaOp::Kind::kAddObstacle:
+      next.obstacles.emplace_back(op.obstacle);
+      boxes.push_back(next.obstacles.back().bbox());
       break;
-    }
-    case DeltaOp::Kind::kRemoveObstacle: {
-      HIPO_REQUIRE(op.index < config_.obstacles.size(),
+    case DeltaOp::Kind::kRemoveObstacle:
+      HIPO_REQUIRE(op.index < next.obstacles.size(),
                    "delta: remove_obstacle index out of range");
-      boxes.push_back(config_.obstacles[op.index].bbox());
-      config_.obstacles.erase(config_.obstacles.begin() +
-                              static_cast<std::ptrdiff_t>(op.index));
+      boxes.push_back(next.obstacles[op.index].bbox());
+      erase_at(next.obstacles, op.index);
       break;
-    }
   }
-  rebuild_scenario();
+  // Scenario's constructor consumes its config, so it gets a copy; config_
+  // stays the mutable source of truth across deltas.
+  model::Scenario built{model::Scenario::Config(next)};
+  config_ = std::move(next);
+  scenario_.emplace(std::move(built));
+  // The cache slots follow the device list: a removed device's slots go, an
+  // added device gets empty ones at the end.
+  if (removed_task != kNone) {
+    erase_at(per_task_, removed_task);
+    erase_at(survived_, removed_task);
+  }
+  per_task_.resize(config_.devices.size());
+  survived_.resize(config_.devices.size());
 
   // 2. Invalidation set over the *new* device list. A moved/added device is
   // at distance 0 from its own delta point, so its task is always in.
@@ -281,149 +237,41 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
 
 namespace {
 
-/// Minimal JSON-object reader for the one-op-per-line script format. Only
-/// what the schema needs: string values, finite numbers, and the vertices
-/// array of [x, y] pairs. Bounded by the line's length, so an embedded NUL
-/// is a byte like any other (and rejected), not the end of the line.
-class LineParser {
- public:
-  LineParser(std::string_view line, std::size_t line_no)
-      : text_(line), line_no_(line_no) {}
-
-  [[noreturn]] void fail(const std::string& what) const {
-    std::ostringstream os;
-    os << "delta script line " << line_no_ << ": " << what;
-    throw ConfigError(os.str());
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-  void expect(char c) {
-    if (!consume(c)) fail(std::string("expected '") + c + "'");
-  }
-  bool at_end() {
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') fail("escape sequences are not supported");
-      out.push_back(text_[pos_++]);
-    }
-    if (pos_ == text_.size()) fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const util::JsonNumber n = util::read_json_number(text_, pos_);
-    if (n.status == util::JsonNumber::Status::kMalformed) {
-      fail("expected a number");
-    }
-    if (n.status == util::JsonNumber::Status::kNonFinite) {
-      fail("numbers must be finite");
-    }
-    pos_ = n.end;
-    return n.value;
-  }
-
-  std::size_t to_index(double v) const {
-    if (!(v >= 0.0) || v != std::floor(v) || v > 1e15) {
-      fail("expected a non-negative integer");
-    }
-    return static_cast<std::size_t>(v);
-  }
-
-  std::vector<geom::Vec2> parse_vertices() {
-    std::vector<geom::Vec2> out;
-    expect('[');
-    if (consume(']')) return out;
-    do {
-      expect('[');
-      const double x = parse_number();
-      expect(',');
-      const double y = parse_number();
-      expect(']');
-      out.push_back({x, y});
-    } while (consume(','));
-    expect(']');
-    return out;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_no_;
-};
-
-DeltaOp parse_op_line(const std::string& line, std::size_t line_no) {
-  LineParser parser(line, line_no);
-  std::unordered_map<std::string, double> nums;
-  std::string op_name;
-  bool has_op = false;
-  std::vector<geom::Vec2> vertices;
-  bool has_vertices = false;
-
-  parser.expect('{');
-  if (!parser.consume('}')) {
-    do {
-      const std::string key = parser.parse_string();
-      parser.expect(':');
-      if (key == "op") {
-        if (has_op) parser.fail("duplicate key \"op\"");
-        has_op = true;
-        op_name = parser.parse_string();
-      } else if (key == "vertices") {
-        if (has_vertices) parser.fail("duplicate key \"vertices\"");
-        vertices = parser.parse_vertices();
-        has_vertices = true;
-      } else {
-        if (!nums.emplace(key, parser.parse_number()).second) {
-          parser.fail("duplicate key \"" + key + "\"");
-        }
-      }
-    } while (parser.consume(','));
-    parser.expect('}');
-  }
-  if (!parser.at_end()) parser.fail("trailing characters after the object");
-  if (!has_op) parser.fail("missing \"op\"");
+/// Map one parsed script line onto a DeltaOp; ConfigError on a schema
+/// violation (parse_delta_script prefixes the line number).
+DeltaOp op_from_json(const obs::Json& doc) {
+  HIPO_REQUIRE(doc.is_object(), "a delta op must be a JSON object");
+  const obs::Json* op_field = doc.find("op");
+  HIPO_REQUIRE(op_field != nullptr, "missing \"op\"");
+  const std::string& op_name = op_field->as_string();
+  const obs::Json* vertices = doc.find("vertices");
 
   // A typo'd or unknown field silently ignored is a delta that does not do
   // what the script says — reject it, naming the field.
-  const auto require_known = [&](std::initializer_list<const char*> allowed) {
-    for (const auto& kv : nums) {
-      bool known = false;
-      for (const char* a : allowed) known = known || kv.first == a;
-      if (!known) {
-        parser.fail("unknown field \"" + kv.first + "\" for op " + op_name);
-      }
+  const auto require_known = [&](std::initializer_list<std::string_view>
+                                     allowed) {
+    for (const auto& [key, value] : doc.as_object()) {
+      if (key == "op" || key == "vertices") continue;
+      HIPO_REQUIRE(std::find(allowed.begin(), allowed.end(), key) !=
+                       allowed.end(),
+                   "unknown field \"" + key + "\" for op " + op_name);
+      HIPO_REQUIRE(value.is_number(), "\"" + key + "\" must be a number");
     }
   };
-
   const auto num = [&](const char* key) {
-    const auto it = nums.find(key);
-    if (it == nums.end()) {
-      parser.fail(std::string("missing \"") + key + "\" for op " + op_name);
-    }
-    return it->second;
+    const obs::Json* v = doc.find(key);
+    HIPO_REQUIRE(v != nullptr,
+                 std::string("missing \"") + key + "\" for op " + op_name);
+    return v->as_number();
   };
   const auto num_or = [&](const char* key, double fallback) {
-    const auto it = nums.find(key);
-    return it == nums.end() ? fallback : it->second;
+    const obs::Json* v = doc.find(key);
+    return v == nullptr ? fallback : v->as_number();
+  };
+  const auto to_index = [](double v) {
+    HIPO_REQUIRE(v >= 0.0 && v == std::floor(v) && v <= 1e15,
+                 "expected a non-negative integer");
+    return static_cast<std::size_t>(v);
   };
 
   DeltaOp op;
@@ -432,37 +280,38 @@ DeltaOp parse_op_line(const std::string& line, std::size_t line_no) {
     op.kind = DeltaOp::Kind::kAddDevice;
     op.device.pos = {num("x"), num("y")};
     op.device.orientation = num_or("orientation", 0.0);
-    op.device.type = parser.to_index(num_or("type", 0.0));
+    op.device.type = to_index(num_or("type", 0.0));
     op.device.p_th = num_or("p_th", 0.05);
     op.device.weight = num_or("weight", 1.0);
   } else if (op_name == "remove_device") {
     require_known({"index"});
     op.kind = DeltaOp::Kind::kRemoveDevice;
-    op.index = parser.to_index(num("index"));
+    op.index = to_index(num("index"));
   } else if (op_name == "move_device") {
     require_known({"index", "x", "y", "orientation"});
     op.kind = DeltaOp::Kind::kMoveDevice;
-    op.index = parser.to_index(num("index"));
+    op.index = to_index(num("index"));
     op.pos = {num("x"), num("y")};
-    if (nums.count("orientation") != 0) {
-      op.has_orientation = true;
-      op.orientation = nums.at("orientation");
-    }
+    op.has_orientation = doc.find("orientation") != nullptr;
+    op.orientation = num_or("orientation", 0.0);
   } else if (op_name == "add_obstacle") {
     require_known({});
     op.kind = DeltaOp::Kind::kAddObstacle;
-    if (!has_vertices) parser.fail("add_obstacle needs \"vertices\"");
-    op.obstacle = std::move(vertices);
+    HIPO_REQUIRE(vertices != nullptr, "add_obstacle needs \"vertices\"");
+    for (const obs::Json& v : vertices->as_array()) {
+      const auto& xy = v.as_array();
+      HIPO_REQUIRE(xy.size() == 2, "each vertex must be an [x, y] pair");
+      op.obstacle.push_back({xy[0].as_number(), xy[1].as_number()});
+    }
   } else if (op_name == "remove_obstacle") {
     require_known({"index"});
     op.kind = DeltaOp::Kind::kRemoveObstacle;
-    op.index = parser.to_index(num("index"));
+    op.index = to_index(num("index"));
   } else {
-    parser.fail("unknown op \"" + op_name + "\"");
+    throw ConfigError("unknown op \"" + op_name + "\"");
   }
-  if (has_vertices && op.kind != DeltaOp::Kind::kAddObstacle) {
-    parser.fail("\"vertices\" is only valid for add_obstacle");
-  }
+  HIPO_REQUIRE(vertices == nullptr || op.kind == DeltaOp::Kind::kAddObstacle,
+               "\"vertices\" is only valid for add_obstacle");
   return op;
 }
 
@@ -477,7 +326,12 @@ std::vector<DeltaOp> parse_delta_script(const std::string& text) {
     ++line_no;
     const std::size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
-    ops.push_back(parse_op_line(line, line_no));
+    try {
+      ops.push_back(op_from_json(obs::parse_json(line)));
+    } catch (const ConfigError& e) {
+      throw ConfigError("delta script line " + std::to_string(line_no) +
+                        ": " + e.what());
+    }
   }
   return ops;
 }

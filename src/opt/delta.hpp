@@ -4,7 +4,10 @@
 // DeltaSolver holds a solved scenario warm: the per-device extraction
 // outputs, which of their rows survived the global dominance filter, and the
 // flat CSR CoverageMatrix the greedy runs on. A delta — device
-// added/removed/moved, obstacle added/removed — invalidates only the
+// added/removed/moved, obstacle added/removed — is applied to a copy of the
+// config, and the next Scenario is built from that copy; the Scenario
+// constructor is the one validator, and the solver commits only once the
+// build succeeds. The delta then invalidates only the
 // extraction tasks whose geometry the delta can reach (a pdcs::task_reach
 // ≈ 2·d_max disk, see the radius argument in docs/ALGORITHMS.md). Those
 // tasks are re-extracted with extract_all's task loop (pdcs::run_tasks),
@@ -18,6 +21,9 @@
 // solve of the mutated scenario would produce (enforced by the `delta` fuzz
 // oracle and tests/test_delta_solver.cpp). Warmth buys the extraction work
 // back, not an approximation.
+//
+// Delta scripts (parse_delta_script) are JSONL: each op line is one strict
+// RFC 8259 object read by the repo's one JSON parser, obs::parse_json.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +106,12 @@ class DeltaSolver {
   explicit DeltaSolver(model::Scenario::Config config,
                        DeltaOptions options = {});
 
-  /// Apply one mutation: re-extract the invalidated neighborhood, re-pack
-  /// the matrix, re-run greedy. Throws ConfigError on invalid ops (index out of
-  /// range, non-simple obstacle, bad device parameters).
+  /// Apply one mutation: build the next Scenario from a mutated copy of the
+  /// config, then re-extract the invalidated neighborhood, re-pack the
+  /// matrix and re-run greedy. Throws ConfigError on an invalid op — an
+  /// index out of range, or anything the Scenario constructor rejects
+  /// (non-simple or non-finite obstacle, bad device parameters, a device
+  /// outside the region or inside an obstacle) — and then changes nothing.
   DeltaStats apply(const DeltaOp& op);
 
   const model::Scenario& scenario() const { return *scenario_; }
@@ -115,7 +124,6 @@ class DeltaSolver {
   std::size_t num_candidates() const { return matrix_.num_rows(); }
 
  private:
-  void rebuild_scenario();
   /// Re-extract `affected` tasks, re-filter the task table and re-pack the
   /// survivors into the matrix.
   void refresh(const std::vector<std::uint8_t>& affected, DeltaStats& stats);
@@ -125,8 +133,8 @@ class DeltaSolver {
 
   model::Scenario::Config config_;
   DeltaOptions options_;
-  /// Rebuilt from config_ after every mutation (cheap relative to
-  /// extraction); optional only because Scenario has no default state.
+  /// Built from config_ on every mutation (cheap relative to extraction);
+  /// optional only because Scenario has no default state.
   std::optional<model::Scenario> scenario_;
   /// Cached per-device extraction outputs, index-aligned with
   /// config_.devices. Inner vectors move wholesale on device insert/erase,
@@ -141,8 +149,10 @@ class DeltaSolver {
 };
 
 /// Parse a JSONL delta script (one op object per line, schema in
-/// docs/FORMATS.md). Blank lines and lines starting with '#' are skipped.
-/// Throws ConfigError naming the offending line.
+/// docs/FORMATS.md). Blank lines and lines starting with '#' are skipped;
+/// every other line is read by the strict wire parser (obs::parse_json)
+/// and its fields mapped onto a DeltaOp. Throws ConfigError naming the
+/// offending line.
 std::vector<DeltaOp> parse_delta_script(const std::string& text);
 
 /// Read and parse a delta script file; ConfigError on unreadable paths.

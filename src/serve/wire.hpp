@@ -1,114 +1,20 @@
-// Wire layer of hipo::serve: a minimal JSON document model with a strict
-// parser and canonical emitter, plus the length-prefixed frame codec the
-// socket protocol uses (docs/FORMATS.md, "Serve wire protocol").
-//
-// The parser exists because requests are *inputs from another process*:
-// unlike the emit-only obs::json helpers, the daemon must reject malformed
-// bytes with a useful error instead of corrupting state. It is strict JSON
-// (RFC 8259) minus floating exotica: numbers follow the RFC grammar
-// (util::read_json_number, shared with the delta-script reader) and must be
-// finite, and the only escapes produced by the emitter are the ones
-// json_escape writes.
+// Wire layer of hipo::serve: the JSON document model, its strict parser and
+// the frame codec live in hipo_obs (src/obs/wire.hpp) so that layers below
+// the daemon — the shard runner, the delta-script reader — share the one
+// implementation. These declarations keep the serve-side spellings
+// (serve::Json, serve::parse_json, serve::write_frame_fd, ...).
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "src/util/error.hpp"
+#include "src/obs/wire.hpp"
 
 namespace hipo::serve {
 
-/// A parsed JSON value. Objects keep insertion order out of the picture by
-/// using a sorted map — requests are keyed lookups, never ordered scans.
-class Json {
- public:
-  enum class Type : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kArray,
-    kObject
-  };
-
-  Json() = default;
-  static Json null() { return Json(); }
-  static Json boolean(bool b);
-  static Json number(double v);
-  static Json string(std::string s);
-  static Json array();
-  static Json object();
-
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_bool() const { return type_ == Type::kBool; }
-
-  /// Typed accessors; ConfigError on type mismatch.
-  bool as_bool() const;
-  double as_number() const;
-  const std::string& as_string() const;
-  const std::vector<Json>& as_array() const;
-  const std::map<std::string, Json>& as_object() const;
-
-  /// Object member or nullptr.
-  const Json* find(std::string_view key) const;
-
-  // --- builders ---------------------------------------------------------
-  Json& set(std::string key, Json value);  // object only
-  Json& push(Json value);                  // array only
-
-  /// Canonical single-line emission (object keys sorted, doubles via
-  /// obs::json_double semantics: 17 significant digits, non-finite -> null).
-  std::string dump() const;
-
- private:
-  void dump_to(std::string& out) const;
-
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  std::vector<Json> arr_;
-  std::map<std::string, Json> obj_;
-};
-
-/// Strict parse of a complete JSON document. ConfigError (with byte offset)
-/// on malformed input, trailing garbage, duplicate object keys, or
-/// non-finite numbers.
-Json parse_json(std::string_view text);
-
-// --- framing -------------------------------------------------------------
-
-/// Frame header: a 4-byte big-endian payload length. Kept tiny and explicit
-/// so any client (python's struct.pack(">I"), netcat + xxd) can speak it.
-constexpr std::size_t kFrameHeaderBytes = 4;
-
-/// Encode a payload length into the 4-byte header.
-void encode_frame_header(std::size_t payload_bytes, unsigned char out[4]);
-
-/// Decode the header; ConfigError when the length exceeds `max_bytes`
-/// (over-long frames are an attack/bug, not a request to buffer).
-std::size_t decode_frame_header(const unsigned char in[4],
-                                std::size_t max_bytes);
-
-/// Write one length-prefixed frame to a file descriptor. Works on any
-/// byte-stream fd — the daemon's sockets and the shard runner's worker
-/// pipes share this one implementation. Retries EINTR; ConfigError on
-/// write failure, including a socket peer that has gone (never SIGPIPE on
-/// a socket).
-void write_frame_fd(int fd, std::string_view payload);
-
-/// Read one frame from a file descriptor into `out`; false on clean EOF at
-/// a frame boundary (before any header byte), ConfigError on mid-frame EOF,
-/// an over-`max_bytes` header, or a read error.
-bool read_frame_fd(int fd, std::size_t max_bytes, std::string& out);
+using obs::decode_frame_header;
+using obs::encode_frame_header;
+using obs::Json;
+using obs::kFrameHeaderBytes;
+using obs::parse_json;
+using obs::read_frame_fd;
+using obs::write_frame_fd;
 
 }  // namespace hipo::serve

@@ -30,7 +30,7 @@ constexpr std::size_t kRowsPerFrame = 4096;
 
 /// `v` as an index below `bound`. The range and integrality checks precede
 /// the cast, so negative, NaN or huge doubles never reach it.
-std::size_t as_index(const serve::Json& v, std::size_t bound,
+std::size_t as_index(const obs::Json& v, std::size_t bound,
                      const char* what) {
   const double d = v.as_number();
   HIPO_REQUIRE(d >= 0.0 && d < static_cast<double>(bound) &&
@@ -40,43 +40,43 @@ std::size_t as_index(const serve::Json& v, std::size_t bound,
   return static_cast<std::size_t>(d);
 }
 
-std::size_t as_count(const serve::Json& v, const char* what) {
+std::size_t as_count(const obs::Json& v, const char* what) {
   return as_index(v, std::numeric_limits<std::size_t>::max(), what);
 }
 
-serve::Json row_json(std::size_t task, const pdcs::Candidate& c) {
-  serve::Json r = serve::Json::array();
-  r.push(serve::Json::number(static_cast<double>(task)));
-  r.push(serve::Json::number(static_cast<double>(c.strategy.type)));
-  r.push(serve::Json::number(c.strategy.pos.x));
-  r.push(serve::Json::number(c.strategy.pos.y));
-  r.push(serve::Json::number(c.strategy.orientation));
-  serve::Json cov = serve::Json::array();
+obs::Json row_json(std::size_t task, const pdcs::Candidate& c) {
+  obs::Json r = obs::Json::array();
+  r.push(obs::Json::number(static_cast<double>(task)));
+  r.push(obs::Json::number(static_cast<double>(c.strategy.type)));
+  r.push(obs::Json::number(c.strategy.pos.x));
+  r.push(obs::Json::number(c.strategy.pos.y));
+  r.push(obs::Json::number(c.strategy.orientation));
+  obs::Json cov = obs::Json::array();
   for (std::size_t j : c.covered) {
-    cov.push(serve::Json::number(static_cast<double>(j)));
+    cov.push(obs::Json::number(static_cast<double>(j)));
   }
-  serve::Json pow = serve::Json::array();
-  for (double p : c.powers) pow.push(serve::Json::number(p));
+  obs::Json pow = obs::Json::array();
+  for (double p : c.powers) pow.push(obs::Json::number(p));
   r.push(std::move(cov));
   r.push(std::move(pow));
   return r;
 }
 
-serve::Json stats_json(const ShardStats& st) {
-  serve::Json s = serve::Json::object();
-  s.set("seconds", serve::Json::number(st.seconds));
-  s.set("rows", serve::Json::number(static_cast<double>(st.rows)));
+obs::Json stats_json(const ShardStats& st) {
+  obs::Json s = obs::Json::object();
+  s.set("seconds", obs::Json::number(st.seconds));
+  s.set("rows", obs::Json::number(static_cast<double>(st.rows)));
   s.set("peak_bytes",
-        serve::Json::number(static_cast<double>(st.peak_bytes)));
-  serve::Json ts = serve::Json::array();
-  for (double t : st.task_seconds) ts.push(serve::Json::number(t));
+        obs::Json::number(static_cast<double>(st.peak_bytes)));
+  obs::Json ts = obs::Json::array();
+  for (double t : st.task_seconds) ts.push(obs::Json::number(t));
   s.set("task_seconds", std::move(ts));
   return s;
 }
 
-void parse_stats(const serve::Json& s, ShardStats& st) {
-  const auto field = [&](const char* key) -> const serve::Json& {
-    const serve::Json* v = s.find(key);
+void parse_stats(const obs::Json& s, ShardStats& st) {
+  const auto field = [&](const char* key) -> const obs::Json& {
+    const obs::Json* v = s.find(key);
     HIPO_REQUIRE(v != nullptr,
                  std::string("shard stats frame: missing ") + key);
     return *v;
@@ -103,16 +103,16 @@ void parse_stats(const serve::Json& s, ShardStats& st) {
       const ShardStats st =
           extract_shard(scenario, plan, k, opt.extract,
                         opt.mem_ceiling_bytes, per_task, /*pool=*/nullptr);
-      serve::Json rows = serve::Json::array();
+      obs::Json rows = obs::Json::array();
       std::size_t in_frame = 0;
       const auto flush = [&]() {
         if (in_frame == 0) return;
-        serve::Json frame = serve::Json::object();
+        obs::Json frame = obs::Json::object();
         frame.set("shard",
-                  serve::Json::number(static_cast<double>(k)));
+                  obs::Json::number(static_cast<double>(k)));
         frame.set("rows", std::move(rows));
-        serve::write_frame_fd(fd, frame.dump());
-        rows = serve::Json::array();
+        obs::write_frame_fd(fd, frame.dump());
+        rows = obs::Json::array();
         in_frame = 0;
       };
       for (std::size_t i : plan.shard(k).owned) {
@@ -123,18 +123,18 @@ void parse_stats(const serve::Json& s, ShardStats& st) {
         per_task[i] = {};
       }
       flush();
-      serve::Json frame = serve::Json::object();
-      frame.set("shard", serve::Json::number(static_cast<double>(k)));
+      obs::Json frame = obs::Json::object();
+      frame.set("shard", obs::Json::number(static_cast<double>(k)));
       frame.set("stats", stats_json(st));
-      serve::write_frame_fd(fd, frame.dump());
+      obs::write_frame_fd(fd, frame.dump());
     }
     ::close(fd);
     ::_exit(0);
   } catch (const std::exception& e) {
     try {
-      serve::Json frame = serve::Json::object();
-      frame.set("error", serve::Json::string(e.what()));
-      serve::write_frame_fd(fd, frame.dump());
+      obs::Json frame = obs::Json::object();
+      frame.set("error", obs::Json::string(e.what()));
+      obs::write_frame_fd(fd, frame.dump());
     } catch (...) {
     }
     ::close(fd);
@@ -148,19 +148,19 @@ void decode_frame(std::string_view payload, std::size_t worker,
                   std::size_t procs, const model::Scenario& scenario,
                   const ShardPlan& plan, PerTask& per_task,
                   std::vector<ShardStats>& stats) {
-  const serve::Json frame = serve::parse_json(payload);
-  if (const serve::Json* err = frame.find("error")) {
+  const obs::Json frame = obs::parse_json(payload);
+  if (const obs::Json* err = frame.find("error")) {
     throw ConfigError(err->as_string());
   }
-  const serve::Json* shard_v = frame.find("shard");
+  const obs::Json* shard_v = frame.find("shard");
   HIPO_REQUIRE(shard_v != nullptr, "shard frame: missing shard id");
   const std::size_t k = as_index(*shard_v, plan.num_shards(), "shard id");
   HIPO_REQUIRE(k % procs == worker,
                "shard frame: shard " + std::to_string(k) +
                    " is not assigned to this worker");
-  if (const serve::Json* rows = frame.find("rows")) {
+  if (const obs::Json* rows = frame.find("rows")) {
     decode_rows(*rows, k, scenario, plan, per_task);
-  } else if (const serve::Json* st = frame.find("stats")) {
+  } else if (const obs::Json* st = frame.find("stats")) {
     parse_stats(*st, stats[k]);
   }
 }
@@ -232,7 +232,7 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
       }
       if (w == workers.size()) continue;
       try {
-        if (serve::read_frame_fd(workers[w].fd, kMaxFrameBytes, payload)) {
+        if (obs::read_frame_fd(workers[w].fd, kMaxFrameBytes, payload)) {
           decode_frame(payload, w, procs, scenario, plan, per_task, stats);
           continue;
         }
@@ -267,13 +267,13 @@ void run_processes(const model::Scenario& scenario, const ShardPlan& plan,
 
 }  // namespace
 
-void decode_rows(const serve::Json& rows, std::size_t shard_id,
+void decode_rows(const obs::Json& rows, std::size_t shard_id,
                  const model::Scenario& scenario, const ShardPlan& plan,
                  PerTask& per_task) {
   const std::size_t n = scenario.num_devices();
   HIPO_REQUIRE(per_task.size() == n,
                "shard row frame: per-task table needs one slot per device");
-  for (const serve::Json& r : rows.as_array()) {
+  for (const obs::Json& r : rows.as_array()) {
     const auto& a = r.as_array();
     HIPO_REQUIRE(a.size() == 7, "shard row frame: malformed row");
     const std::size_t task = as_index(a[0], n, "row task");

@@ -12,23 +12,24 @@
 //
 // Processes. Workers are forked (no exec): copy-on-write shares the parsed
 // scenario, each child extracts its assigned shards single-threaded and
-// streams rows back over a pipe as length-prefixed JSON frames (the serve
-// wire layer; doubles round-trip exactly at 17 significant digits). Frames
-// on one pipe arrive in order, so each task slot fills in task output
-// order. The parent multiplexes pipes with poll(), so a worker blocked on a
-// full pipe never stalls the others, and validates every decoded field
-// before it indexes anything. Children _exit(). The first failure — a
-// child's {"error": ...} frame or a frame the parent cannot decode — closes
-// every pipe, reaps every child, and rethrows in the parent as ConfigError.
+// streams rows back over a pipe as length-prefixed JSON frames (the frame
+// codec of obs/wire.hpp, which the serve daemon shares; doubles round-trip
+// exactly at 17 significant digits). Frames on one pipe arrive in order, so
+// each task slot fills in task output order. The parent multiplexes pipes
+// with poll(), so a worker blocked on a full pipe never stalls the others,
+// and validates every decoded field before it indexes anything. Children
+// _exit(). The first failure — a child's {"error": ...} frame or a frame
+// the parent cannot decode — closes every pipe, reaps every child, and
+// rethrows in the parent as ConfigError.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "src/model/scenario.hpp"
+#include "src/obs/wire.hpp"
 #include "src/parallel/thread_pool.hpp"
 #include "src/pdcs/extract.hpp"
-#include "src/serve/wire.hpp"
 #include "src/shard/extract.hpp"
 #include "src/shard/plan.hpp"
 
@@ -38,7 +39,10 @@ struct RunnerOptions {
   /// Shard-grid cell count (1 degenerates to a single global shard).
   std::size_t shards = 1;
   /// Forked worker processes; 0 runs every shard in-process. Capped at the
-  /// shard count.
+  /// shard count. Precondition when > 0: the calling process has no live
+  /// thread-pool workers (fork copies only the calling thread, and a child
+  /// can block forever on a lock a pool worker held at the fork). Start
+  /// pools after extract_sharded returns, as hipo_shard does.
   std::size_t processes = 0;
   pdcs::ExtractOptions extract;
   /// Per-shard ceiling on retained-row bytes (shard::retained_bytes); 0
@@ -76,7 +80,7 @@ pdcs::ExtractionResult extract_sharded(const model::Scenario& scenario,
 /// integer < n owned by the shard, the type an integer < the charger type
 /// count, the covered ids integers < n strictly ascending, with as many
 /// powers, all finite. ConfigError on any violation. Exposed for tests.
-void decode_rows(const serve::Json& rows, std::size_t shard_id,
+void decode_rows(const obs::Json& rows, std::size_t shard_id,
                  const model::Scenario& scenario, const ShardPlan& plan,
                  std::vector<std::vector<pdcs::Candidate>>& per_task);
 

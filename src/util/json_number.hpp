@@ -1,5 +1,5 @@
-// The RFC 8259 number grammar, shared by the repo's two JSON readers
-// (serve::parse_json and the delta-script line parser):
+// The RFC 8259 number grammar of the repo's JSON reader (obs::parse_json,
+// which also reads delta-script lines):
 //
 //   number = [ "-" ] int [ frac ] [ exp ]
 //   int    = "0" / ( %x31-39 *DIGIT )

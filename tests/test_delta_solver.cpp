@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -357,6 +358,21 @@ TEST(DeltaSolver, InvalidOpsThrowAndLeaveTheSolverUsable) {
   bad_device.device.p_th = 0.05;
   bad_device.device.type = 9;
   EXPECT_THROW(delta.apply(bad_device), ConfigError);
+  opt::DeltaOp nan_turn = move_device_op(0, {11.0, 10.0});
+  nan_turn.has_orientation = true;
+  nan_turn.orientation = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(delta.apply(nan_turn), ConfigError);
+  // Bow-tie (nonzero area, self-crossing) and an obstacle with an infinite
+  // vertex: both construct as polygons and only the scenario rejects them.
+  EXPECT_THROW(
+      delta.apply(add_obstacle_op({{1.0, 1.0}, {4.0, 2.0}, {3.0, 1.0},
+                                   {1.0, 3.0}})),
+      ConfigError);
+  EXPECT_THROW(delta.apply(add_obstacle_op(
+                   {{0.0, -1.0},
+                    {std::numeric_limits<double>::infinity(), 0.0},
+                    {0.0, 1.0}})),
+               ConfigError);
 
   // The rejected ops mutated nothing: the solver still matches cold.
   expect_matches_cold(delta, "after rejected ops");
@@ -376,9 +392,11 @@ TEST(DeltaScript, ParsesEveryOpKindWithDefaults) {
       "{\"op\":\"move_device\",\"index\":0,\"x\":1,\"y\":1,"
       "\"orientation\":2.5}\n"
       "{\"op\":\"add_obstacle\",\"vertices\":[[0,0],[2,0],[1,2]]}\n"
-      "{\"op\":\"remove_obstacle\",\"index\":0}\n";
+      "{\"op\":\"remove_obstacle\",\"index\":0}\n"
+      // Lines are JSON documents, so string escapes decode.
+      "{\"op\":\"remove_\\u0064evice\",\"\\u0069ndex\":2}\n";
   const auto ops = opt::parse_delta_script(text);
-  ASSERT_EQ(ops.size(), 7u);
+  ASSERT_EQ(ops.size(), 8u);
 
   EXPECT_EQ(ops[0].kind, opt::DeltaOp::Kind::kAddDevice);
   EXPECT_EQ(bits(ops[0].device.pos.x), bits(1.5));
@@ -408,6 +426,9 @@ TEST(DeltaScript, ParsesEveryOpKindWithDefaults) {
 
   EXPECT_EQ(ops[6].kind, opt::DeltaOp::Kind::kRemoveObstacle);
   EXPECT_EQ(ops[6].index, 0u);
+
+  EXPECT_EQ(ops[7].kind, opt::DeltaOp::Kind::kRemoveDevice);
+  EXPECT_EQ(ops[7].index, 2u);
 }
 
 TEST(DeltaScript, RejectsMalformedLinesNamingThem) {
@@ -431,19 +452,23 @@ TEST(DeltaScript, RejectsMalformedLinesNamingThem) {
   expect_fails("{\"op\":\"remove_device\",\"index\":1.5}",
                "non-negative integer");
   expect_fails("{\"op\":\"remove_device\",\"index\":1} trailing", "trailing");
-  expect_fails("{\"op\":\"add_device\",\"x\":nope,\"y\":2}", "number");
+  expect_fails("{\"op\":\"add_device\",\"x\":nope,\"y\":2}",
+               "invalid literal");
   expect_fails("{\"op\":\"add_device\",\"x\":1,\"x\":2,\"y\":3}",
                "duplicate key");
   expect_fails("{\"op\":\"add_obstacle\"}", "vertices");
   expect_fails("{\"op\":\"add_device\",\"x\":1e999,\"y\":0}", "finite");
   // RFC 8259 numbers only: no hex, no leading '+', no empty fraction, no
-  // hex float, no leading zero, no bare fraction.
+  // hex float, no leading zero, no bare fraction. A token that cannot start
+  // a number ('+', '.') is "expected a value" to the wire parser.
   expect_fails("{\"op\":\"remove_device\",\"index\":0x10}", "number");
-  expect_fails("{\"op\":\"remove_device\",\"index\":+2}", "number");
+  expect_fails("{\"op\":\"remove_device\",\"index\":+2}",
+               "expected a value");
   expect_fails("{\"op\":\"remove_device\",\"index\":2.}", "number");
   expect_fails("{\"op\":\"add_device\",\"x\":0x1p4,\"y\":0}", "number");
   expect_fails("{\"op\":\"remove_device\",\"index\":01}", "number");
-  expect_fails("{\"op\":\"add_device\",\"x\":.5,\"y\":0}", "number");
+  expect_fails("{\"op\":\"add_device\",\"x\":.5,\"y\":0}",
+               "expected a value");
   // An embedded NUL does not end the line.
   expect_fails(std::string("{\"op\":\"remove_device\",\"index\":3}") +
                    '\0' + "junk",
@@ -463,6 +488,17 @@ TEST(DeltaScript, RejectsMalformedLinesNamingThem) {
       "{\"op\":\"move_device\",\"index\":0,\"x\":1,\"y\":2,"
       "\"vertices\":[[0,0],[1,0],[0,1]]}",
       "only valid for add_obstacle");
+  expect_fails("{\"op\":7,\"index\":0}", "expected string");
+  expect_fails("{\"op\":\"remove_device\",\"index\":\"0\"}",
+               "\"index\" must be a number");
+  expect_fails("{\"op\":\"add_obstacle\",\"vertices\":[[0,0],[1,0],[0]]}",
+               "[x, y] pair");
+  expect_fails("[{\"op\":\"remove_device\",\"index\":0}]",
+               "must be a JSON object");
+  // Nesting is bounded: a deep line is an error, not a stack overflow.
+  expect_fails("{\"op\":\"add_obstacle\",\"vertices\":" +
+                   std::string(std::size_t{1} << 20, '['),
+               "nesting");
 }
 
 TEST(DeltaScript, ErrorsCarryTheOneBasedLineNumber) {

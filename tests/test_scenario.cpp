@@ -49,6 +49,42 @@ TEST(ScenarioConfig, RejectsDeviceOutsideRegion) {
   EXPECT_THROW(Scenario(std::move(cfg)), hipo::ConfigError);
 }
 
+TEST(ScenarioConfig, RejectsNonFiniteFieldsAndNonSimpleObstacles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto base = [] {
+    auto cfg = test::simple_config();
+    cfg.devices = {test::device_at(10, 10)};
+    return cfg;
+  };
+  EXPECT_NO_THROW(Scenario{base()});
+  const auto expect_rejects = [&](const char* what, auto mutate) {
+    auto cfg = base();
+    mutate(cfg);
+    EXPECT_THROW(Scenario(std::move(cfg)), hipo::ConfigError) << what;
+  };
+  expect_rejects("NaN orientation",
+                 [&](Scenario::Config& c) { c.devices[0].orientation = nan; });
+  expect_rejects("+inf orientation",
+                 [&](Scenario::Config& c) { c.devices[0].orientation = inf; });
+  expect_rejects("-inf orientation", [&](Scenario::Config& c) {
+    c.devices[0].orientation = -inf;
+  });
+  expect_rejects("inf p_th",
+                 [&](Scenario::Config& c) { c.devices[0].p_th = inf; });
+  expect_rejects("inf weight",
+                 [&](Scenario::Config& c) { c.devices[0].weight = inf; });
+  // The infinite vertex leaves the shoelace area +inf, so the polygon
+  // itself constructs; only the scenario can reject it.
+  expect_rejects("non-finite obstacle vertex", [&](Scenario::Config& c) {
+    c.obstacles = {geom::Polygon({{0, -1}, {inf, 0}, {0, 1}})};
+  });
+  // Asymmetric bow-tie: nonzero area, edges 0 and 2 cross.
+  expect_rejects("bow-tie obstacle", [&](Scenario::Config& c) {
+    c.obstacles = {geom::Polygon({{1, 1}, {4, 2}, {3, 1}, {1, 3}})};
+  });
+}
+
 TEST(Scenario, NumChargers) {
   const auto s = test::simple_scenario();
   EXPECT_EQ(s.num_chargers(), 2u);

@@ -82,6 +82,34 @@ TEST(WireJson, RejectsMalformedDocumentsWithByteOffsets) {
   expect_fails("tru");
 }
 
+TEST(WireJson, NestingIsBoundedNotAStackOverflow) {
+  // Exactly kMaxJsonDepth levels parse; one more is rejected.
+  const std::size_t max = obs::kMaxJsonDepth;
+  EXPECT_NO_THROW(
+      serve::parse_json(std::string(max, '[') + std::string(max, ']')));
+  EXPECT_THROW(serve::parse_json(std::string(max + 1, '[') +
+                                 std::string(max + 1, ']')),
+               ConfigError);
+  // A million levels would overflow a recursive descent's stack; the bound
+  // turns them into an ordinary error with a byte offset.
+  const auto expect_bounded = [](const std::string& text) {
+    try {
+      serve::parse_json(text);
+      ADD_FAILURE() << "accepted " << text.size() << " nested bytes";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("byte"), std::string::npos) << what;
+      EXPECT_NE(what.find("nesting"), std::string::npos) << what;
+    }
+  };
+  constexpr std::size_t kDeep = 1'000'000;
+  expect_bounded(std::string(kDeep, '['));
+  std::string objects;
+  objects.reserve(kDeep * 5);
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  expect_bounded(objects);
+}
+
 TEST(WireJson, DumpIsCanonicalAndRoundTrips) {
   serve::Json doc = serve::Json::object();
   doc.set("zeta", serve::Json::number(1.0));
@@ -431,6 +459,26 @@ TEST_F(ServiceTest, MalformedRequestsGetErrorResponsesNotThrows) {
       call("{\"id\":\"req-7\",\"type\":\"frobnicate\"}");
   EXPECT_EQ(resp.find("id")->as_string(), "req-7");
   EXPECT_GE(service_->stats().errors, 6u);
+}
+
+TEST_F(ServiceTest, DeeplyNestedFrameIsABadRequestAndServingGoesOn) {
+  // A 1 MiB run of '[' would overflow an unbounded recursive parser's
+  // stack on a connection thread; it must be one bad_request like any
+  // other, and the service must go on serving.
+  const serve::Json deep = call(std::string(std::size_t{1} << 20, '['));
+  EXPECT_EQ(deep.find("error")->as_string(), "bad_request");
+  EXPECT_NE(deep.find("message")->as_string().find("nesting"),
+            std::string::npos);
+
+  serve::Json solve = serve::Json::object();
+  solve.set("type", serve::Json::string("solve"));
+  solve.set("scenario",
+            serve::Json::string(scenario_text(test::simple_scenario())));
+  core::SolveOptions copts;
+  copts.pool = &pool_;
+  EXPECT_EQ(call_ok(solve.dump()).find("placement_text")->as_string(),
+            placement_bytes(core::solve(test::simple_scenario(), copts)
+                                .placement));
 }
 
 TEST_F(ServiceTest, StatsCountsRequestsAndCacheTraffic) {

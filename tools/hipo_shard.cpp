@@ -10,7 +10,8 @@
 //              [--demo paper|field] [--seed N]
 //              [--shards N]         (spatial shards; 1 = degenerate grid)
 //              [--procs N]          (forked worker processes; 0 = in-process)
-//              [--threads N]        (in-process pool; ignored with --procs)
+//              [--threads N]        (worker pool: in-process shards,
+//                                    greedy, --verify)
 //              [--mem-ceiling-mb N] (per-shard ceiling on retained-row
 //                                    bytes; over it the run fails; 0 = off)
 //              [--greedy lazy|global|per-type]
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "src/hipo.hpp"
 
@@ -83,8 +85,12 @@ int main(int argc, char** argv) {
 
     const int threads = cli.get_or("threads", 0);
     HIPO_REQUIRE(threads >= 0, "--threads must be >= 0 (0 = hardware)");
-    parallel::ThreadPool pool(static_cast<std::size_t>(threads));
-    if (opt.processes == 0) opt.pool = &pool;
+    // Forking with live pool workers can deadlock the child, so with
+    // --procs the pool starts only after extract_sharded has forked and
+    // reaped its workers; greedy and --verify use it either way.
+    const auto pool_threads = static_cast<std::size_t>(threads);
+    std::optional<parallel::ThreadPool> pool;
+    if (opt.processes == 0) opt.pool = &pool.emplace(pool_threads);
 
     const auto greedy_mode = opt::parse_greedy_mode(
         cli.get_or("greedy", std::string("lazy")));
@@ -97,11 +103,12 @@ int main(int argc, char** argv) {
     obs::Stopwatch extract_watch;
     const auto extraction = shard::extract_sharded(scenario, opt, &stats);
     const double extract_seconds = extract_watch.seconds();
+    if (!pool) pool.emplace(pool_threads);
 
     obs::Stopwatch greedy_watch;
     const auto greedy =
         opt::select_strategies(scenario, extraction.candidates, greedy_mode,
-                               opt::ObjectiveKind::kUtility, &pool);
+                               opt::ObjectiveKind::kUtility, &*pool);
     const double greedy_seconds = greedy_watch.seconds();
     scenario.validate_placement(greedy.placement);
 
@@ -132,13 +139,13 @@ int main(int argc, char** argv) {
     }
 
     if (verify) {
-      const auto reference = pdcs::extract_all(scenario, opt.extract, &pool);
+      const auto reference = pdcs::extract_all(scenario, opt.extract, &*pool);
       HIPO_ASSERT_MSG(same_candidates(reference, extraction),
                       "--verify: sharded candidate pool diverged from "
                       "single-process extract_all");
       const auto ref_greedy =
           opt::select_strategies(scenario, reference.candidates, greedy_mode,
-                                 opt::ObjectiveKind::kUtility, &pool);
+                                 opt::ObjectiveKind::kUtility, &*pool);
       HIPO_ASSERT_MSG(
           ref_greedy.placement.size() == greedy.placement.size() &&
               std::memcmp(ref_greedy.placement.data(), greedy.placement.data(),
