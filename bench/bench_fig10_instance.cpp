@@ -79,10 +79,13 @@ int main(int argc, char** argv) {
     for (double u : per_dev) charged += u > 0.0 ? 1 : 0;
     std::string example = "-";
     if (!placement.empty()) {
-      example = "(" + format_double(placement[0].pos.x, 1) + ", " +
-                format_double(placement[0].pos.y, 1) + ", " +
-                format_double(placement[0].orientation * 180.0 / geom::kPi, 0) +
-                ")";
+      // Appended, not `"(" + ...`: GCC 12 at -O3 reports a false -Wrestrict
+      // overlap when a literal is prepended to a temporary string.
+      const auto& s = placement[0];
+      example = "(";
+      example += format_double(s.pos.x, 1) + ", " +
+                 format_double(s.pos.y, 1) + ", " +
+                 format_double(s.orientation * 180.0 / geom::kPi, 0) + ")";
     }
     placements.row()
         .add(alg.name)

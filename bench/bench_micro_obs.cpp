@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the observability layer itself:
 // counter/span cost with metrics and tracing disabled (the cost every
-// instrumented hot-path site pays in a production run) and enabled.
+// instrumented hot-path site pays in a production run) and enabled, one
+// request-log record, and one metrics document.
 //
 // `--json[=PATH]` switches to a self-timed overhead run: the extract+greedy
 // pipeline executes with observability off, with metrics on, with
@@ -84,15 +85,16 @@ void BM_LogWrite(benchmark::State& state) {
   obs::log::Logger logger("/dev/null");
   std::uint64_t i = 0;
   for (auto _ : state) {
-    obs::log::Record rec;
-    rec.str("event", "request")
-        .str("request_id", "r1")
-        .str("type", "solve")
-        .boolean("ok", true)
-        .num("seconds", 0.001)
-        .u64("bytes_in", ++i);
-    benchmark::DoNotOptimize(logger.write(obs::log::Level::kInfo,
-                                          std::move(rec)));
+    obs::Json rec = obs::Json::object();
+    rec.set("event", obs::Json::string("request"))
+        .set("request_id", obs::Json::string("r1"))
+        .set("type", obs::Json::string("solve"))
+        .set("ok", obs::Json::boolean(true))
+        .set("seconds", obs::Json::number(0.001))
+        .set("bytes_in", obs::Json::number(++i));
+    obs::log::stamp(rec, obs::log::Level::kInfo);
+    benchmark::DoNotOptimize(
+        logger.write_line(obs::log::Level::kInfo, rec.dump()));
   }
   logger.flush();
 }
@@ -121,6 +123,20 @@ double run_pipeline(const model::Scenario& scenario) {
       opt::ObjectiveKind::kUtility, nullptr);
   return greedy.exact_utility;
 }
+
+void BM_MetricsJson(benchmark::State& state) {
+  // One metrics document (the `metrics` scrape and --metrics-json body)
+  // over the registry an extract+greedy pass leaves behind.
+  obs::set_metrics_enabled(true);
+  Rng rng(42);
+  run_pipeline(model::make_paper_scenario(model::GenOptions{}, rng));
+  obs::set_metrics_enabled(false);
+  const auto snapshot = obs::metrics_snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::metrics_json(snapshot).dump());
+  }
+}
+BENCHMARK(BM_MetricsJson);
 
 struct Config {
   const char* name;
@@ -161,15 +177,17 @@ int run_overhead(const std::string& out_path, int mult, int reps) {
       if (kConfigs[c].log) {
         // The serve request path emits exactly one record per request;
         // emit the same shape here so "log" measures that cost.
-        obs::log::Record rec;
-        rec.str("event", "request")
-            .str("request_id", "r" + std::to_string(rep))
-            .str("type", "solve")
-            .str("admission", "admitted")
-            .boolean("ok", true)
-            .num("seconds", timer.seconds())
-            .num("utility", utility[c]);
-        logger.write(obs::log::Level::kInfo, std::move(rec));
+        obs::Json rec = obs::Json::object();
+        rec.set("event", obs::Json::string("request"))
+            .set("request_id",
+                 obs::Json::string(std::to_string(rep).insert(0, 1, 'r')))
+            .set("type", obs::Json::string("solve"))
+            .set("admission", obs::Json::string("admitted"))
+            .set("ok", obs::Json::boolean(true))
+            .set("seconds", obs::Json::number(timer.seconds()))
+            .set("utility", obs::Json::number(utility[c]));
+        obs::log::stamp(rec, obs::log::Level::kInfo);
+        logger.write_line(obs::log::Level::kInfo, rec.dump());
       }
       const double elapsed = timer.seconds();
       if (rep == 0 || elapsed < seconds[c]) seconds[c] = elapsed;
@@ -226,7 +244,7 @@ int run_overhead(const std::string& out_path, int mult, int reps) {
   }
   json << "  ],\n  \"utilities_identical\": true,\n  \"peak_rss_bytes\": "
        << obs::peak_rss_bytes() << ",\n  \"metrics\": "
-       << obs::metrics_json(snapshot) << "\n}\n";
+       << obs::metrics_json(snapshot).dump() << "\n}\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

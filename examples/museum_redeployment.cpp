@@ -83,15 +83,20 @@ int main(int argc, char** argv) {
 
   std::cout << "\nMin-max transfer plan:\n";
   Table plan({"charger", "from (x,y)", "to (x,y)", "cost"});
+  // Not `"(" + ...`: GCC 12 at -O3 reports a false -Wrestrict overlap when
+  // a literal is prepended to a temporary string.
+  const auto xy = [](geom::Vec2 p) {
+    std::string s = "(";
+    s += format_double(p.x, 1) + ", " + format_double(p.y, 1) + ")";
+    return s;
+  };
   for (std::size_t i = 0; i < plan_before.placement.size(); ++i) {
     const auto& from = plan_before.placement[i];
     const auto& to = plan_after.placement[min_max.to_of[i]];
     plan.row()
         .add(std::to_string(i + 1))
-        .add("(" + format_double(from.pos.x, 1) + ", " +
-             format_double(from.pos.y, 1) + ")")
-        .add("(" + format_double(to.pos.x, 1) + ", " +
-             format_double(to.pos.y, 1) + ")")
+        .add(xy(from.pos))
+        .add(xy(to.pos))
         .add(cost.cost(from, to), 3);
   }
   plan.print(std::cout);

@@ -41,7 +41,11 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::string fmt(Vec2 v) { return "(" + fmt(v.x) + ", " + fmt(v.y) + ")"; }
+std::string fmt(Vec2 v) {
+  char buf[80];
+  std::snprintf(buf, sizeof(buf), "(%.17g, %.17g)", v.x, v.y);
+  return buf;
+}
 
 std::optional<Violation> fail(const char* oracle, const std::string& detail) {
   return Violation{oracle, detail};

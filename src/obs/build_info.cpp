@@ -2,8 +2,6 @@
 
 #include <thread>
 
-#include "src/obs/json.hpp"
-
 // Stamped by src/obs/CMakeLists.txt at configure time; the fallbacks keep
 // non-CMake builds (tooling, IDE single-file checks) compiling.
 #ifndef HIPO_GIT_DESCRIBE
@@ -46,17 +44,19 @@ const BuildInfo& build_info() {
   return info;
 }
 
-std::string build_info_json() {
+Json build_info_object() {
   const BuildInfo& b = build_info();
-  std::string out = "{\"git\":\"" + json_escape(b.git_describe) +
-                    "\",\"compiler\":\"" + json_escape(b.compiler) +
-                    "\",\"build_type\":\"" + json_escape(b.build_type) +
-                    "\",\"cxx_flags\":\"" + json_escape(b.cxx_flags) +
-                    "\",\"cplusplus\":" + std::to_string(b.cplusplus) +
-                    ",\"schema_version\":" + std::to_string(b.schema_version) +
-                    ",\"hardware_threads\":" +
-                    std::to_string(b.hardware_threads) + "}";
+  Json out = Json::object();
+  out.set("git", Json::string(b.git_describe))
+      .set("compiler", Json::string(b.compiler))
+      .set("build_type", Json::string(b.build_type))
+      .set("cxx_flags", Json::string(b.cxx_flags))
+      .set("cplusplus", Json::number(static_cast<double>(b.cplusplus)))
+      .set("schema_version", Json::number(b.schema_version))
+      .set("hardware_threads", Json::number(b.hardware_threads));
   return out;
 }
+
+std::string build_info_json() { return build_info_object().dump(); }
 
 }  // namespace hipo::obs

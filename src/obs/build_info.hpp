@@ -6,6 +6,8 @@
 
 #include <string>
 
+#include "src/obs/wire.hpp"
+
 namespace hipo::obs {
 
 /// Version of the trace / metrics / bench JSON schemas this build emits
@@ -29,9 +31,12 @@ struct BuildInfo {
 
 const BuildInfo& build_info();
 
-/// The stamp as a one-line JSON object:
-/// {"git":...,"compiler":...,"build_type":...,"cxx_flags":...,
-///  "cplusplus":...,"schema_version":...,"hardware_threads":...}
+/// The stamp as a JSON object:
+/// {"build_type":...,"compiler":...,"cplusplus":...,"cxx_flags":...,
+///  "git":...,"hardware_threads":...,"schema_version":...}
+Json build_info_object();
+
+/// build_info_object() dumped as one line.
 std::string build_info_json();
 
 }  // namespace hipo::obs

@@ -1,6 +1,7 @@
-// Tiny JSON emission helpers shared by the metrics / trace / bench writers.
-// Emission only — parsing lives with the consumers (CI validates with a real
-// JSON parser).
+// The two JSON text primitives: string escaping and number formatting.
+// Json::dump (src/obs/wire.hpp) is their one caller in src/ and tools/;
+// every document the program writes goes through it. They stay public for
+// the hand-formatted BENCH_*.json writers in bench/ and perfbench/.
 #pragma once
 
 #include <charconv>

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/util/error.hpp"
 
@@ -53,46 +52,9 @@ Level parse_level(std::string_view name) {
                     std::string(name) + "\")");
 }
 
-Record& Record::str(std::string_view key, std::string_view value) {
-  fields_[std::string(key)] = '"' + json_escape(value) + '"';
-  return *this;
-}
-
-Record& Record::num(std::string_view key, double value) {
-  fields_[std::string(key)] = json_double(value);
-  return *this;
-}
-
-Record& Record::u64(std::string_view key, std::uint64_t value) {
-  fields_[std::string(key)] = std::to_string(value);
-  return *this;
-}
-
-Record& Record::boolean(std::string_view key, bool value) {
-  fields_[std::string(key)] = value ? "true" : "false";
-  return *this;
-}
-
-Record& Record::raw(std::string_view key, std::string json_value) {
-  fields_[std::string(key)] = std::move(json_value);
-  return *this;
-}
-
-Record& Record::stamp(Level level) {
-  num("ts", wall_seconds());
-  return str("level", level_name(level));
-}
-
-std::string Record::dump() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : fields_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(key) + "\":" + value;
-  }
-  out += '}';
-  return out;
+void stamp(Json& record, Level level) {
+  record.set("ts", Json::number(wall_seconds()));
+  record.set("level", Json::string(level_name(level)));
 }
 
 namespace detail {
@@ -169,15 +131,6 @@ void Logger::start() {
   window_start_ns_.store(steady_ns(), std::memory_order_relaxed);
   paused_.store(options_.start_paused, std::memory_order_release);
   drain_ = std::thread([this] { drain_loop(); });
-}
-
-bool Logger::write(Level level, Record record) {
-  if (!enabled(level)) {
-    dropped_level_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  record.stamp(level);
-  return write_line(level, record.dump());
 }
 
 bool Logger::write_line(Level level, std::string line) {

@@ -3,7 +3,7 @@
 // request records in memory for post-mortem dumps.
 //
 // Design constraints (the serve request path must never block on log I/O):
-//   * `Logger::write` formats the record on the calling thread, then hands
+//   * The caller formats the record on its own thread; `write_line` hands
 //     the finished line to a bounded lock-free MPSC ring. A dedicated drain
 //     thread is the only writer of the sink stream. When the ring is full
 //     the record is DROPPED and counted (`LoggerStats::dropped_ring`) — a
@@ -15,21 +15,21 @@
 //     placements are byte-identical with logging on or off (asserted in
 //     tests/test_serve.cpp and the CI serve smoke).
 //
-// Record schema: docs/FORMATS.md, "Request log JSONL". One `Record` is a
-// flat object of typed fields; `dump()` emits canonical single-line JSON
-// (keys sorted, doubles via obs::json_double semantics) that round-trips
-// through the strict serve wire parser.
+// Record schema: docs/FORMATS.md, "Request log JSONL". A record is a flat
+// obs::Json object; `stamp` adds the envelope fields and `Json::dump` emits
+// the canonical single-line form that round-trips through parse_json.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include "src/obs/wire.hpp"
 
 namespace hipo::obs::log {
 
@@ -41,30 +41,10 @@ const char* level_name(Level level);
 /// Inverse of level_name; ConfigError on an unknown name.
 Level parse_level(std::string_view name);
 
-/// One structured log record: a flat JSON object under construction.
-/// Fields are typed at insertion; `dump()` is canonical (sorted keys,
-/// 17-significant-digit doubles, non-finite -> null) so equal records
-/// serialize to equal bytes and every line parses under the strict wire
-/// JSON parser. Setting a key twice keeps the last value.
-class Record {
- public:
-  Record& str(std::string_view key, std::string_view value);
-  Record& num(std::string_view key, double value);
-  Record& u64(std::string_view key, std::uint64_t value);
-  Record& boolean(std::string_view key, bool value);
-  /// Pre-serialized JSON value (embedding a parsed request field verbatim).
-  Record& raw(std::string_view key, std::string json_value);
-
-  /// Stamp the envelope fields every emitted record carries: "ts" (unix
-  /// wall-clock seconds, fractional) and "level". Called by Logger::write;
-  /// call directly when the same line also goes to a FlightRecorder.
-  Record& stamp(Level level);
-
-  std::string dump() const;
-
- private:
-  std::map<std::string, std::string> fields_;  // key -> serialized value
-};
+/// Add the envelope fields every emitted record carries: "ts" (unix
+/// wall-clock seconds, fractional) and "level". `record` must be an object;
+/// existing "ts"/"level" members are replaced.
+void stamp(Json& record, Level level);
 
 struct LoggerOptions {
   Level min_level = Level::kInfo;
@@ -132,9 +112,8 @@ class Logger {
     return level >= options_.min_level;
   }
 
-  /// Stamp and enqueue; false when filtered or dropped. Non-blocking.
-  bool write(Level level, Record record);
-  /// Enqueue an already-stamped complete record line. Non-blocking.
+  /// Enqueue an already-stamped complete record line; false when filtered
+  /// or dropped. Non-blocking.
   bool write_line(Level level, std::string line);
 
   /// Block until everything accepted so far has reached the sink and the
@@ -184,7 +163,7 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity);
 
-  /// Record one line (typically Record::dump() of a stamped record).
+  /// Record one line (typically the dump of a stamped record).
   void record(std::string line);
 
   /// The retained lines, oldest first. Safe to call while writers run;

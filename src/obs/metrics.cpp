@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "src/obs/json.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::obs {
@@ -363,48 +362,39 @@ double histogram_quantile(std::span<const double> bounds,
   return bounds.back();
 }
 
-std::string metrics_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\"counters\":{";
-  bool first = true;
+Json metrics_json(const MetricsSnapshot& snapshot) {
+  Json counters = Json::object();
   for (const auto& c : snapshot.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(c.name) + "\":" + std::to_string(c.value);
+    counters.set(c.name, Json::number(c.value));
   }
-  out += "},\"gauges\":{";
-  first = true;
+  Json gauges = Json::object();
   for (const auto& g : snapshot.gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(g.name) + "\":" + json_double(g.value);
+    gauges.set(g.name, Json::number(g.value));
   }
-  out += "},\"accums\":{";
-  first = true;
+  Json accums = Json::object();
   for (const auto& a : snapshot.accums) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(a.name) + "\":{\"sum\":" + json_double(a.sum) +
-           ",\"count\":" + std::to_string(a.count) + '}';
+    Json accum = Json::object();
+    accum.set("sum", Json::number(a.sum)).set("count", Json::number(a.count));
+    accums.set(a.name, std::move(accum));
   }
-  out += "},\"histograms\":{";
-  first = true;
+  Json histograms = Json::object();
   for (const auto& h : snapshot.histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(h.name) + "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i) out += ',';
-      out += json_double(h.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ',';
-      out += std::to_string(h.counts[i]);
-    }
-    out += "],\"sum\":" + json_double(h.sum) +
-           ",\"count\":" + std::to_string(h.count) + '}';
+    Json bounds = Json::array();
+    for (const double b : h.bounds) bounds.push(Json::number(b));
+    Json counts = Json::array();
+    for (const std::uint64_t n : h.counts) counts.push(Json::number(n));
+    Json histogram = Json::object();
+    histogram.set("bounds", std::move(bounds))
+        .set("counts", std::move(counts))
+        .set("sum", Json::number(h.sum))
+        .set("count", Json::number(h.count));
+    histograms.set(h.name, std::move(histogram));
   }
-  out += "}}";
+  Json out = Json::object();
+  out.set("counters", std::move(counters))
+      .set("gauges", std::move(gauges))
+      .set("accums", std::move(accums))
+      .set("histograms", std::move(histograms));
   return out;
 }
 

@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/wire.hpp"
+
 namespace hipo::obs {
 
 namespace detail {
@@ -187,9 +189,10 @@ double histogram_quantile(std::span<const double> bounds,
                           std::span<const std::uint64_t> counts, double q);
 
 /// The snapshot as a JSON object:
-/// {"counters":{...},"gauges":{...},"accums":{...},"histograms":{...}}.
-/// Embeddable in larger documents (bench JSON); `write_metrics_json` in
-/// report.hpp wraps it with schema + build provenance.
-std::string metrics_json(const MetricsSnapshot& snapshot);
+/// {"accums":{...},"counters":{...},"gauges":{...},"histograms":{...}}.
+/// Embeddable in larger documents (the serve `metrics` response, bench
+/// JSON); `write_metrics_json` in report.hpp wraps it with schema + build
+/// provenance.
+Json metrics_json(const MetricsSnapshot& snapshot);
 
 }  // namespace hipo::obs

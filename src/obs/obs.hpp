@@ -1,8 +1,9 @@
 // hipo::obs — the observability layer: tracing spans (Chrome/Perfetto
 // trace-event JSON), a sharded metrics registry (counters, gauges, accums,
 // fixed-bucket histograms), pipeline-phase markers, the build-info
-// provenance stamp, and the strict wire JSON reader and frame codec. See docs/ALGORITHMS.md ("Observability") and
-// docs/FORMATS.md for the JSON schemas.
+// provenance stamp, and the one JSON reader/writer and frame codec. See
+// docs/ALGORITHMS.md ("Observability") and docs/FORMATS.md for the JSON
+// schemas.
 #pragma once
 
 #include "src/obs/build_info.hpp"

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/obs/build_info.hpp"
-#include "src/obs/json.hpp"
 #include "src/util/table.hpp"
 
 namespace hipo::obs {
@@ -157,8 +156,11 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
 }
 
 void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& os) {
-  os << "{\"schema\":\"hipo-metrics-v1\",\"build\":" << build_info_json()
-     << ",\"metrics\":" << metrics_json(snapshot) << "}\n";
+  Json doc = Json::object();
+  doc.set("schema", Json::string("hipo-metrics-v1"))
+      .set("build", build_info_object())
+      .set("metrics", metrics_json(snapshot));
+  os << doc.dump() << '\n';
 }
 
 namespace {
@@ -176,9 +178,9 @@ std::string prom_name(const std::string& name) {
 }
 
 /// Prometheus floats: plain decimal or scientific both parse; reuse the
-/// canonical JSON double (non-finite never reaches here — gauges are set
+/// canonical JSON number (non-finite never reaches here — gauges are set
 /// from finite computation outputs).
-std::string prom_double(double v) { return json_double(v); }
+std::string prom_double(double v) { return Json::number(v).dump(); }
 
 }  // namespace
 

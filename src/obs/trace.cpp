@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/obs/build_info.hpp"
-#include "src/obs/json.hpp"
+#include "src/obs/wire.hpp"
 
 namespace hipo::obs {
 
@@ -104,45 +104,51 @@ void reset_trace() {
 void write_trace_json(std::ostream& os) {
   auto& s = TraceState::instance();
   std::lock_guard lock(s.mutex);
-  os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"build\":"
-     << build_info_json() << "},\"traceEvents\":[";
+  // The envelope is dumped with an empty "traceEvents" array — its last
+  // key in sorted order — and the events stream into the gap between that
+  // array's brackets, so a large trace is never held as a second copy.
+  Json other = Json::object();
+  other.set("build", build_info_object());
+  Json envelope = Json::object();
+  envelope.set("displayTimeUnit", Json::string("ms"))
+      .set("otherData", std::move(other))
+      .set("traceEvents", Json::array());
+  const std::string text = envelope.dump();
+  const std::size_t split = text.size() - 2;  // before the closing "]}"
+  os.write(text.data(), static_cast<std::streamsize>(split));
   bool first = true;
   for (const auto& buf : s.buffers) {
     std::lock_guard buf_lock(buf->mutex);
     for (const TraceEvent& e : buf->events) {
-      if (!first) os << ',';
-      first = false;
       // ts/dur are microseconds (the trace-event unit); sub-µs precision is
-      // kept as a fractional part.
-      os << "\n{\"name\":\"" << json_escape(e.name)
-         << "\",\"cat\":\"hipo\",\"ph\":\"X\",\"ts\":"
-         << json_double(static_cast<double>(e.start_ns) * 1e-3)
-         << ",\"dur\":" << json_double(static_cast<double>(e.dur_ns) * 1e-3)
-         << ",\"pid\":1,\"tid\":";
-      // Correlated spans render on a per-request lane (100000 + track, far
-      // above any real thread id); uncorrelated spans keep the thread lane.
-      if (e.track != 0) {
-        os << (100000 + e.track);
-      } else {
-        os << buf->tid;
-      }
+      // kept as a fractional part. Correlated spans render on a per-request
+      // lane (100000 + track, far above any real thread id); uncorrelated
+      // spans keep the thread lane.
+      const std::uint64_t tid = e.track != 0 ? 100000 + e.track : buf->tid;
+      Json event = Json::object();
+      event.set("name", Json::string(e.name))
+          .set("cat", Json::string("hipo"))
+          .set("ph", Json::string("X"))
+          .set("ts", Json::number(static_cast<double>(e.start_ns) * 1e-3))
+          .set("dur", Json::number(static_cast<double>(e.dur_ns) * 1e-3))
+          .set("pid", Json::number(1))
+          .set("tid", Json::number(static_cast<double>(tid)));
       if (!e.detail.empty() || e.track != 0) {
-        os << ",\"args\":{";
-        bool first_arg = true;
-        if (!e.detail.empty()) {
-          os << "\"detail\":\"" << json_escape(e.detail) << '"';
-          first_arg = false;
-        }
+        Json args = Json::object();
+        if (!e.detail.empty()) args.set("detail", Json::string(e.detail));
         if (e.track != 0) {
-          if (!first_arg) os << ',';
-          os << "\"request_id\":\"r" << e.track << '"';
+          // "r" + id, spelled as an insert: GCC 12 at -O3 reports a false
+          // -Wrestrict overlap when a literal is prepended to a temporary.
+          args.set("request_id",
+                   Json::string(std::to_string(e.track).insert(0, 1, 'r')));
         }
-        os << '}';
+        event.set("args", std::move(args));
       }
-      os << '}';
+      os << (first ? "\n" : ",\n") << event.dump();
+      first = false;
     }
   }
-  os << "\n]}\n";
+  os << '\n' << text.substr(split) << '\n';
 }
 
 }  // namespace hipo::obs

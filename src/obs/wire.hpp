@@ -1,17 +1,20 @@
-// The repo's one JSON reader: a minimal JSON document model with a strict
-// parser and canonical emitter, plus the length-prefixed frame codec that
-// the serve socket protocol and the shard runner's worker pipes share
-// (docs/FORMATS.md, "Serve wire protocol").
+// The repo's one JSON reader and writer: a minimal JSON document model with
+// a strict parser and canonical emitter, plus the length-prefixed frame
+// codec that the serve socket protocol and the shard runner's worker pipes
+// share (docs/FORMATS.md, "Serve wire protocol").
 //
-// The parser exists because its inputs come from another process or a
-// file: unlike the emit-only obs::json helpers, every reader — serve
-// requests, shard worker frames, delta-script lines (opt::parse_delta_script)
-// — must reject malformed bytes with a useful error instead of corrupting
-// state or crashing. It is strict JSON (RFC 8259) minus floating exotica:
-// numbers follow the RFC grammar (util::read_json_number) and must be
-// finite, and nesting is bounded by kMaxJsonDepth, so no input can run the
-// recursive descent off the stack. It lives in hipo_obs, next to the emit
-// helpers, so that every layer down to hipo_opt can link it; serve/wire.hpp
+// Every document src/ and tools/ write — wire responses, log records,
+// metrics, build info, trace events, the hipo_shard summary — is a Json
+// emitted by `dump`, so escaping, number formatting and key order live
+// here only. The parser exists because its inputs come from another
+// process or a file: every reader — serve requests, shard worker frames,
+// delta-script lines (opt::parse_delta_script) — must reject malformed
+// bytes with a useful error instead of corrupting state or crashing. It is
+// strict JSON (RFC 8259) minus floating exotica: numbers follow the RFC
+// grammar (util::read_json_number) and must be finite, and nesting is
+// bounded by kMaxJsonDepth, so no input can run the recursive descent off
+// the stack. It lives in hipo_obs, next to the text primitives in json.hpp,
+// so that every layer down to hipo_opt can link it; serve/wire.hpp
 // re-exports it under the hipo::serve names.
 #pragma once
 
@@ -26,8 +29,9 @@
 
 namespace hipo::obs {
 
-/// A parsed JSON value. Objects keep insertion order out of the picture by
-/// using a sorted map — requests are keyed lookups, never ordered scans.
+/// A JSON value, parsed or under construction. Objects keep insertion order
+/// out of the picture by using a sorted map — requests are keyed lookups,
+/// never ordered scans, and equal documents dump to equal bytes.
 class Json {
  public:
   enum class Type : std::uint8_t {
@@ -66,7 +70,7 @@ class Json {
   const Json* find(std::string_view key) const;
 
   // --- builders ---------------------------------------------------------
-  Json& set(std::string key, Json value);  // object only
+  Json& set(std::string key, Json value);  // object only; last write wins
   Json& push(Json value);                  // array only
 
   /// Canonical single-line emission (object keys sorted, doubles via

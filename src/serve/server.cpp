@@ -104,8 +104,9 @@ void Server::run() {
     }
     if (connections_.size() >= options_.max_connections) {
       obs::counter("serve.rejected").add();
-      send_reply(fd, "{\"ok\":false,\"error\":\"overloaded\",\"message\":"
-                     "\"connection limit reached; retry later\"}");
+      send_reply(fd, error_response("overloaded",
+                                    "connection limit reached; retry later")
+                         .dump());
       close_quiet(fd);
       continue;
     }
@@ -164,11 +165,7 @@ void Server::serve_connection(Connection& conn) {
   } catch (const ConfigError& e) {
     // Oversized/garbled frame or peer reset: answer if the socket still
     // writes, then drop the connection.
-    Json err = Json::object();
-    err.set("ok", Json::boolean(false));
-    err.set("error", Json::string("bad_frame"));
-    err.set("message", Json::string(e.what()));
-    send_reply(conn.fd, err.dump());
+    send_reply(conn.fd, error_response("bad_frame", e.what()).dump());
   }
   // FIN the peer now, but leave the close (and fd-number reuse) to whoever
   // joins this thread — stop() may still hold conn.fd for its SHUT_RD.

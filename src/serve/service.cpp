@@ -48,14 +48,6 @@ ServeCounters& serve_counters() {
   return c;
 }
 
-Json error_response(const std::string& code, const std::string& message) {
-  Json resp = Json::object();
-  resp.set("ok", Json::boolean(false));
-  resp.set("error", Json::string(code));
-  resp.set("message", Json::string(message));
-  return resp;
-}
-
 /// Echo the request id (if any) into the response so pipelined clients can
 /// match frames.
 void echo_id(const Json& request, Json& response) {
@@ -156,6 +148,14 @@ void fill_greedy_result(const opt::GreedyResult& result, Json& resp) {
 
 }  // namespace
 
+Json error_response(const std::string& code, const std::string& message) {
+  Json resp = Json::object();
+  resp.set("ok", Json::boolean(false));
+  resp.set("error", Json::string(code));
+  resp.set("message", Json::string(message));
+  return resp;
+}
+
 /// Counts a compute request against max_inflight; not admitted when the
 /// limit is already reached. Destructor releases the slot.
 class Service::AdmissionSlot {
@@ -242,25 +242,26 @@ std::string Service::handle(std::string_view request_text) {
       level = error_class == "overloaded" ? obs::log::Level::kWarn
                                           : obs::log::Level::kError;
     }
-    obs::log::Record rec;
-    rec.str("event", "request")
-        .str("request_id", "r" + std::to_string(rid))
-        .str("type", info.type)
-        .str("admission", info.admission)
-        .boolean("ok", ok)
-        .num("seconds", seconds)
-        .u64("bytes_in", request_text.size())
-        .u64("bytes_out", out.size());
-    if (!error_class.empty()) rec.str("error", error_class);
+    Json rec = Json::object();
+    rec.set("event", Json::string("request"))
+        .set("request_id", Json::string("r" + std::to_string(rid)))
+        .set("type", Json::string(info.type))
+        .set("admission", Json::string(info.admission))
+        .set("ok", Json::boolean(ok))
+        .set("seconds", Json::number(seconds))
+        .set("bytes_in",
+             Json::number(static_cast<double>(request_text.size())))
+        .set("bytes_out", Json::number(static_cast<double>(out.size())));
+    if (!error_class.empty()) rec.set("error", Json::string(error_class));
     if (const Json* f = response.find("key")) {
-      if (f->is_string()) rec.str("key", f->as_string());
+      if (f->is_string()) rec.set("key", *f);
     }
     // "cache" is "hit"/"miss" on solve responses but a whole stats object
     // on stats responses — only the string form belongs in the record.
     if (const Json* f = response.find("cache")) {
-      if (f->is_string()) rec.str("cache", f->as_string());
+      if (f->is_string()) rec.set("cache", *f);
     }
-    rec.stamp(level);
+    obs::log::stamp(rec, level);
     std::string line = rec.dump();
     if (flight_ != nullptr) {
       flight_->record(options_.logger != nullptr ? line : std::move(line));
@@ -620,9 +621,7 @@ Json Service::do_metrics() const {
   resp.set("ok", Json::boolean(true));
   resp.set("type", Json::string("metrics"));
   resp.set("metrics_enabled", Json::boolean(obs::metrics_enabled()));
-  // metrics_json emits the canonical wire dialect, so re-parsing it to
-  // embed as a structured object is lossless.
-  resp.set("metrics", parse_json(obs::metrics_json(snap)));
+  resp.set("metrics", obs::metrics_json(snap));
   resp.set("prometheus", Json::string(obs::prometheus_text(snap)));
   for (const auto& h : snap.histograms) {
     if (h.name != "serve.request_seconds") continue;
@@ -647,8 +646,8 @@ Json Service::do_flight() const {
   resp.set("type", Json::string("flight"));
   Json records = Json::array();
   if (flight_ != nullptr) {
-    // Record lines are canonical JSON by construction (Record::dump), so
-    // they re-parse under the strict wire parser.
+    // Record lines are Json::dump output, so they re-parse under the
+    // strict wire parser.
     for (const std::string& line : flight_->dump()) {
       records.push(parse_json(line));
     }

@@ -54,6 +54,10 @@
 
 namespace hipo::serve {
 
+/// {"error":code,"message":message,"ok":false} — the body of every error
+/// response, whether the Service or the Server's connection loop answers.
+Json error_response(const std::string& code, const std::string& message);
+
 struct ServiceOptions {
   /// Warm entries kept (LRU beyond this); 0 disables caching (always cold).
   std::size_t cache_entries = 8;

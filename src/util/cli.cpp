@@ -23,7 +23,9 @@ Cli::Cli(int argc, const char* const* argv) {
       consumed_[arg] = false;
       ++i;
     } else {
-      values_[arg] = "1";
+      // Not `= "1"`: GCC 12 at -O3 reports a false -Wrestrict overlap in
+      // the literal assignment.
+      values_[arg] = std::string(1, '1');
       consumed_[arg] = false;
     }
   }

@@ -62,7 +62,9 @@ TEST(CoverageMatrix, InvertedIndexIsExactTranspose) {
   for (std::size_t j = 0; j < matrix.num_devices(); ++j) {
     const auto rows = matrix.rows_covering(j);
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      if (k > 0) EXPECT_LT(rows[k - 1], rows[k]) << "device " << j;
+      if (k > 0) {
+        EXPECT_LT(rows[k - 1], rows[k]) << "device " << j;
+      }
       inverted.insert({rows[k], j});
     }
   }

@@ -1,18 +1,18 @@
 // hipo::obs — metrics registry semantics (sharded aggregation, kind safety,
-// histogram bucket boundaries, reset), trace JSON well-formedness, and the
-// build-info provenance stamp.
+// histogram bucket boundaries, reset), and the metrics, trace and
+// build-info documents, each checked with the strict parse_json.
 #include "src/obs/obs.hpp"
 
 #include "src/obs/json.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -24,122 +24,16 @@
 namespace hipo::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON well-formedness checker (strings, numbers, literals, arrays,
-// objects). Strict enough to catch unescaped quotes, trailing commas, and
-// unbalanced nesting in the emitted documents.
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (s_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-bool json_valid(const std::string& text) { return JsonChecker(text).valid(); }
-
-TEST(JsonChecker, SelfTest) {
-  EXPECT_TRUE(json_valid(R"({"a":[1,2.5,-3e-4],"b":{"c":"x\"y"},"d":null})"));
-  EXPECT_FALSE(json_valid(R"({"a":1,})"));
-  EXPECT_FALSE(json_valid(R"({"a":1)"));
-  EXPECT_FALSE(json_valid(R"({"a" 1})"));
+/// Canonical documents (metrics, build info, log lines) must survive the
+/// strict parser and dump back to the exact bytes.
+void expect_canonical(const std::string& text) {
+  EXPECT_EQ(parse_json(text).dump(), text);
 }
 
-// json_double feeds every hand-rolled emitter (metrics, trace, bench, the
-// serve wire). NaN/Inf have no JSON number form; they must come out as
-// `null` — never as bare nan/inf (invalid JSON) and never as a fabricated
-// finite value.
+// json_double is the number half of Json::dump, so it feeds every document
+// the program writes (and the hand-formatted bench JSON). NaN/Inf have no
+// JSON number form; they must come out as `null` — never as bare nan/inf
+// (invalid JSON) and never as a fabricated finite value.
 TEST(JsonDouble, NonFiniteBecomesNull) {
   EXPECT_EQ(json_double(std::nan("")), "null");
   EXPECT_EQ(json_double(std::numeric_limits<double>::infinity()), "null");
@@ -185,8 +79,8 @@ TEST(JsonDouble, NonFiniteMetricsStillEmitValidJson) {
   set_metrics_enabled(true);
   gauge("test.poisoned_gauge").set(std::nan(""));
   accum("test.poisoned_accum").add(std::numeric_limits<double>::infinity());
-  const std::string json = metrics_json(metrics_snapshot());
-  EXPECT_TRUE(json_valid(json)) << json;
+  const std::string json = metrics_json(metrics_snapshot()).dump();
+  expect_canonical(json);
   EXPECT_NE(json.find("\"test.poisoned_gauge\":null"), std::string::npos)
       << json;
   reset_metrics();
@@ -320,20 +214,27 @@ TEST_F(ObsTest, SnapshotIsNameSortedAndJsonWellFormed) {
   for (std::size_t i = 1; i < snapshot.counters.size(); ++i) {
     EXPECT_LT(snapshot.counters[i - 1].name, snapshot.counters[i].name);
   }
-  const std::string json = metrics_json(snapshot);
-  EXPECT_TRUE(json_valid(json)) << json;
-  EXPECT_NE(json.find("\"test.a_counter\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"accums\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  const std::string json = metrics_json(snapshot).dump();
+  expect_canonical(json);
+  const Json metrics = parse_json(json);
+  EXPECT_EQ(metrics.find("counters")->find("test.a_counter")->as_number(), 1);
+  EXPECT_EQ(metrics.find("gauges")->find("test.gauge_json")->as_number(), 0.5);
+  const Json* accum = metrics.find("accums")->find("test.accum_json");
+  EXPECT_EQ(accum->find("sum")->as_number(), 0.25);
+  EXPECT_EQ(accum->find("count")->as_number(), 1);
+  const Json* hist = metrics.find("histograms")->find("test.histogram_json");
+  EXPECT_EQ(hist->find("bounds")->as_array().size(), 2u);
+  EXPECT_EQ(hist->find("counts")->as_array()[1].as_number(), 1);
 
   std::ostringstream full;
   write_metrics_json(snapshot, full);
-  EXPECT_TRUE(json_valid(full.str())) << full.str();
-  EXPECT_NE(full.str().find("\"schema\":\"hipo-metrics-v1\""),
-            std::string::npos);
-  EXPECT_NE(full.str().find("\"build\""), std::string::npos);
+  ASSERT_EQ(full.str().back(), '\n');
+  const std::string doc = full.str().substr(0, full.str().size() - 1);
+  expect_canonical(doc);
+  const Json parsed = parse_json(doc);
+  EXPECT_EQ(parsed.find("schema")->as_string(), "hipo-metrics-v1");
+  EXPECT_EQ(parsed.find("build")->dump(), build_info_json());
+  EXPECT_EQ(parsed.find("metrics")->dump(), json);
 }
 
 TEST_F(ObsTest, DisabledSpansEmitNothing) {
@@ -341,7 +242,7 @@ TEST_F(ObsTest, DisabledSpansEmitNothing) {
   std::ostringstream os;
   write_trace_json(os);
   EXPECT_EQ(os.str().find("test.disabled_span"), std::string::npos);
-  EXPECT_TRUE(json_valid(os.str())) << os.str();
+  EXPECT_TRUE(parse_json(os.str()).find("traceEvents")->as_array().empty());
 }
 
 TEST_F(ObsTest, TraceJsonIsWellFormedAndCarriesSpans) {
@@ -355,14 +256,22 @@ TEST_F(ObsTest, TraceJsonIsWellFormedAndCarriesSpans) {
   set_trace_enabled(false);
   std::ostringstream os;
   write_trace_json(os);
-  const std::string text = os.str();
-  EXPECT_TRUE(json_valid(text)) << text;
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(text.find("\"test.outer\""), std::string::npos);
-  EXPECT_NE(text.find("\"test.inner\""), std::string::npos);
-  EXPECT_NE(text.find("\"test.worker\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(text.find("\"displayTimeUnit\""), std::string::npos);
+  const Json trace = parse_json(os.str());
+  EXPECT_EQ(trace.find("displayTimeUnit")->as_string(), "ms");
+  EXPECT_EQ(trace.find("otherData")->find("build")->dump(), build_info_json());
+  std::map<std::string, const Json*> by_name;
+  for (const Json& e : trace.find("traceEvents")->as_array()) {
+    EXPECT_EQ(e.find("ph")->as_string(), "X");
+    EXPECT_GE(e.find("dur")->as_number(), 0.0);
+    by_name[e.find("name")->as_string()] = &e;
+  }
+  ASSERT_EQ(by_name.size(), 3u);
+  const auto detail = [&](const char* name) {
+    return by_name.at(name)->find("args")->find("detail")->as_string();
+  };
+  EXPECT_EQ(detail("test.inner"), "42");
+  EXPECT_EQ(detail("test.worker"), "w1");
+  EXPECT_EQ(by_name.at("test.outer")->find("args"), nullptr);
 }
 
 TEST_F(ObsTest, SpanFinishReturnsDuration) {
@@ -390,10 +299,17 @@ TEST(BuildInfo, FieldsPopulatedAndJsonWellFormed) {
   EXPECT_EQ(info.schema_version, kSchemaVersion);
   EXPECT_GE(info.hardware_threads, 1u);
   const std::string json = build_info_json();
-  EXPECT_TRUE(json_valid(json)) << json;
-  EXPECT_NE(json.find("\"git\""), std::string::npos);
-  EXPECT_NE(json.find("\"compiler\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
+  expect_canonical(json);
+  const Json parsed = parse_json(json);
+  EXPECT_EQ(parsed.find("git")->as_string(), info.git_describe);
+  EXPECT_EQ(parsed.find("compiler")->as_string(), info.compiler);
+  EXPECT_EQ(parsed.find("build_type")->as_string(), info.build_type);
+  EXPECT_EQ(parsed.find("cxx_flags")->as_string(), info.cxx_flags);
+  EXPECT_EQ(parsed.find("cplusplus")->as_number(), info.cplusplus);
+  EXPECT_EQ(parsed.find("schema_version")->as_number(), kSchemaVersion);
+  EXPECT_EQ(parsed.find("hardware_threads")->as_number(),
+            info.hardware_threads);
+  EXPECT_EQ(parsed.as_object().size(), 7u);
 }
 
 }  // namespace

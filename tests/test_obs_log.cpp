@@ -12,11 +12,17 @@
 
 #include "src/obs/log.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/serve/wire.hpp"
+#include "src/obs/wire.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::obs::log {
 namespace {
+
+/// One stamped record line, as the serve request path builds it.
+std::string line_of(Level level, Json rec = Json::object()) {
+  stamp(rec, level);
+  return rec.dump();
+}
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -35,37 +41,47 @@ TEST(LogLevel, NamesRoundTrip) {
   EXPECT_THROW(parse_level(""), ConfigError);
 }
 
+// A log record is a flat Json object plus `stamp`; these pin the line
+// format every request log, flight record and lifecycle event shares.
 TEST(LogRecord, CanonicalDumpSortsKeysAndTypesValues) {
-  Record rec;
-  rec.u64("zulu", 7)
-      .str("alpha", "a \"quoted\" value\n")
-      .boolean("mike", false)
-      .num("november", 0.5);
+  Json rec = Json::object();
+  rec.set("zulu", Json::number(7))
+      .set("alpha", Json::string("a \"quoted\" value\n"))
+      .set("mike", Json::boolean(false))
+      .set("november", Json::number(0.5));
   EXPECT_EQ(rec.dump(),
             "{\"alpha\":\"a \\\"quoted\\\" value\\n\",\"mike\":false,"
             "\"november\":0.5,\"zulu\":7}");
 }
 
-TEST(LogRecord, LastWriteWinsAndRawEmbedsVerbatim) {
-  Record rec;
-  rec.str("k", "first").str("k", "second");
-  rec.raw("arr", "[1,2,3]");
-  EXPECT_EQ(rec.dump(), "{\"arr\":[1,2,3],\"k\":\"second\"}");
+TEST(LogRecord, LastWriteWins) {
+  Json rec = Json::object();
+  rec.set("k", Json::string("first")).set("k", Json::string("second"));
+  EXPECT_EQ(rec.dump(), "{\"k\":\"second\"}");
+  // Stamping twice replaces the envelope instead of duplicating it.
+  stamp(rec, Level::kInfo);
+  stamp(rec, Level::kError);
+  const Json parsed = parse_json(rec.dump());
+  EXPECT_EQ(parsed.as_object().size(), 3u);
+  EXPECT_EQ(parsed.find("level")->as_string(), "error");
 }
 
 TEST(LogRecord, RoundTripsThroughStrictWireParser) {
-  Record rec;
-  rec.str("event", "request")
-      .str("request_id", "r17")
-      .boolean("ok", true)
-      .num("seconds", 0.001525)
-      .u64("bytes_in", 123)
-      .str("message", "tabs\tand\x01control bytes");
-  rec.stamp(Level::kWarn);
+  Json rec = Json::object();
+  rec.set("event", Json::string("request"))
+      .set("request_id", Json::string("r17"))
+      .set("ok", Json::boolean(true))
+      .set("seconds", Json::number(0.001525))
+      .set("bytes_in", Json::number(123))
+      .set("message", Json::string("tabs\tand\x01" "control bytes"));
+  stamp(rec, Level::kWarn);
   const std::string line = rec.dump();
-  // The strict serve parser rejects duplicate keys, non-finite numbers and
+  EXPECT_NE(line.find("\"message\":\"tabs\\tand\\u0001control bytes\""),
+            std::string::npos)
+      << line;
+  // The strict parser rejects duplicate keys, non-finite numbers and
   // malformed escapes — a record line must survive it unchanged.
-  const serve::Json parsed = serve::parse_json(line);
+  const Json parsed = parse_json(line);
   ASSERT_TRUE(parsed.is_object());
   EXPECT_EQ(parsed.find("level")->as_string(), "warn");
   EXPECT_EQ(parsed.find("request_id")->as_string(), "r17");
@@ -77,11 +93,11 @@ TEST(LogRecord, RoundTripsThroughStrictWireParser) {
 }
 
 TEST(LogRecord, NonFiniteNumbersBecomeNull) {
-  Record rec;
-  rec.num("bad", std::numeric_limits<double>::infinity());
+  Json rec = Json::object();
+  rec.set("bad", Json::number(std::numeric_limits<double>::infinity()));
   const std::string line = rec.dump();
   EXPECT_EQ(line, "{\"bad\":null}");
-  EXPECT_NO_THROW(serve::parse_json(line));
+  EXPECT_NO_THROW(parse_json(line));
 }
 
 TEST(Logger, WritesRecordsAsJsonlInOrder) {
@@ -89,9 +105,9 @@ TEST(Logger, WritesRecordsAsJsonlInOrder) {
   {
     Logger logger(sink);
     for (int i = 0; i < 100; ++i) {
-      Record rec;
-      rec.u64("i", static_cast<std::uint64_t>(i));
-      EXPECT_TRUE(logger.write(Level::kInfo, std::move(rec)));
+      Json rec = Json::object();
+      rec.set("i", Json::number(i));
+      EXPECT_TRUE(logger.write_line(Level::kInfo, line_of(Level::kInfo, rec)));
     }
     logger.flush();
     const LoggerStats stats = logger.stats();
@@ -102,7 +118,7 @@ TEST(Logger, WritesRecordsAsJsonlInOrder) {
   const auto lines = lines_of(sink.str());
   ASSERT_EQ(lines.size(), 100u);
   for (int i = 0; i < 100; ++i) {
-    const serve::Json parsed = serve::parse_json(lines[i]);
+    const Json parsed = parse_json(lines[i]);
     EXPECT_EQ(parsed.find("i")->as_number(), static_cast<double>(i));
     EXPECT_EQ(parsed.find("level")->as_string(), "info");
   }
@@ -114,8 +130,8 @@ TEST(Logger, MinLevelFiltersAndCounts) {
   EXPECT_FALSE(logger.enabled(Level::kDebug));
   EXPECT_FALSE(logger.enabled(Level::kInfo));
   EXPECT_TRUE(logger.enabled(Level::kWarn));
-  EXPECT_FALSE(logger.write(Level::kInfo, Record{}));
-  EXPECT_TRUE(logger.write(Level::kError, Record{}));
+  EXPECT_FALSE(logger.write_line(Level::kInfo, line_of(Level::kInfo)));
+  EXPECT_TRUE(logger.write_line(Level::kError, line_of(Level::kError)));
   logger.flush();
   const LoggerStats stats = logger.stats();
   EXPECT_EQ(stats.accepted, 1u);
@@ -129,9 +145,11 @@ TEST(Logger, RingOverflowDropsWithoutBlocking) {
   Logger logger(sink, {.ring_capacity = 8, .start_paused = true});
   std::uint64_t accepted = 0;
   for (int i = 0; i < 100; ++i) {
-    Record rec;
-    rec.u64("i", static_cast<std::uint64_t>(i));
-    if (logger.write(Level::kInfo, std::move(rec))) ++accepted;
+    Json rec = Json::object();
+    rec.set("i", Json::number(i));
+    if (logger.write_line(Level::kInfo, line_of(Level::kInfo, rec))) {
+      ++accepted;
+    }
   }
   const LoggerStats stats = logger.stats();
   EXPECT_EQ(accepted, 8u);  // ring capacity, not 100 — and no blocking
@@ -147,7 +165,7 @@ TEST(Logger, RateLimitDropsBeyondBudget) {
   Logger logger(sink, {.rate_limit_per_sec = 3});
   std::uint64_t accepted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (logger.write(Level::kInfo, Record{})) ++accepted;
+    if (logger.write_line(Level::kInfo, line_of(Level::kInfo))) ++accepted;
   }
   logger.flush();
   const LoggerStats stats = logger.stats();
@@ -167,10 +185,9 @@ TEST(Logger, ConcurrentWritersLoseNothingWhenRingIsLargeEnough) {
     for (int t = 0; t < kThreads; ++t) {
       writers.emplace_back([&logger, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          Record rec;
-          rec.u64("t", static_cast<std::uint64_t>(t))
-              .u64("i", static_cast<std::uint64_t>(i));
-          logger.write(Level::kInfo, std::move(rec));
+          Json rec = Json::object();
+          rec.set("t", Json::number(t)).set("i", Json::number(i));
+          logger.write_line(Level::kInfo, line_of(Level::kInfo, rec));
         }
       });
     }
@@ -187,7 +204,7 @@ TEST(Logger, ConcurrentWritersLoseNothingWhenRingIsLargeEnough) {
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   std::vector<int> next(kThreads, 0);
   for (const std::string& line : lines) {
-    const serve::Json parsed = serve::parse_json(line);
+    const Json parsed = parse_json(line);
     const int t = static_cast<int>(parsed.find("t")->as_number());
     const int i = static_cast<int>(parsed.find("i")->as_number());
     ASSERT_GE(t, 0);
@@ -202,7 +219,7 @@ TEST(Logger, DestructorDrainsEverythingAccepted) {
   {
     Logger logger(sink, {.ring_capacity = 1024});
     for (int i = 0; i < 200; ++i) {
-      logger.write(Level::kInfo, Record{});
+      logger.write_line(Level::kInfo, line_of(Level::kInfo));
     }
     // No flush: the destructor must still deliver all 200.
   }
@@ -259,7 +276,7 @@ TEST(FlightRecorder, ConcurrentWritersAndReadersStayConsistent) {
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&rec, t] {
       for (int i = 0; i < 2000; ++i) {
-        rec.record("t" + std::to_string(t) + "i" + std::to_string(i));
+        rec.record(std::to_string(t) + "i" + std::to_string(i));
       }
     });
   }

@@ -874,6 +874,35 @@ TEST(ServeServer, ClientResetBeforeReplyIsCountedNotFatal) {
   server.stop();
 }
 
+TEST(ServeServer, ConnectionBeyondTheLimitGetsAnOverloadedReply) {
+  parallel::ThreadPool pool(1);
+  serve::ServiceOptions sopts;
+  sopts.pool = &pool;
+  serve::Service service(sopts);
+  serve::ServerOptions ropts;
+  ropts.max_connections = 1;
+  serve::Server server(service, ropts);
+  server.start();
+  // The listen queue is FIFO, so `held` is accepted first and keeps the
+  // only slot while the second connection is turned away.
+  serve::Client held(server.port());
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string reply;
+  ASSERT_TRUE(serve::read_frame_fd(fd, 1u << 20, reply));
+  ::close(fd);
+  EXPECT_EQ(reply,
+            "{\"error\":\"overloaded\",\"message\":\"connection limit "
+            "reached; retry later\",\"ok\":false}");
+  server.stop();
+}
+
 TEST(ServeServer, ConcurrentClientsOverLoopback) {
   parallel::ThreadPool pool(4);
   serve::ServiceOptions sopts;

@@ -98,8 +98,8 @@ void write_file_atomic(const std::string& path, const std::string& text) {
 /// Daemon lifecycle event: structured JSONL on stdout, mirrored into the
 /// request log when one is configured (same line, so the two agree byte
 /// for byte).
-void emit_event(obs::log::Record rec, obs::log::Logger* logger) {
-  rec.stamp(obs::log::Level::kInfo);
+void emit_event(serve::Json rec, obs::log::Logger* logger) {
+  obs::log::stamp(rec, obs::log::Level::kInfo);
   const std::string line = rec.dump();
   std::cout << line << std::endl;
   if (logger != nullptr) {
@@ -171,14 +171,14 @@ int run_daemon(Cli& cli) {
     write_file_atomic(*port_file, std::to_string(server.port()) + "\n");
   }
   {
-    obs::log::Record rec;
-    rec.str("event", "listening")
-        .str("address", "127.0.0.1")
-        .u64("port", server.port())
-        .u64("workers", pool.num_workers())
-        .u64("cache_entries", static_cast<std::uint64_t>(cache_entries))
-        .u64("max_inflight", static_cast<std::uint64_t>(max_inflight))
-        .u64("flight_recorder", static_cast<std::uint64_t>(flight_entries));
+    serve::Json rec = serve::Json::object();
+    rec.set("event", serve::Json::string("listening"))
+        .set("address", serve::Json::string("127.0.0.1"))
+        .set("port", serve::Json::number(server.port()))
+        .set("workers", serve::Json::number(pool.num_workers()))
+        .set("cache_entries", serve::Json::number(cache_entries))
+        .set("max_inflight", serve::Json::number(max_inflight))
+        .set("flight_recorder", serve::Json::number(flight_entries));
     emit_event(std::move(rec), logger.get());
   }
 
@@ -206,28 +206,29 @@ int run_daemon(Cli& cli) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   {
-    obs::log::Record rec;
-    rec.str("event", "draining")
-        .str("reason", service.shutdown_requested() ? "shutdown_request"
-                                                    : "signal");
+    serve::Json rec = serve::Json::object();
+    rec.set("event", serve::Json::string("draining"))
+        .set("reason", serve::Json::string(service.shutdown_requested()
+                                               ? "shutdown_request"
+                                               : "signal"));
     emit_event(std::move(rec), logger.get());
   }
   server.stop();
 
   const serve::ServiceStats stats = service.stats();
   {
-    obs::log::Record rec;
-    rec.str("event", "summary")
-        .u64("requests", stats.requests)
-        .u64("solves_cold", stats.solves_cold)
-        .u64("solves_warm", stats.solves_warm)
-        .u64("deltas", stats.deltas)
-        .u64("evals", stats.evals)
-        .u64("rejected", stats.rejected)
-        .u64("errors", stats.errors)
-        .num("request_p50", stats.request_p50)
-        .num("request_p90", stats.request_p90)
-        .num("request_p99", stats.request_p99);
+    serve::Json rec = serve::Json::object();
+    rec.set("event", serve::Json::string("summary"))
+        .set("requests", serve::Json::number(stats.requests))
+        .set("solves_cold", serve::Json::number(stats.solves_cold))
+        .set("solves_warm", serve::Json::number(stats.solves_warm))
+        .set("deltas", serve::Json::number(stats.deltas))
+        .set("evals", serve::Json::number(stats.evals))
+        .set("rejected", serve::Json::number(stats.rejected))
+        .set("errors", serve::Json::number(stats.errors))
+        .set("request_p50", serve::Json::number(stats.request_p50))
+        .set("request_p90", serve::Json::number(stats.request_p90))
+        .set("request_p99", serve::Json::number(stats.request_p99));
     emit_event(std::move(rec), logger.get());
   }
   if (metrics_path) {
@@ -289,8 +290,9 @@ double counter_of(const serve::Json& counters, const char* name) {
 }
 
 WatchSample scrape(serve::Client& client) {
-  const serve::Json resp =
-      serve::parse_json(client.call("{\"type\":\"metrics\"}"));
+  serve::Json request = serve::Json::object();
+  request.set("type", serve::Json::string("metrics"));
+  const serve::Json resp = serve::parse_json(client.call(request.dump()));
   const serve::Json* ok = resp.find("ok");
   if (ok == nullptr || !ok->as_bool()) {
     throw ConfigError("metrics scrape failed: " + resp.dump());

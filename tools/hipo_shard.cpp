@@ -169,26 +169,31 @@ int main(int argc, char** argv) {
     if (json_path) {
       std::ofstream os(*json_path);
       if (!os) throw ConfigError("cannot open JSON file '" + *json_path + "'");
-      os << "{\n  \"tool\": \"hipo_shard\",\n  \"build\": "
-         << obs::build_info_json() << ",\n";
-      os << "  \"shards\": " << stats.shards
-         << ",\n  \"processes\": " << stats.processes
-         << ",\n  \"mem_ceiling_bytes\": " << opt.mem_ceiling_bytes
-         << ",\n  \"rows\": " << stats.rows
-         << ",\n  \"peak_shard_bytes\": " << stats.peak_shard_bytes
-         << ",\n  \"pool_bytes\": " << stats.pool_bytes
-         << ",\n  \"extract_seconds\": " << obs::json_double(extract_seconds)
-         << ",\n  \"merge_seconds\": " << obs::json_double(stats.merge_seconds)
-         << ",\n  \"greedy_seconds\": " << obs::json_double(greedy_seconds)
-         << ",\n  \"candidates\": " << extraction.candidates.size()
-         << ",\n  \"utility\": " << obs::json_double(greedy.exact_utility)
-         << ",\n  \"verified\": " << (verify ? "true" : "false")
-         << ",\n  \"peak_rss_bytes\": " << obs::peak_rss_bytes()
-         << ",\n  \"shard_seconds\": [";
-      for (std::size_t k = 0; k < stats.shard_seconds.size(); ++k) {
-        os << (k ? ", " : "") << obs::json_double(stats.shard_seconds[k]);
+      obs::Json shard_seconds = obs::Json::array();
+      for (const double t : stats.shard_seconds) {
+        shard_seconds.push(obs::Json::number(t));
       }
-      os << "]\n}\n";
+      obs::Json summary = obs::Json::object();
+      summary.set("tool", obs::Json::string("hipo_shard"))
+          .set("build", obs::build_info_object())
+          .set("shards", obs::Json::number(stats.shards))
+          .set("processes", obs::Json::number(stats.processes))
+          .set("mem_ceiling_bytes",
+               obs::Json::number(opt.mem_ceiling_bytes))
+          .set("rows", obs::Json::number(stats.rows))
+          .set("peak_shard_bytes",
+               obs::Json::number(stats.peak_shard_bytes))
+          .set("pool_bytes", obs::Json::number(stats.pool_bytes))
+          .set("extract_seconds", obs::Json::number(extract_seconds))
+          .set("merge_seconds", obs::Json::number(stats.merge_seconds))
+          .set("greedy_seconds", obs::Json::number(greedy_seconds))
+          .set("candidates",
+               obs::Json::number(extraction.candidates.size()))
+          .set("utility", obs::Json::number(greedy.exact_utility))
+          .set("verified", obs::Json::boolean(verify))
+          .set("peak_rss_bytes", obs::Json::number(obs::peak_rss_bytes()))
+          .set("shard_seconds", std::move(shard_seconds));
+      os << summary.dump() << '\n';
       std::cout << "run summary written to " << *json_path << "\n";
     }
     return 0;
