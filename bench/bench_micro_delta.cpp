@@ -157,6 +157,9 @@ struct SizeResult {
   std::size_t devices = 0;
   std::size_t deltas = 0;
   std::size_t full_rebuilds = 0;
+  /// Median DeltaStats::rows_refiltered: the rows the global filter re-ran
+  /// over per delta (its dirty set).
+  std::size_t refiltered_median = 0;
   double warm_median_ms = 0.0;
   double cold_median_ms = 0.0;
   double speedup() const {
@@ -185,6 +188,7 @@ SizeResult run_size(std::size_t target, std::size_t deltas,
   out.deltas = deltas;
 
   std::vector<double> warm_s, cold_s;
+  std::vector<std::size_t> refiltered;
   for (std::size_t k = 0; k < deltas; ++k) {
     // Move one device a small step inside its own cluster (stride a prime
     // through the device list so successive deltas hit distant clusters).
@@ -202,6 +206,7 @@ SizeResult run_size(std::size_t target, std::size_t deltas,
     const opt::DeltaStats stats = solver.apply(op);
     warm_s.push_back(t.seconds());
     if (stats.full_rebuild) ++out.full_rebuilds;
+    refiltered.push_back(stats.rows_refiltered);
 
     opt::CoverageMatrix cold_matrix;
     double cold_seconds = 0.0;
@@ -212,6 +217,8 @@ SizeResult run_size(std::size_t target, std::size_t deltas,
                      std::to_string(k + 1));
     require_identical(solver.result(), cold, k + 1);
   }
+  std::sort(refiltered.begin(), refiltered.end());
+  out.refiltered_median = refiltered[refiltered.size() / 2];
   out.warm_median_ms = median_ms(std::move(warm_s));
   out.cold_median_ms = median_ms(std::move(cold_s));
   return out;
@@ -237,7 +244,7 @@ int main(int argc, char** argv) {
 
   std::vector<SizeResult> results;
   Table table({"target", "candidates", "devices", "deltas", "rebuilds",
-               "warm ms", "cold ms", "speedup"});
+               "refiltered", "warm ms", "cold ms", "speedup"});
   for (int target : {512, 8192, 32768}) {
     if (target > max_target) continue;
     results.push_back(run_size(static_cast<std::size_t>(target),
@@ -249,6 +256,7 @@ int main(int argc, char** argv) {
         .add(static_cast<int>(r.devices))
         .add(static_cast<int>(r.deltas))
         .add(static_cast<int>(r.full_rebuilds))
+        .add(static_cast<int>(r.refiltered_median))
         .add(fmt(r.warm_median_ms))
         .add(fmt(r.cold_median_ms))
         .add(fmt(r.speedup()));
@@ -270,6 +278,7 @@ int main(int argc, char** argv) {
          << ", \"candidates\": " << r.candidates
          << ", \"devices\": " << r.devices << ", \"deltas\": " << r.deltas
          << ", \"full_rebuilds\": " << r.full_rebuilds
+         << ", \"rows_refiltered_median\": " << r.refiltered_median
          << ", \"warm_median_ms\": " << r.warm_median_ms
          << ", \"cold_median_ms\": " << r.cold_median_ms
          << ", \"speedup\": " << r.speedup() << "}"

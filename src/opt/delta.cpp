@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -29,13 +30,16 @@ double box_distance(geom::Vec2 p, const geom::BBox& box) {
 DeltaSolver::DeltaSolver(model::Scenario::Config config, DeltaOptions options)
     : config_(std::move(config)), options_(options) {
   scenario_.emplace(model::Scenario::Config(config_));
-  per_task_.assign(scenario_->num_devices(), {});
-  survived_.assign(scenario_->num_devices(), {});
+  const std::size_t n = scenario_->num_devices();
+  per_task_.assign(n, {});
+  survived_.assign(n, {});
+  admitted_.assign(scenario_->num_charger_types(), {});
   // Cold build = "everything invalidated": the same refresh every delta
-  // runs, so the cold and warm code paths are one path.
-  std::vector<std::uint8_t> affected(scenario_->num_devices(), 1);
+  // runs, so the cold and warm code paths are one path. Every row is then
+  // dirty, and there are no old rows to touch devices.
   DeltaStats stats;
-  refresh(affected, stats);
+  refresh(std::vector<std::uint8_t>(n, 1), std::vector<std::uint8_t>(n, 0),
+          stats);
 }
 
 std::vector<std::uint8_t> DeltaSolver::affected_tasks(
@@ -127,59 +131,85 @@ DeltaStats DeltaSolver::apply(const DeltaOp& op) {
   model::Scenario built{model::Scenario::Config(next)};
   config_ = std::move(next);
   scenario_.emplace(std::move(built));
-  // The cache slots follow the device list: a removed device's slots go, an
-  // added device gets empty ones at the end.
+  // Devices (new numbering) covered by a row about to be replaced: removing
+  // column r shifts every id above it down, and r itself is gone.
+  const std::size_t n = config_.devices.size();
+  std::vector<std::uint8_t> touched(n, 0);
+  const auto renumber = [&](std::size_t j) {
+    return removed_task != kNone && j > removed_task ? j - 1 : j;
+  };
+  const auto touch_rows = [&](const std::vector<pdcs::Candidate>& rows) {
+    for (const pdcs::Candidate& c : rows) {
+      for (const std::size_t j : c.covered) {
+        if (j != removed_task) touched[renumber(j)] = 1;
+      }
+    }
+  };
+  // The cache slots follow the device list: a removed device's slots and
+  // survivors go, later slots shift down, and an added device gets empty
+  // slots at the end.
   if (removed_task != kNone) {
+    touch_rows(per_task_[removed_task]);
     erase_at(per_task_, removed_task);
     erase_at(survived_, removed_task);
+    for (auto& survivors : admitted_) {
+      std::erase_if(survivors, [&](const Admitted& a) {
+        return a.ref.slot == removed_task;
+      });
+      for (Admitted& a : survivors) a.ref.slot = renumber(a.ref.slot);
+    }
   }
-  per_task_.resize(config_.devices.size());
-  survived_.resize(config_.devices.size());
+  per_task_.resize(n);
+  survived_.resize(n);
 
   // 2. Invalidation set over the *new* device list. A moved/added device is
   // at distance 0 from its own delta point, so its task is always in.
   const std::vector<std::uint8_t> affected = affected_tasks(points, boxes);
 
-  // 3. Device-id renumber in the surviving cached outputs: removing column
-  // r shifts every id above it down. Only unaffected tasks matter (the
-  // rest are re-extracted), and none of them can cover r — a candidate
-  // covering r sits within d_max of it, its task's device within 2·d_max,
-  // which is inside the invalidation radius.
-  if (removed_task != kNone) {
-    for (std::size_t i = 0; i < per_task_.size(); ++i) {
-      if (affected[i]) continue;
+  // 3. The affected tasks' old rows touch their devices before they are
+  // replaced. The unaffected tasks' rows stay and are renumbered past a
+  // removed column; none of them covers it — a candidate covering r sits
+  // within d_max of it, its task's device within 2·d_max, which is inside
+  // the invalidation radius.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (affected[i]) {
+      touch_rows(per_task_[i]);
+    } else if (removed_task != kNone) {
       for (pdcs::Candidate& c : per_task_[i]) {
         for (std::size_t& j : c.covered) {
           HIPO_ASSERT_MSG(j != removed_task,
                           "unaffected task covers the removed device");
-          if (j > removed_task) --j;
+          j = renumber(j);
         }
       }
     }
   }
 
-  refresh(affected, stats);
+  refresh(affected, std::move(touched), stats);
 
   if (obs::metrics_enabled()) [[unlikely]] {
     obs::counter("delta.rows_patched")
         .add(stats.rows_erased + stats.rows_inserted);
     obs::counter("delta.candidates_regenerated")
         .add(stats.candidates_regenerated);
-    // Registered on every apply, so the counter exists even at zero.
+    // Registered on every apply, so the counters exist even at zero.
     obs::counter("delta.full_rebuilds").add(stats.full_rebuild ? 1 : 0);
+    obs::counter("delta.rows_refiltered").add(stats.rows_refiltered);
   }
   return stats;
 }
 
 void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
+                          std::vector<std::uint8_t> touched,
                           DeltaStats& stats) {
   const std::size_t n = scenario_->num_devices();
-  HIPO_ASSERT(per_task_.size() == n && survived_.size() == n);
+  HIPO_ASSERT(per_task_.size() == n && survived_.size() == n &&
+              touched.size() == n);
   stats.tasks_total = n;
 
   // Re-extract the invalidated tasks with extract_all's task loop —
   // determinism makes each regenerated output bit-identical to what the
-  // cold pipeline computes.
+  // cold pipeline computes. Their new rows touch their devices too.
   {
     obs::Span span("delta.extract");
     std::vector<std::size_t> tasks;
@@ -192,35 +222,114 @@ void DeltaSolver::refresh(const std::vector<std::uint8_t>& affected,
     for (const std::size_t i : tasks) {
       stats.candidates_regenerated += per_task_[i].size();
       survived_[i].assign(per_task_[i].size(), 0);
+      for (const pdcs::Candidate& c : per_task_[i]) {
+        for (const std::size_t j : c.covered) touched[j] = 1;
+      }
     }
   }
   stats.full_rebuild = stats.tasks_regenerated == stats.tasks_total;
 
-  // extract_all's global filter over the task table.
-  obs::Span filter_span("delta.filter");
-  const auto kept_by_type =
-      pdcs::filter_by_type(per_task_, scenario_->num_charger_types(), n,
-                           options_.extract, options_.workers);
-  filter_span.finish();
+  // Survivor flag bits while the dirty set is open: kSurvived is the last
+  // filter's verdict, kDirty marks a row of the dirty set, kAdmitted a
+  // dirty row that survives this filter.
+  constexpr std::uint8_t kSurvived = 1;
+  constexpr std::uint8_t kDirty = 2;
+  constexpr std::uint8_t kAdmitted = 4;
 
-  // Re-pack the survivors, type-major — the row order extract_all +
-  // CoverageMatrix lay out — with the constructor a cold solve uses. A row
-  // carries over when it survived the previous filter (re-extracted tasks
-  // had their flags cleared above) and survives this one.
-  obs::Span patch_span("delta.patch");
-  std::size_t kept = 0;
-  std::vector<const pdcs::Candidate*> rows;
-  for (const auto& survivors : kept_by_type) {
-    for (const pdcs::RowRef ref : survivors) {
-      kept += survived_[ref.slot][ref.row];
-      rows.push_back(&per_task_[ref.slot][ref.row]);
+  // The dirty set D, per type in table order: the affected tasks' rows and
+  // every row covering a touched device. Only these can change verdict;
+  // pdcs::filter_rows over them alone is the whole-table run restricted to
+  // them, because D holds every row covering a superset of a D row.
+  obs::Span filter_span("delta.filter");
+  // A row of task i covers only devices within task_reach of device i (its
+  // position lies within d_max of i, its devices within d_max of the
+  // position), so only tasks within task_reach of a touched device can
+  // hold a dirty row; the rest of the table is not read.
+  std::vector<std::uint8_t> near = affected;
+  if (!stats.full_rebuild) {
+    const double reach = pdcs::task_reach(*scenario_);
+    std::vector<std::size_t> found;
+    for (std::size_t t = 0; t < n; ++t) {
+      if (!touched[t]) continue;
+      scenario_->device_index().query_radius(scenario_->device(t).pos, reach,
+                                             found);
+      for (const std::size_t i : found) near[i] = 1;
     }
   }
-  for (auto& flags : survived_) std::fill(flags.begin(), flags.end(), 0);
-  for (const auto& survivors : kept_by_type) {
-    for (const pdcs::RowRef ref : survivors) survived_[ref.slot][ref.row] = 1;
+  const auto covers_touched = [&](const pdcs::Candidate& c) {
+    for (const std::size_t j : c.covered) {
+      if (touched[j]) return true;
+    }
+    return false;
+  };
+  std::vector<std::vector<pdcs::RowRef>> dirty(admitted_.size());
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (!near[slot]) continue;
+    const std::vector<pdcs::Candidate>& rows = per_task_[slot];
+    for (std::size_t row = 0; row < rows.size(); ++row) {
+      if (!affected[slot] && !covers_touched(rows[row])) continue;
+      dirty[rows[row].strategy.type].push_back({slot, row});
+      survived_[slot][row] |= kDirty;
+      ++stats.rows_refiltered;
+    }
   }
+  std::vector<std::vector<pdcs::RowRef>> fresh = dirty;
+  if (options_.extract.global_filter) {
+    pdcs::filter_rows(per_task_, fresh, n, options_.workers);
+  }
+  filter_span.finish();
+
+  // Merge D's survivors into each type's survivor list, which keeps the
+  // clean survivors in survivor order, by the filter's admission order
+  // (table order when the global filter is off), and re-pack the list with
+  // the constructor a cold solve uses. A row carries over (is kept) when it
+  // survived the previous filter, its task was not re-extracted (their
+  // flags were cleared above) and it survives this one: every clean
+  // survivor, and the D survivors whose old flag is set.
+  obs::Span patch_span("delta.patch");
+  const auto admitted_before = [](const Admitted& a, const Admitted& b) {
+    return pdcs::admitted_before(a.size, a.total_power, a.ref, b.size,
+                                 b.total_power, b.ref);
+  };
   const std::size_t old_rows = matrix_.num_rows();
+  std::size_t kept = 0;
+  std::vector<const pdcs::Candidate*> rows;
+  rows.reserve(old_rows + stats.rows_refiltered);
+  for (std::size_t q = 0; q < admitted_.size(); ++q) {
+    // An affected task's old refs may point past its new rows: drop them by
+    // task before reading any flag.
+    std::vector<Admitted>& survivors = admitted_[q];
+    std::erase_if(survivors, [&](const Admitted& a) {
+      return affected[a.ref.slot] != 0 ||
+             (survived_[a.ref.slot][a.ref.row] & kDirty) != 0;
+    });
+    kept += survivors.size();
+    std::vector<Admitted> admitted;
+    admitted.reserve(fresh[q].size());
+    for (const pdcs::RowRef ref : fresh[q]) {
+      std::uint8_t& flag = survived_[ref.slot][ref.row];
+      kept += flag & kSurvived;
+      flag = kAdmitted;
+      Admitted& a = admitted.emplace_back(Admitted{ref});
+      if (options_.extract.global_filter) {
+        const pdcs::RowView row = pdcs::row_view(per_task_[ref.slot][ref.row]);
+        a.total_power = pdcs::total_power(row);
+        a.size = row.covered.size();
+      }
+    }
+    for (const pdcs::RowRef ref : dirty[q]) {
+      std::uint8_t& flag = survived_[ref.slot][ref.row];
+      flag = flag == kAdmitted ? kSurvived : 0;
+    }
+    std::vector<Admitted> merged;
+    merged.reserve(survivors.size() + admitted.size());
+    std::merge(survivors.begin(), survivors.end(), admitted.begin(),
+               admitted.end(), std::back_inserter(merged), admitted_before);
+    survivors = std::move(merged);
+    for (const Admitted& a : survivors) {
+      rows.push_back(&per_task_[a.ref.slot][a.ref.row]);
+    }
+  }
   matrix_ = CoverageMatrix(rows, n);
   stats.rows_kept = kept;
   stats.rows_erased = old_rows - kept;

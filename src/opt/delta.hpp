@@ -10,11 +10,22 @@
 // build succeeds. The delta then invalidates only the
 // extraction tasks whose geometry the delta can reach (a pdcs::task_reach
 // ≈ 2·d_max disk, see the radius argument in docs/ALGORITHMS.md). Those
-// tasks are re-extracted with extract_all's task loop (pdcs::run_tasks),
-// the task table is re-filtered with its global filter
-// (pdcs::filter_by_type), and the survivors are re-packed into the matrix
-// with the same CoverageMatrix constructor a cold solve uses. The greedy
-// then re-runs over the warm matrix.
+// tasks are re-extracted with extract_all's task loop (pdcs::run_tasks).
+//
+// The global dominance filter then re-runs only over the rows whose
+// survival the delta can change. A row is only ever dominated by a row of
+// its type that covers a superset of its devices, so its verdict depends on
+// those rows alone, and it can change only if an old or new row of a
+// re-extracted task covers every one of its devices. The dirty set D is the
+// rows of re-extracted tasks plus every row that covers a device some old or
+// new row of theirs covers. D is closed upward under ⊇, so the global
+// filter's own filter step (pdcs::filter_rows) run over D alone, in table
+// order, gives the whole-table run's verdicts for D; every other row keeps
+// its survivor flag. D's survivors merge into each type's survivor list in
+// the filter's admission order (the CoverageMatrix row order, kept between
+// deltas), and the list is packed with the CoverageMatrix constructor a
+// cold solve uses. The greedy then re-runs over the warm matrix. The
+// constructor is the "every task affected" case of the same path.
 //
 // The contract is *bit-identity*: after any sequence of deltas, the
 // placement, utilities, and the matrix itself are byte-for-byte what a cold
@@ -36,7 +47,7 @@
 #include "src/opt/coverage_matrix.hpp"
 #include "src/opt/greedy.hpp"
 #include "src/parallel/thread_pool.hpp"
-#include "src/pdcs/candidate_gen.hpp"
+#include "src/pdcs/extract.hpp"
 
 namespace hipo::opt {
 
@@ -85,6 +96,10 @@ struct DeltaStats {
   /// True when the delta reached every task (tasks_regenerated ==
   /// tasks_total), so nothing was carried over.
   bool full_rebuild = false;
+  /// Rows the global filter re-ran over: the dirty set, every row whose
+  /// survival the delta could change. The whole task table on a full
+  /// rebuild.
+  std::size_t rows_refiltered = 0;
 };
 
 struct DeltaOptions {
@@ -124,9 +139,21 @@ class DeltaSolver {
   std::size_t num_candidates() const { return matrix_.num_rows(); }
 
  private:
-  /// Re-extract `affected` tasks, re-filter the task table and re-pack the
-  /// survivors into the matrix.
-  void refresh(const std::vector<std::uint8_t>& affected, DeltaStats& stats);
+  /// A matrix row: a survivor of the global filter with its admission keys
+  /// (zero when the global filter is off, which leaves table order). The
+  /// keys are stored because the merge would otherwise re-read every clean
+  /// survivor's row.
+  struct Admitted {
+    pdcs::RowRef ref;
+    double total_power = 0.0;
+    std::size_t size = 0;
+  };
+
+  /// Re-extract `affected` tasks, re-filter the rows whose survival that
+  /// can change and re-pack the survivors into the matrix. `touched` flags
+  /// the devices (new numbering) that the affected tasks' old rows cover.
+  void refresh(const std::vector<std::uint8_t>& affected,
+               std::vector<std::uint8_t> touched, DeltaStats& stats);
   std::vector<std::uint8_t> affected_tasks(
       const std::vector<geom::Vec2>& points,
       const std::vector<geom::BBox>& boxes) const;
@@ -144,6 +171,9 @@ class DeltaSolver {
   /// candidate survived the last filter (it is a matrix row). Moves with
   /// per_task_ on device insert/erase; feeds DeltaStats::rows_kept.
   std::vector<std::vector<std::uint8_t>> survived_;
+  /// Per charger type, the survivors in the filter's admission order: the
+  /// matrix row order. Rows outside a delta's dirty set carry over.
+  std::vector<std::vector<Admitted>> admitted_;
   CoverageMatrix matrix_;
   GreedyResult result_;
 };

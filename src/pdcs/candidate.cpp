@@ -62,20 +62,18 @@ bool dominated_by(RowView a, RowView b, double eps) {
 std::span<const std::size_t> DominanceFilter::run(const RowSource& rows,
                                                   std::size_t num_devices) {
   HIPO_ASSERT(rows.size() <= UINT32_MAX);
-  // Sort by decreasing coverage size, then decreasing total power: a row
-  // can only be dominated by one at or before it in this order.
+  // Sort into the admission order: a row can only be dominated by one at or
+  // before it.
   order_.clear();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RowView row = rows[i];
-    double total = 0.0;
-    for (double p : row.powers) total += p;
-    order_.push_back({total, static_cast<std::uint32_t>(row.covered.size()),
+    order_.push_back({total_power(row),
+                      static_cast<std::uint32_t>(row.covered.size()),
                       static_cast<std::uint32_t>(i)});
   }
   std::sort(order_.begin(), order_.end(), [](const Rank& x, const Rank& y) {
-    if (x.size != y.size) return x.size > y.size;
-    if (x.total_power != y.total_power) return x.total_power > y.total_power;
-    return x.row < y.row;
+    return admitted_before(x.size, x.total_power, x.row, y.size,
+                           y.total_power, y.row);
   });
 
   // Dense local universe: the distinct devices actually covered by this

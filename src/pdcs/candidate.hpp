@@ -110,6 +110,26 @@ inline bool dominated_by(const Candidate& a, const Candidate& b,
   return dominated_by(row_view(a), row_view(b), eps);
 }
 
+/// A row's total power, summed in covered order: the second key of the
+/// admission order below.
+inline double total_power(RowView row) {
+  double total = 0.0;
+  for (const double p : row.powers) total += p;
+  return total;
+}
+
+/// The admission order DominanceFilter::run visits rows in and returns its
+/// survivors in: more covered devices first, then more total power, then
+/// the earlier input position. The filter tests each row only against the
+/// kept rows before it in this order that cover a superset of its devices.
+template <typename Pos>
+bool admitted_before(std::size_t size_a, double power_a, const Pos& pos_a,
+                     std::size_t size_b, double power_b, const Pos& pos_b) {
+  if (size_a != size_b) return size_a > size_b;
+  if (power_a != power_b) return power_a > power_b;
+  return pos_a < pos_b;
+}
+
 /// The dominance filter with its working buffers kept between calls, so a
 /// caller that filters many pools (one per extraction task) allocates only
 /// while the buffers grow. Not thread-safe; keep one per thread.

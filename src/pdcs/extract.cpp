@@ -84,6 +84,13 @@ std::vector<std::vector<RowRef>> filter_by_type(
     const std::vector<std::vector<Candidate>>& table, std::size_t num_types,
     std::size_t num_devices, const ExtractOptions& opt,
     parallel::ThreadPool* pool) {
+  std::vector<std::vector<RowRef>> by_type = rows_by_type(table, num_types);
+  if (opt.global_filter) filter_rows(table, by_type, num_devices, pool);
+  return by_type;
+}
+
+std::vector<std::vector<RowRef>> rows_by_type(
+    const std::vector<std::vector<Candidate>>& table, std::size_t num_types) {
   std::vector<std::vector<RowRef>> by_type(num_types);
   for (std::size_t slot = 0; slot < table.size(); ++slot) {
     for (std::size_t row = 0; row < table[slot].size(); ++row) {
@@ -92,10 +99,15 @@ std::vector<std::vector<RowRef>> filter_by_type(
       by_type[q].push_back({slot, row});
     }
   }
-  if (!opt.global_filter) return by_type;
+  return by_type;
+}
+
+void filter_rows(const std::vector<std::vector<Candidate>>& table,
+                 std::vector<std::vector<RowRef>>& by_type,
+                 std::size_t num_devices, parallel::ThreadPool* pool) {
   // Each type's filter is independent, so the filters run as parallel
   // tasks, each writing only its own type's list.
-  parallel::chunked_for(pool, num_types, [&](std::size_t q) {
+  parallel::chunked_for(pool, by_type.size(), [&](std::size_t q) {
     const std::vector<RowRef>& rows = by_type[q];
     const auto at = [&](std::size_t i) {
       return row_view(table[rows[i].slot][rows[i].row]);
@@ -108,7 +120,6 @@ std::vector<std::vector<RowRef>> filter_by_type(
     }
     by_type[q] = std::move(kept);
   });
-  return by_type;
 }
 
 ExtractionResult merge_by_task(const model::Scenario& scenario,

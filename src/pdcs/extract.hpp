@@ -3,6 +3,7 @@
 // distributed (Algorithm 5: per-device tasks, LPT-assigned to machines).
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -44,22 +45,38 @@ std::vector<double> run_tasks(const model::Scenario& scenario,
                               parallel::ThreadPool* pool,
                               std::vector<std::vector<Candidate>>& per_task);
 
-/// A row of a table of row vectors: `table[slot][row]`.
+/// A row of a table of row vectors: `table[slot][row]`. Ordered by table
+/// position (slot-major, then row).
 struct RowRef {
   std::size_t slot;
   std::size_t row;
+
+  friend auto operator<=>(const RowRef&, const RowRef&) = default;
 };
 
 /// The one global dominance filter (Algorithm 4's final step, per charger
-/// type). Type-q rows of `table` enter the type-q filter in table order
-/// (slot-major, then row order within a slot); element q of the result
-/// holds the type-q survivors in survivor order. When `opt.global_filter`
-/// is false every row survives, in table order. The per-type filters run
-/// on `pool`; the result is identical for any worker count.
+/// type): rows_by_type, then filter_rows when `opt.global_filter` is set.
+/// Type-q rows of `table` enter the type-q filter in table order; element q
+/// of the result holds the type-q survivors in survivor order. When
+/// `opt.global_filter` is false every row survives, in table order. The
+/// result is identical for any worker count.
 std::vector<std::vector<RowRef>> filter_by_type(
     const std::vector<std::vector<Candidate>>& table, std::size_t num_types,
     std::size_t num_devices, const ExtractOptions& opt,
     parallel::ThreadPool* pool = nullptr);
+
+/// filter_by_type's bucketing step: element q lists the type-q rows of
+/// `table` in table order (slot-major, then row order within a slot).
+std::vector<std::vector<RowRef>> rows_by_type(
+    const std::vector<std::vector<Candidate>>& table, std::size_t num_types);
+
+/// filter_by_type's filter step: replaces each list `by_type[q]` (rows of
+/// one charger type, in the order they enter the filter) with its
+/// DominanceFilter survivors in survivor order. The lists are filtered as
+/// parallel tasks on `pool`; the result is identical for any worker count.
+void filter_rows(const std::vector<std::vector<Candidate>>& table,
+                 std::vector<std::vector<RowRef>>& by_type,
+                 std::size_t num_devices, parallel::ThreadPool* pool = nullptr);
 
 /// extract_all's merge, shared with the sharded path (hipo::shard):
 /// `per_task[i]` holds device task i's output rows in task output order

@@ -219,5 +219,74 @@ TEST(FilterDominated, SparseUniverseMatchesReference) {
   }
 }
 
+// Property behind the delta layer's partial re-filter: a row is only ever
+// dominated by a row covering a superset of its devices, so its verdict is
+// decided by the rows ⊇ it. Over any subset closed upward under ⊇, run in
+// table order, the filter must return exactly the full run's survivors in
+// that subset, in the full run's survivor order.
+class FilterClosureTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FilterClosureTest, UpwardClosedSubsetMatchesFullRunRestricted) {
+  hipo::Rng rng(static_cast<std::uint64_t>(GetParam()) * 389 + 11);
+  const std::size_t num_devices = 4 + rng.below(10);
+  std::vector<Candidate> pool;
+  const int n = 1 + static_cast<int>(rng.below(90));
+  for (int i = 0; i < n; ++i) {
+    Candidate c;
+    for (std::size_t j = 0; j < num_devices; ++j) {
+      if (rng.uniform() < 0.35) {
+        c.covered.push_back(j);
+        // Quantized powers, so ties and domination chains occur.
+        c.powers.push_back(0.1 * static_cast<double>(1 + rng.below(3)));
+      }
+    }
+    // Exact duplicates, which the earlier row must win in both runs.
+    pool.push_back(c);
+    if (rng.uniform() < 0.1) pool.push_back(c);
+  }
+  const auto covers_all = [](const Candidate& big, const Candidate& small) {
+    return std::includes(big.covered.begin(), big.covered.end(),
+                         small.covered.begin(), small.covered.end());
+  };
+
+  DominanceFilter filter;
+  const auto at = [&](std::size_t i) { return row_view(pool[i]); };
+  const auto full_span = filter.run(RowSource(pool.size(), at), num_devices);
+  const std::vector<std::size_t> full(full_span.begin(), full_span.end());
+
+  for (int trial = 0; trial < 8; ++trial) {
+    // The upward closure of a few random seed rows, in table order.
+    std::vector<std::size_t> seeds;
+    for (std::size_t k = 0; k <= rng.below(3); ++k) {
+      seeds.push_back(rng.below(pool.size()));
+    }
+    std::vector<std::size_t> subset;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      for (const std::size_t s : seeds) {
+        if (covers_all(pool[i], pool[s])) {
+          subset.push_back(i);
+          break;
+        }
+      }
+    }
+    const auto sub_at = [&](std::size_t k) { return row_view(pool[subset[k]]); };
+    std::vector<std::size_t> got;
+    for (const std::size_t k :
+         filter.run(RowSource(subset.size(), sub_at), num_devices)) {
+      got.push_back(subset[k]);
+    }
+    std::vector<std::size_t> want;
+    for (const std::size_t i : full) {
+      if (std::binary_search(subset.begin(), subset.end(), i)) {
+        want.push_back(i);
+      }
+    }
+    EXPECT_EQ(got, want) << "trial " << trial << ", " << subset.size()
+                         << " of " << pool.size() << " rows";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, FilterClosureTest, ::testing::Range(0, 25));
+
 }  // namespace
 }  // namespace hipo::pdcs

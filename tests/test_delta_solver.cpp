@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/model/scenario.hpp"
@@ -48,11 +49,13 @@ void expect_results_identical(const opt::GreedyResult& warm,
 }
 
 /// Cold reference: fresh extraction + the span-based greedy, exactly the
-/// configuration DeltaSolver defaults to.
+/// configuration DeltaSolver defaults to (with the solver's extraction
+/// options when they differ from the defaults).
 void expect_matches_cold(const opt::DeltaSolver& delta,
-                         const std::string& label) {
+                         const std::string& label,
+                         const pdcs::ExtractOptions& extract = {}) {
   const model::Scenario cold_scenario{model::Scenario::Config(delta.config())};
-  const auto extraction = pdcs::extract_all(cold_scenario);
+  const auto extraction = pdcs::extract_all(cold_scenario, extract);
   const opt::CoverageMatrix cold_matrix(
       std::span<const pdcs::Candidate>(extraction.candidates),
       cold_scenario.num_devices());
@@ -167,6 +170,46 @@ model::Scenario::Config spread_config() {
   cfg.obstacles = {geom::make_rect({48.0, 44.0}, {54.0, 46.0}),
                    geom::make_rect({8.0, 90.0}, {11.0, 94.0})};
   return cfg;
+}
+
+/// Whether `m` holds a row with exactly `c`'s strategy, devices and powers.
+bool matrix_has_row(const opt::CoverageMatrix& m, const pdcs::Candidate& c) {
+  for (std::size_t r = 0; r < m.num_rows(); ++r) {
+    const model::Strategy& s = m.strategy(r);
+    if (bits(s.pos.x) != bits(c.strategy.pos.x) ||
+        bits(s.pos.y) != bits(c.strategy.pos.y) ||
+        bits(s.orientation) != bits(c.strategy.orientation) ||
+        s.type != c.strategy.type || m.covered(r).size() != c.covered.size()) {
+      continue;
+    }
+    bool same = true;
+    for (std::size_t k = 0; k < c.covered.size(); ++k) {
+      same = same && m.covered(r)[k] == c.covered[k] &&
+             bits(m.powers(r)[k]) == bits(c.powers[k]);
+    }
+    if (same) return true;
+  }
+  return false;
+}
+
+/// Task `task`'s rows in a cold extraction of `cfg`, and for each whether
+/// it survives the global filter over the whole task table.
+std::pair<std::vector<pdcs::Candidate>, std::vector<bool>> cold_task_verdicts(
+    const model::Scenario::Config& cfg, std::size_t task) {
+  const model::Scenario s{model::Scenario::Config(cfg)};
+  std::vector<std::size_t> tasks(s.num_devices());
+  for (std::size_t i = 0; i < tasks.size(); ++i) tasks[i] = i;
+  std::vector<std::vector<pdcs::Candidate>> table(s.num_devices());
+  const pdcs::ExtractOptions opt;
+  pdcs::run_tasks(s, tasks, opt, nullptr, table);
+  std::vector<bool> survives(table[task].size(), false);
+  for (const auto& kept : pdcs::filter_by_type(
+           table, s.num_charger_types(), s.num_devices(), opt)) {
+    for (const pdcs::RowRef ref : kept) {
+      if (ref.slot == task) survives[ref.row] = true;
+    }
+  }
+  return {table[task], survives};
 }
 
 TEST(DeltaSolver, ColdConstructionMatchesColdSolve) {
@@ -333,6 +376,111 @@ TEST(DeltaSolver, LocalDeltaRegeneratesOnlyTheNeighborhood) {
   EXPECT_FALSE(obst_stats.full_rebuild);
   EXPECT_LT(obst_stats.tasks_regenerated, obst_stats.tasks_total);
   expect_matches_cold(delta, "local obstacle");
+}
+
+TEST(DeltaSolver, MoveFlipsTheVerdictOfAnUnaffectedTasksRow) {
+  // A move re-extracts only the tasks within task_reach ≈ 10 m, but the
+  // re-extracted rows can dominate, or stop dominating, a row of a task
+  // outside that disk. That row is in the dirty set (it covers a device a
+  // changed row covers), so its survivor flag must flip with the cold
+  // verdict although its task is kept warm.
+  struct Case {
+    const char* label;
+    std::vector<geom::Vec2> devices;
+    std::size_t moved;
+    geom::Vec2 to;
+    std::size_t watched;  // the unaffected task
+    bool survives_after;
+  };
+  const std::vector<Case> cases = {
+      {"un-dominated", {{26.0, 10.5}, {34.0, 0.5}, {29.5, 4.0}}, 1,
+       {36.0, 0.0}, 0, true},
+      {"newly dominated",
+       {{20.0, 9.5}, {31.5, 9.0}, {14.0, 5.5}, {29.5, 5.5}, {28.0, 2.0}},
+       0, {21.5, 8.5}, 1, false},
+  };
+  for (const Case& c : cases) {
+    auto cfg = test::simple_config();  // d_max = 5 → radius ≈ 10
+    cfg.region.hi = {40.0, 12.0};
+    for (const geom::Vec2 p : c.devices) {
+      cfg.devices.push_back(test::device_at(p.x, p.y));
+    }
+    const model::Scenario scenario{model::Scenario::Config(cfg)};
+    const double reach = pdcs::task_reach(scenario);
+    const geom::Vec2 watched = c.devices[c.watched];
+    ASSERT_GT(geom::distance(watched, c.devices[c.moved]), reach) << c.label;
+    ASSERT_GT(geom::distance(watched, c.to), reach) << c.label;
+
+    opt::DeltaSolver delta{model::Scenario::Config(cfg)};
+    const opt::CoverageMatrix before = delta.matrix();
+    const auto [rows, was] = cold_task_verdicts(cfg, c.watched);
+    const auto stats =
+        apply_checked(delta, move_device_op(c.moved, c.to), c.label);
+    EXPECT_LT(stats.tasks_regenerated, stats.tasks_total) << c.label;
+    expect_matches_cold(delta, c.label);
+
+    const auto [rows_after, now] = cold_task_verdicts(delta.config(),
+                                                      c.watched);
+    ASSERT_EQ(rows_after.size(), rows.size()) << c.label;
+    std::size_t flipped = 0;
+    for (std::size_t e = 0; e < rows.size(); ++e) {
+      EXPECT_EQ(matrix_has_row(before, rows[e]), was[e]) << c.label;
+      EXPECT_EQ(matrix_has_row(delta.matrix(), rows[e]), now[e]) << c.label;
+      if (was[e] == now[e]) continue;
+      ++flipped;
+      EXPECT_EQ(now[e], c.survives_after) << c.label << " row " << e;
+    }
+    EXPECT_GE(flipped, 1u) << c.label;
+  }
+}
+
+TEST(DeltaSolver, LocalMoveRefiltersAFractionOfTheTable) {
+  // Nine two-device clusters 45 m apart: a one-meter move in a corner
+  // re-filters the rows near that corner, not the table.
+  opt::DeltaSolver delta{spread_config()};
+  const model::Scenario cold{model::Scenario::Config(delta.config())};
+  const std::size_t table_rows = pdcs::extract_all(cold).raw_candidates;
+
+  const auto stats = delta.apply(move_device_op(0, {6.0, 6.0}));
+  EXPECT_GT(stats.rows_refiltered, 0u);
+  EXPECT_LT(4 * stats.rows_refiltered, table_rows)
+      << stats.rows_refiltered << " of " << table_rows << " rows";
+  expect_matches_cold(delta, "local move");
+
+  // A delta that reaches every task re-filters the whole table.
+  auto cluster = test::simple_config();
+  cluster.devices = {test::device_at(6, 8), test::device_at(9, 6),
+                     test::device_at(12, 7)};
+  opt::DeltaSolver whole{model::Scenario::Config(cluster)};
+  const auto all = whole.apply(move_device_op(1, {9.0, 7.0}));
+  ASSERT_TRUE(all.full_rebuild);
+  const model::Scenario whole_cold{model::Scenario::Config(whole.config())};
+  EXPECT_EQ(all.rows_refiltered,
+            pdcs::extract_all(whole_cold).raw_candidates);
+}
+
+TEST(DeltaSolver, UnfilteredChurnBitIdenticalToColdUnfiltered) {
+  // With the global filter off every row survives in table order; the
+  // warm table must still match a cold extraction under the same options
+  // through device and obstacle churn.
+  const auto scenario = test::small_paper_scenario(17);
+  opt::DeltaOptions options;
+  options.extract.global_filter = false;
+  opt::DeltaSolver delta(scenario.to_config(), options);
+  expect_matches_cold(delta, "unfiltered cold", options.extract);
+
+  std::vector<opt::DeltaOp> ops;
+  ops.push_back(add_device_op(free_spot(delta.config(), 4)));
+  ops.push_back(move_device_op(2, free_spot(delta.config(), 10)));
+  ops.push_back(remove_device_op(0));
+  ops.push_back(add_obstacle_op(
+      obstacle_rect_at(delta.config(), free_spot(delta.config(), 6), 1.0)));
+  ops.push_back(remove_obstacle_op(0));
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const std::string label = "unfiltered prefix " + std::to_string(k + 1);
+    apply_checked(delta, ops[k], label);
+    expect_matches_cold(delta, label, options.extract);
+  }
 }
 
 TEST(DeltaSolver, InvalidOpsThrowAndLeaveTheSolverUsable) {
