@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the optimization substrate:
-// objective gains, greedy variants (sequential and on a thread pool),
+// objective gains, the greedy's two selection orders, local search,
 // dominance filtering, Hungarian, LPT.
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "src/opt/local_search.hpp"
 #include "src/opt/objective.hpp"
 #include "src/parallel/lpt.hpp"
-#include "src/parallel/thread_pool.hpp"
 #include "src/pdcs/extract.hpp"
 #include "src/util/rng.hpp"
 
@@ -31,36 +30,6 @@ struct Fixture {
       fx.extraction = pdcs::extract_all(fx.scenario);
       return fx;
     }();
-    return f;
-  }
-};
-
-/// Large instance for the parallel-selection benchmark: dense topology so
-/// the greedy argmax scans thousands of candidates per round.
-model::Scenario make_big_scenario() {
-  model::GenOptions opt;
-  opt.device_multiplier = 12;
-  opt.num_obstacles = 6;
-  Rng rng(42);
-  return model::make_paper_scenario(opt, rng);
-}
-
-struct BigFixture {
-  model::Scenario scenario;
-  pdcs::ExtractionResult extraction;
-
-  BigFixture() : scenario(make_big_scenario()) {
-    // Extraction itself on all cores — candidates are scheduling-invariant.
-    // The global dominance filter stays off: the parallel benchmarks target
-    // the argmax-bound regime, where greedy scans the raw candidate set.
-    parallel::ThreadPool pool;
-    pdcs::ExtractOptions opt;
-    opt.global_filter = false;
-    extraction = pdcs::extract_all(scenario, opt, &pool);
-  }
-
-  static const BigFixture& get() {
-    static BigFixture f;
     return f;
   }
 };
@@ -120,20 +89,6 @@ void BM_DominanceFilter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DominanceFilter);
-
-// The parallel-speedup entry: greedy selection over the big candidate set
-// with a pool of range(0) workers. Identical output for every pool size.
-void BM_GreedyGlobalParallel(benchmark::State& state) {
-  const auto& f = BigFixture::get();
-  parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(opt::select_strategies(
-        f.scenario, f.extraction.candidates, opt::GreedyMode::kGlobal,
-        opt::ObjectiveKind::kUtility, &pool));
-  }
-}
-BENCHMARK(BM_GreedyGlobalParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_Hungarian(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

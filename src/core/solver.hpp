@@ -12,18 +12,17 @@ namespace hipo::core {
 struct SolveOptions {
   pdcs::ExtractOptions extract;
   /// Lazy global matroid greedy by default: identical ½−ε guarantee to
-  /// Algorithm 3 (both are the greedy of [38] the paper cites), never worse
-  /// in utility, and faster via Minoux's lazy evaluation. Set kPerType for
-  /// the literal Algorithm 3 type-by-type order (compared in
-  /// bench_ablation_greedy).
+  /// Algorithm 3 (both are the greedy of [38] the paper cites) and never
+  /// worse in utility. Set kPerType for the literal Algorithm 3
+  /// type-by-type order (compared in bench_ablation_greedy).
   opt::GreedyMode greedy = opt::GreedyMode::kLazyGlobal;
   /// Post-greedy matroid-exchange local search (never worse; tightens the
   /// solution toward the 1 − 1/e quality the paper mentions via [39]).
   bool local_search = false;
-  /// Optional worker pool for the whole pipeline: distributed extraction
-  /// (Algorithm 5), per-type dominance filtering, the greedy argmax, and
-  /// the exact-utility evaluation. Output is bit-identical for any pool
-  /// size (deterministic chunked reductions), including no pool at all.
+  /// Optional worker pool for the pipeline: distributed extraction
+  /// (Algorithm 5), per-type dominance filtering and the greedy's initial
+  /// gains (the exact-utility evaluation is one serial pass). Output is
+  /// bit-identical for any pool size, including no pool at all.
   parallel::ThreadPool* pool = nullptr;
 };
 

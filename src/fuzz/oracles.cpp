@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -478,6 +480,70 @@ std::optional<Violation> check_piecewise(const Scenario& scenario,
   return std::nullopt;
 }
 
+namespace {
+
+std::uint64_t utility_bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// The greedy as a plain rescan argmax, the reference the library's lazy
+/// heap must reproduce bit for bit: every pick recomputes the gain of every
+/// untaken, matroid-feasible candidate on a non-incremental State (no heap,
+/// no gain cache) and takes the strictly largest gain above kMinGain,
+/// lowest index on exact ties. kPerType fills each charger type's budget in
+/// type order; kLazyGlobal picks across every type with budget left.
+opt::GreedyResult rescan_greedy(const Scenario& scenario,
+                                std::span<const pdcs::Candidate> cands,
+                                opt::GreedyMode mode) {
+  const opt::ChargingObjective objective(scenario, cands);
+  opt::ChargingObjective::State state(objective);
+  const opt::PartitionMatroid matroid =
+      opt::placement_matroid(scenario, cands);
+  opt::PartitionMatroid::Tracker tracker(matroid);
+  std::vector<bool> taken(cands.size(), false);
+  opt::GreedyResult result;
+  // One pick among the rows of `part` (of any part when none is given);
+  // false when no eligible row has positive gain.
+  const auto pick = [&](std::optional<std::size_t> part) {
+    std::size_t best = cands.size();
+    double best_gain = opt::kMinGain;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (taken[i] || !tracker.can_add(i) ||
+          (part && matroid.part_of(i) != *part)) {
+        continue;
+      }
+      const double g = state.gain(i);
+      if (g > best_gain) {
+        best = i;
+        best_gain = g;
+      }
+    }
+    if (best == cands.size()) return false;
+    taken[best] = true;
+    tracker.add(best);
+    state.add(best);
+    result.selected.push_back(best);
+    result.placement.push_back(cands[best].strategy);
+    return true;
+  };
+  if (mode == opt::GreedyMode::kPerType) {
+    for (std::size_t q = 0; q < matroid.num_parts(); ++q) {
+      while (pick(q)) {
+      }
+    }
+  } else {
+    while (pick(std::nullopt)) {
+    }
+  }
+  result.approx_utility = state.value();
+  result.exact_utility = scenario.placement_utility(result.placement);
+  return result;
+}
+
+}  // namespace
+
 std::optional<Violation> check_greedy_bound(const Scenario& scenario,
                                             std::uint64_t seed) {
   (void)seed;
@@ -485,6 +551,29 @@ std::optional<Violation> check_greedy_bound(const Scenario& scenario,
   const auto extraction = pdcs::extract_all(scenario);
   const auto& cands = extraction.candidates;
   if (cands.empty()) return std::nullopt;
+
+  constexpr std::array kModes{opt::GreedyMode::kPerType,
+                              opt::GreedyMode::kLazyGlobal};
+  const auto name_of = [](opt::GreedyMode mode) {
+    return std::string(mode == opt::GreedyMode::kPerType ? "per-type"
+                                                         : "lazy-global");
+  };
+  // Every selection order must equal the plain rescan argmax bit for bit:
+  // selection, approximated and exact utility.
+  std::array<opt::GreedyResult, kModes.size()> runs;
+  for (std::size_t m = 0; m < kModes.size(); ++m) {
+    runs[m] = opt::select_strategies(scenario, cands, kModes[m]);
+    const auto want = rescan_greedy(scenario, cands, kModes[m]);
+    if (runs[m].selected != want.selected ||
+        utility_bits(runs[m].approx_utility) !=
+            utility_bits(want.approx_utility) ||
+        utility_bits(runs[m].exact_utility) !=
+            utility_bits(want.exact_utility)) {
+      return fail("greedy", name_of(kModes[m]) +
+                                " greedy and the rescan argmax disagree "
+                                "(selection or utility not bit-identical)");
+    }
+  }
   if (cands.size() > 20 || scenario.num_chargers() > 4) return std::nullopt;
 
   opt::ExactResult best;
@@ -501,13 +590,9 @@ std::optional<Violation> check_greedy_bound(const Scenario& scenario,
   // matroid where the classic 1−1/e factor applies.
   const double factor = single_type ? 1.0 - std::exp(-1.0) : 0.5;
 
-  opt::GreedyResult global;
-  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
-                          opt::GreedyMode::kLazyGlobal}) {
-    const auto g = opt::select_strategies(scenario, cands, mode);
-    const char* name = mode == opt::GreedyMode::kPerType ? "per-type"
-                       : mode == opt::GreedyMode::kGlobal ? "global"
-                                                          : "lazy-global";
+  for (std::size_t m = 0; m < kModes.size(); ++m) {
+    const opt::GreedyResult& g = runs[m];
+    const std::string name = name_of(kModes[m]);
     try {
       scenario.validate_placement(g.placement);
     } catch (const std::exception& e) {
@@ -539,16 +624,6 @@ std::optional<Violation> check_greedy_bound(const Scenario& scenario,
         g.approx_utility < -1e-12 || g.approx_utility > 1.0 + 1e-12) {
       return fail("greedy", std::string("greedy (") + name +
                                 ") utility outside [0, 1]");
-    }
-    if (mode == opt::GreedyMode::kGlobal) global = g;
-    if (mode == opt::GreedyMode::kLazyGlobal) {
-      if (g.selected != global.selected ||
-          g.approx_utility != global.approx_utility ||
-          g.exact_utility != global.exact_utility) {
-        return fail("greedy",
-                    "lazy-global and global greedy disagree (selection or "
-                    "utility not bit-identical)");
-      }
     }
     if (single_type) {
       // Theorem-style end-to-end chain on exact utilities:
@@ -602,16 +677,6 @@ std::optional<Violation> check_determinism(const Scenario& scenario,
   }
   return std::nullopt;
 }
-
-namespace {
-
-std::uint64_t utility_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 std::optional<Violation> check_delta(const Scenario& scenario,
                                      std::uint64_t seed) {

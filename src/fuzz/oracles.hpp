@@ -55,10 +55,12 @@ std::optional<Violation> check_coverage(const model::Scenario& scenario,
 std::optional<Violation> check_piecewise(const model::Scenario& scenario,
                                          std::uint64_t seed);
 
-/// (4) Greedy vs. exhaustive on tiny instances: the ½ matroid bound (and
-/// 1−1/e with a single charger type, plus the (1−1/e)/(1+ε₁) end-to-end
-/// chain on exact utilities), lazy ≡ eager, and placement validity.
-/// Skips (returns nullopt) when the instance is too large to brute-force.
+/// (4) Greedy: both selection orders bit-identical to a plain rescan argmax
+/// (no heap, no gain cache) on every tractable instance; then, on tiny
+/// instances, vs. exhaustive search: the ½ matroid bound (and 1−1/e with a
+/// single charger type, plus the (1−1/e)/(1+ε₁) end-to-end chain on exact
+/// utilities) and placement validity. The exhaustive part is skipped when
+/// the instance is too large to brute-force.
 std::optional<Violation> check_greedy_bound(const model::Scenario& scenario,
                                             std::uint64_t seed);
 

@@ -107,7 +107,7 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
 
   // Derived dirty-gain cache effectiveness (the flat-CSR incremental
   // greedy): share of gain evaluations served from the cache instead of
-  // recomputed — the fraction of argmax work the dirty set eliminated.
+  // recomputed — the fraction of gain work the dirty set eliminated.
   std::uint64_t recomputes = 0, avoided = 0;
   for (const auto& c : snapshot.counters) {
     if (c.name == "coverage.gain_recomputes") recomputes = c.value;

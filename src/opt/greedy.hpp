@@ -1,16 +1,16 @@
 // Greedy strategy selection under the partition matroid (Section 4.3).
 //
-// Three interchangeable modes:
+// One greedy in two selection orders:
 //   * PerType    — Algorithm 3 verbatim: iterate charger types in order and
 //                  fill each type's budget greedily, gains evaluated on the
 //                  global state.
-//   * Global     — textbook matroid greedy: at every step pick the feasible
+//   * LazyGlobal — textbook matroid greedy: at every step pick the feasible
 //                  candidate with the best global marginal gain. Both
 //                  achieve the 1/2 bound for monotone submodular f under a
 //                  matroid constraint [Fisher–Nemhauser–Wolsey; ref 38].
-//   * LazyGlobal — Global accelerated with Minoux's lazy evaluation; exact
-//                  same output by submodularity (stale upper bounds only
-//                  ever postpone re-evaluation).
+// Both run Minoux's lazy evaluation: each pick is the exact argmax (the
+// strictly largest gain, lower index on exact ties) because by
+// submodularity stale gains only ever overestimate.
 #pragma once
 
 #include <span>
@@ -25,10 +25,10 @@
 
 namespace hipo::opt {
 
-enum class GreedyMode { kPerType, kGlobal, kLazyGlobal };
+enum class GreedyMode { kPerType, kLazyGlobal };
 
-/// The mode named "lazy" (kLazyGlobal), "global" or "per-type", as the CLI
-/// tools and the serve wire spell it. ConfigError on any other name.
+/// The mode named "lazy" or "global" (both kLazyGlobal) or "per-type", as
+/// the CLI tools and the serve wire spell it. ConfigError on any other name.
 GreedyMode parse_greedy_mode(const std::string& name);
 
 struct GreedyResult {
@@ -49,35 +49,28 @@ PartitionMatroid placement_matroid(const model::Scenario& scenario,
 
 /// Same matroid, read off an objective's row metadata (the CSR strategy
 /// arena) instead of the candidate structs. Identical output; this is what
-/// the greedy drivers use so the selection loop never touches the
+/// the greedy uses so the selection loop never touches the
 /// vector-of-vectors representation.
 PartitionMatroid placement_matroid(const model::Scenario& scenario,
                                    const ChargingObjective& objective);
-
-/// Chunk size of the eager modes' parallel argmax (State::best_gain per
-/// chunk, folded in chunk order). Fixed — worker-count independent — so the
-/// reduction is deterministic; the winner is chunking-invariant anyway
-/// (exact compares, lowest index wins across any chunk boundary).
-inline constexpr std::size_t kArgmaxGrain = 1024;
 
 /// Select strategies greedily. Stops early when no remaining candidate has
 /// positive gain and every budget is either filled or its part exhausted.
 /// `kind` selects the per-device transform (kLogUtility gives the
 /// proportional-fairness objective of Section 8.3). The pool is packed into
 /// a CoverageMatrix and selection runs the dirty-gain incremental greedy on
-/// it. When `workers` is given, the per-round argmax, the lazy heap build,
-/// and the exact-utility evaluation run on the pool; the chunked
-/// deterministic reduction makes the result bit-identical for any worker
-/// count (including none).
+/// it. When `workers` is given, the initial gains the lazy heaps are seeded
+/// with are computed on the pool, one row per task; the result is
+/// bit-identical for any worker count (including none).
 GreedyResult select_strategies(const model::Scenario& scenario,
                                std::span<const pdcs::Candidate> candidates,
                                GreedyMode mode = GreedyMode::kPerType,
                                ObjectiveKind kind = ObjectiveKind::kUtility,
                                parallel::ThreadPool* workers = nullptr);
 
-/// Warm-matrix overload (the delta path): run the same greedy drivers over
-/// a caller-owned, already-built CoverageMatrix — no packing, no candidate
-/// span. Selection indices are matrix row indices. Because the drivers are
+/// Warm-matrix overload (the delta path): run the same greedy over a
+/// caller-owned, already-built CoverageMatrix — no packing, no candidate
+/// span. Selection indices are matrix row indices. Because the greedy is
 /// shared with the span overload, a warm matrix that is bit-identical to
 /// the one the span overload would build yields a bit-identical result.
 GreedyResult select_strategies(const model::Scenario& scenario,

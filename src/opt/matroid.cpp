@@ -57,8 +57,4 @@ void PartitionMatroid::Tracker::add(std::size_t i) {
   ++size_;
 }
 
-bool PartitionMatroid::Tracker::saturated() const {
-  return size_ >= matroid_->rank();
-}
-
 }  // namespace hipo::opt

@@ -34,8 +34,6 @@ class PartitionMatroid {
     bool can_add(std::size_t i) const;
     void add(std::size_t i);
     std::size_t size() const { return size_; }
-    /// True when no further element of any part can be added.
-    bool saturated() const;
 
    private:
     const PartitionMatroid* matroid_;

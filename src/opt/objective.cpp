@@ -135,7 +135,6 @@ void ChargingObjective::State::enable_incremental() {
   if (n == 0) return;
   cached_gain_.assign(n, 0.0);
   dirty_.assign(n, 1);  // nothing cached yet: every row starts stale
-  eligible_.assign(n, 1);
 }
 
 double ChargingObjective::State::recompute_gain(std::size_t i) const {
@@ -179,39 +178,6 @@ double ChargingObjective::State::gain(std::size_t i) const {
     return cached_gain_[i];
   }
   return recompute_gain(i);
-}
-
-BestGain ChargingObjective::State::best_gain(std::size_t begin,
-                                             std::size_t end) const {
-  HIPO_ASSERT_MSG(incremental(), "best_gain needs enable_incremental()");
-  BestGain best;
-  std::size_t clean_hits = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (eligible_[i] == 0) continue;
-    double g;
-    if (dirty_[i] == 0) {
-      // With a warmed-up cache this branch is ~all of the scan: one byte
-      // load and one double load per row, no call.
-      ++clean_hits;
-      g = cached_gain_[i];
-    } else {
-      g = gain(i);
-    }
-    // kMinGain > 0 = the initial incumbent, so this one strict compare is
-    // both the positivity threshold and the lowest-index tie-break.
-    if (g > best.gain && g > kMinGain) {
-      best.gain = g;
-      best.index = i;
-    }
-  }
-  if (obs::metrics_enabled()) [[unlikely]] {
-    // Bulk-bump once per argmax chunk.
-    static obs::Counter& rows = obs::counter("coverage.rows_scanned");
-    static obs::Counter& avoided = obs::counter("coverage.reevals_avoided");
-    rows.add(end - begin);
-    avoided.add(clean_hits);
-  }
-  return best;
 }
 
 void ChargingObjective::State::add(std::size_t i) {

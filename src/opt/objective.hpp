@@ -33,29 +33,6 @@ enum class ObjectiveKind { kUtility, kLogUtility };
 /// (submodularity: their gains only shrink further).
 inline constexpr double kMinGain = 1e-15;
 
-/// Result of an argmax scan over a candidate pool: the best positive
-/// marginal gain and the candidate index attaining it (kNone when no
-/// candidate has gain above the kMinGain positivity threshold).
-struct BestGain {
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  double gain = 0.0;
-  std::size_t index = kNone;
-
-  bool found() const { return index != kNone; }
-};
-
-/// Deterministic fold of two scan results: keep `a` unless `b` strictly
-/// improves on it. Qualifying gains are compared *exactly* — a fuzzy
-/// near-tie band here would rank candidates differently from the lazy
-/// greedy's exact heap order, breaking the lazy ≡ eager output guarantee —
-/// and exact ties go to `a`, i.e. the earlier pool position / lower
-/// candidate index, the same tie-break as the sequential scan and the lazy
-/// heap. Combined with fixed chunk boundaries this makes the chunked
-/// argmax reduction worker-count-invariant.
-inline BestGain better_gain(BestGain a, BestGain b) {
-  return (b.found() && b.gain > a.gain) ? b : a;
-}
-
 class ChargingObjective {
  public:
   /// Packs `candidates` into an owned CoverageMatrix; the gain loops run
@@ -96,37 +73,20 @@ class ChargingObjective {
     void add(std::size_t i);
     const std::vector<double>& device_power() const { return power_; }
 
-    /// Switch on cached-gain / dirty-set tracking and the eligibility lane
-    /// (a no-op with an empty pool). Opt-in because it costs a few O(n)
-    /// arrays per State: the greedy drivers want it, while exhaustive
-    /// search and local search construct/copy States far too often to pay
-    /// for it. Every row starts eligible.
+    /// Switch on cached-gain / dirty-set tracking (a no-op with an empty
+    /// pool). Opt-in because it costs two O(n) arrays per State: the greedy
+    /// wants it, while exhaustive search and local search construct/copy
+    /// States far too often to pay for it.
     ///
     /// Thread-safety: gain() then writes cache entries through `mutable`
     /// members. Concurrent gain() calls are safe iff they target distinct
-    /// candidates — which the chunked argmax guarantees (disjoint row
-    /// ranges per worker). The cached value is bit-identical to a fresh
+    /// candidates — which the greedy's parallel initial gains guarantee
+    /// (one row per task). The cached value is bit-identical to a fresh
     /// recomputation by construction, so determinism across worker counts
     /// is unaffected.
     void enable_incremental();
     bool incremental() const { return !dirty_.empty(); }
 
-    /// Eligibility lane of best_gain: ineligible rows (taken, or outside
-    /// the current per-type phase / matroid-feasible set) are skipped.
-    /// Only meaningful after enable_incremental(); call between argmax
-    /// rounds, never concurrently with one.
-    void set_eligible(std::size_t i, bool eligible) {
-      eligible_[i] = eligible ? 1 : 0;
-    }
-
-    /// Argmax over the eligible candidate rows in [begin, end), with
-    /// Algorithm 3's sequential semantics: only gains above kMinGain
-    /// qualify, the incumbent is replaced only when beaten strictly, and
-    /// exact ties keep the lowest index. Clean rows read their cached gain;
-    /// dirty eligible rows are refreshed through gain(). This is the
-    /// per-chunk map of the parallel greedy argmax; it needs
-    /// enable_incremental().
-    BestGain best_gain(std::size_t begin, std::size_t end) const;
     /// True when i's cached gain is stale (or tracking is off): the next
     /// gain(i) will recompute. Exposed for the dirty-invariant tests.
     bool is_dirty(std::size_t i) const {
@@ -142,12 +102,11 @@ class ChargingObjective {
     double value_ = 0.0;
     /// Incremental tracking (empty unless enable_incremental ran):
     /// cached_gain_[i] is valid iff dirty_[i] == 0. Plain bytes, not packed
-    /// bits — parallel argmax chunks clear flags of different candidates,
+    /// bits — parallel initial gains clear flags of different candidates,
     /// and distinct vector<uint8_t> elements are distinct memory locations
     /// while bits of a shared word are not.
     mutable std::vector<double> cached_gain_;
     mutable std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint8_t> eligible_;
   };
 
   const model::Scenario& scenario() const { return *scenario_; }

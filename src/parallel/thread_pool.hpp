@@ -1,25 +1,18 @@
 // A fixed-size worker thread pool with a shared task queue.
 //
 // Used by the distributed PDCS extraction (Section 5, Algorithm 5) to run
-// per-device extraction tasks concurrently, by the greedy selection loop for
-// the per-round argmax, and by the benchmark harness to parallelize
-// repetitions. Degrades gracefully to sequential execution when constructed
-// with a single worker.
+// per-device extraction tasks concurrently, by the greedy selection for its
+// initial gains, and by the benchmark harness to parallelize repetitions.
+// Degrades gracefully to sequential execution when constructed with a
+// single worker.
 //
-// Nesting: `parallel_for` and `parallel_reduce` may be called from inside a
-// pool task. The calling thread executes loop iterations itself and, while
-// stragglers finish on other workers, helps drain the shared queue instead
-// of sleeping — so a single-worker (or saturated) pool still makes progress
+// Nesting: `parallel_for` may be called from inside a pool task. The
+// calling thread executes loop iterations itself and, while stragglers
+// finish on other workers, helps drain the shared queue instead of
+// sleeping — so a single-worker (or saturated) pool still makes progress
 // and can never deadlock on its own loops.
-//
-// Determinism: `parallel_reduce` uses fixed chunk boundaries (a function of
-// the iteration count and grain only) and folds the per-chunk results in
-// chunk order on the calling thread, so the reduced value is bit-identical
-// regardless of how many workers execute the chunks — including zero
-// (see `chunked_reduce`, the pool-optional front end).
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -34,11 +27,6 @@ namespace hipo::parallel {
 
 class ThreadPool {
  public:
-  /// Default chunk size for `parallel_reduce`/`chunked_reduce`. Part of the
-  /// determinism contract: results depend on the grain, so callers that
-  /// need reproducible values across runs must pass the same grain.
-  static constexpr std::size_t kDefaultGrain = 256;
-
   /// `workers` == 0 selects the hardware concurrency (at least 1).
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
@@ -69,30 +57,6 @@ class ThreadPool {
   /// queued work rather than blocking).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Deterministic chunked reduction: split [0, n) into fixed chunks of
-  /// `grain` indices, compute `map(begin, end)` per chunk (in parallel), and
-  /// fold the chunk results in chunk order with `combine(acc, chunk)` on the
-  /// calling thread. Because both the chunk boundaries and the fold order
-  /// are independent of the worker count, the result is bit-identical for
-  /// any pool size. Exceptions from `map` propagate like `parallel_for`.
-  template <typename T, typename MapFn, typename CombineFn>
-  T parallel_reduce(std::size_t n, T init, const MapFn& map,
-                    const CombineFn& combine,
-                    std::size_t grain = kDefaultGrain) {
-    grain = std::max<std::size_t>(1, grain);
-    const std::size_t chunks = (n + grain - 1) / grain;
-    if (chunks <= 1) {
-      return n == 0 ? init : combine(std::move(init), map(0, n));
-    }
-    std::vector<T> partial(chunks);
-    parallel_for(chunks, [&](std::size_t c) {
-      partial[c] = map(c * grain, std::min(n, (c + 1) * grain));
-    });
-    T acc = std::move(init);
-    for (T& p : partial) acc = combine(std::move(acc), std::move(p));
-    return acc;
-  }
-
  private:
   struct ForLoop;  // shared state of one parallel_for invocation
 
@@ -108,30 +72,9 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Pool-optional deterministic reduction with the same chunking contract as
-/// `ThreadPool::parallel_reduce`: when `pool` is null (or single-worker, or
-/// the loop fits in one chunk) the identical chunk/fold schedule runs
-/// sequentially on the calling thread, so results are bit-identical with
-/// and without a pool of any size.
-template <typename T, typename MapFn, typename CombineFn>
-T chunked_reduce(ThreadPool* pool, std::size_t n, T init, const MapFn& map,
-                 const CombineFn& combine,
-                 std::size_t grain = ThreadPool::kDefaultGrain) {
-  grain = std::max<std::size_t>(1, grain);
-  if (pool != nullptr && pool->num_workers() > 1 && n > grain) {
-    return pool->parallel_reduce(n, std::move(init), map, combine, grain);
-  }
-  T acc = std::move(init);
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    acc = combine(std::move(acc), map(begin, std::min(n, begin + grain)));
-  }
-  return acc;
-}
-
 /// Pool-optional element-wise loop: `parallel_for` when a multi-worker pool
-/// is given, a plain sequential loop otherwise. Unlike `chunked_reduce`
-/// there is no fold, so determinism only requires that iterations write
-/// disjoint state.
+/// is given, a plain sequential loop otherwise. Determinism only requires
+/// that iterations write disjoint state.
 inline void chunked_for(ThreadPool* pool, std::size_t n,
                         const std::function<void(std::size_t)>& fn) {
   if (pool != nullptr && pool->num_workers() > 1 && n > 1) {

@@ -48,21 +48,20 @@ void expect_results_identical(const opt::GreedyResult& warm,
   }
 }
 
-/// Cold reference: fresh extraction + the span-based greedy, exactly the
-/// configuration DeltaSolver defaults to (with the solver's extraction
-/// options when they differ from the defaults).
+/// Cold reference: fresh extraction + the span-based greedy under the
+/// solver's options (extraction and greedy mode; the defaults unless the
+/// test passes others).
 void expect_matches_cold(const opt::DeltaSolver& delta,
                          const std::string& label,
-                         const pdcs::ExtractOptions& extract = {}) {
+                         const opt::DeltaOptions& options = {}) {
   const model::Scenario cold_scenario{model::Scenario::Config(delta.config())};
-  const auto extraction = pdcs::extract_all(cold_scenario, extract);
+  const auto extraction = pdcs::extract_all(cold_scenario, options.extract);
   const opt::CoverageMatrix cold_matrix(
       std::span<const pdcs::Candidate>(extraction.candidates),
       cold_scenario.num_devices());
   EXPECT_TRUE(delta.matrix().same_as(cold_matrix)) << label << " (matrix)";
   const auto cold = opt::select_strategies(
-      cold_scenario, extraction.candidates, opt::GreedyMode::kLazyGlobal,
-      opt::ObjectiveKind::kUtility);
+      cold_scenario, extraction.candidates, options.mode, options.kind);
   expect_results_identical(delta.result(), cold, label);
 }
 
@@ -467,7 +466,7 @@ TEST(DeltaSolver, UnfilteredChurnBitIdenticalToColdUnfiltered) {
   opt::DeltaOptions options;
   options.extract.global_filter = false;
   opt::DeltaSolver delta(scenario.to_config(), options);
-  expect_matches_cold(delta, "unfiltered cold", options.extract);
+  expect_matches_cold(delta, "unfiltered cold", options);
 
   std::vector<opt::DeltaOp> ops;
   ops.push_back(add_device_op(free_spot(delta.config(), 4)));
@@ -479,7 +478,33 @@ TEST(DeltaSolver, UnfilteredChurnBitIdenticalToColdUnfiltered) {
   for (std::size_t k = 0; k < ops.size(); ++k) {
     const std::string label = "unfiltered prefix " + std::to_string(k + 1);
     apply_checked(delta, ops[k], label);
-    expect_matches_cold(delta, label, options.extract);
+    expect_matches_cold(delta, label, options);
+  }
+}
+
+TEST(DeltaSolver, PerTypeChurnBitIdenticalToColdPerType) {
+  // Algorithm 3's per-type order on the warm path: device and obstacle
+  // churn re-solved warm must match a cold per-type solve.
+  const auto scenario = test::small_paper_scenario(19);
+  opt::DeltaOptions options;
+  options.mode = opt::GreedyMode::kPerType;
+  opt::DeltaSolver delta(scenario.to_config(), options);
+  expect_matches_cold(delta, "per-type cold", options);
+  // The two orders disagree on this city, so the mode reaches the greedy.
+  EXPECT_NE(delta.result().selected,
+            opt::DeltaSolver(scenario.to_config()).result().selected);
+
+  std::vector<opt::DeltaOp> ops;
+  ops.push_back(add_device_op(free_spot(delta.config(), 3)));
+  ops.push_back(move_device_op(1, free_spot(delta.config(), 11)));
+  ops.push_back(remove_device_op(2));
+  ops.push_back(add_obstacle_op(
+      obstacle_rect_at(delta.config(), free_spot(delta.config(), 8), 1.0)));
+  ops.push_back(remove_obstacle_op(0));
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const std::string label = "per-type prefix " + std::to_string(k + 1);
+    apply_checked(delta, ops[k], label);
+    expect_matches_cold(delta, label, options);
   }
 }
 

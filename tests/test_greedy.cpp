@@ -59,8 +59,7 @@ TEST(Greedy, RespectsBudgets) {
   const auto s = test::simple_scenario();  // budget: 2 chargers of type 0
   hipo::Rng rng(1);
   const auto cands = synthetic_candidates(s, rng, 12);
-  for (auto mode :
-       {GreedyMode::kPerType, GreedyMode::kGlobal, GreedyMode::kLazyGlobal}) {
+  for (auto mode : {GreedyMode::kPerType, GreedyMode::kLazyGlobal}) {
     const auto result = select_strategies(s, cands, mode);
     EXPECT_LE(result.selected.size(), 2u);
     s.validate_placement(result.placement);
@@ -75,21 +74,11 @@ TEST(Greedy, EmptyCandidatesGiveEmptyPlacement) {
   EXPECT_DOUBLE_EQ(result.approx_utility, 0.0);
 }
 
-TEST(Greedy, LazyMatchesGlobalExactly) {
-  const auto s = test::small_paper_scenario(21, 1, 1);
-  hipo::Rng rng(2);
-  const auto cands = synthetic_candidates(s, rng, 60);
-  const auto global = select_strategies(s, cands, GreedyMode::kGlobal);
-  const auto lazy = select_strategies(s, cands, GreedyMode::kLazyGlobal);
-  EXPECT_EQ(global.selected, lazy.selected);
-  EXPECT_NEAR(global.approx_utility, lazy.approx_utility, 1e-12);
-}
-
 TEST(Greedy, SelectionOrderHasNonIncreasingGains) {
   const auto s = test::small_paper_scenario(22, 1, 1);
   hipo::Rng rng(3);
   const auto cands = synthetic_candidates(s, rng, 40);
-  const auto result = select_strategies(s, cands, GreedyMode::kGlobal);
+  const auto result = select_strategies(s, cands, GreedyMode::kLazyGlobal);
   const ChargingObjective f(s, cands);
   ChargingObjective::State state(f);
   double prev_gain = 1e9;
@@ -111,13 +100,19 @@ TEST(Greedy, ApproxUtilityMatchesObjective) {
 }
 
 // The ½-approximation guarantee (Theorem 4.2's combinatorial core), checked
-// against the exhaustive optimum on small random instances — for all three
-// greedy modes.
+// against the exhaustive optimum on small random instances — for every mode
+// name parse_greedy_mode accepts. The parameter indexes kModeNames.
+constexpr const char* kModeNames[] = {"per-type", "global", "lazy"};
+struct ModeName {
+  std::uint32_t index;
+};
+
 class HalfApproxTest
-    : public ::testing::TestWithParam<std::tuple<int, GreedyMode>> {};
+    : public ::testing::TestWithParam<std::tuple<int, ModeName>> {};
 
 TEST_P(HalfApproxTest, AtLeastHalfOfOptimum) {
-  const auto [seed, mode] = GetParam();
+  const auto [seed, name] = GetParam();
+  const GreedyMode mode = parse_greedy_mode(kModeNames[name.index]);
   auto cfg = test::simple_config();
   cfg.charger_types.push_back({geom::kPi, 0.5, 6.0});
   cfg.pair_params.push_back({120.0, 48.0});
@@ -138,9 +133,8 @@ TEST_P(HalfApproxTest, AtLeastHalfOfOptimum) {
 INSTANTIATE_TEST_SUITE_P(
     RandomAllModes, HalfApproxTest,
     ::testing::Combine(::testing::Range(0, 12),
-                       ::testing::Values(GreedyMode::kPerType,
-                                         GreedyMode::kGlobal,
-                                         GreedyMode::kLazyGlobal)));
+                       ::testing::Values(ModeName{0}, ModeName{1},
+                                         ModeName{2})));
 
 TEST(Greedy, PerTypeFillsTypesInOrder) {
   const auto s = test::small_paper_scenario(23, 1, 1);
@@ -168,9 +162,9 @@ TEST(Greedy, LogUtilityKindSelectsValidPlacement) {
 TEST(Greedy, ZeroBudgetTypeNeverSelected) {
   // Regression (found by hipo_fuzz, pinned in
   // tests/corpus/fuzz-greedy-seed2762782085899333604.hipo): a charger type
-  // with count 0 is a zero-capacity matroid part; the global greedy used to
-  // argmax into it and trip the tracker's capacity assertion because the
-  // retire-peers pass only runs after a part *fills up*.
+  // with count 0 is a zero-capacity matroid part; the eager global argmax
+  // once picked from it and tripped the tracker's capacity assertion
+  // because its retire-peers pass only ran after a part *filled up*.
   auto cfg = test::simple_config();
   cfg.charger_types.push_back({geom::kPi, 2.0, 6.0});
   cfg.pair_params.push_back({100.0, 40.0});
@@ -179,8 +173,7 @@ TEST(Greedy, ZeroBudgetTypeNeverSelected) {
   const model::Scenario s(std::move(cfg));
   hipo::Rng rng(11);
   const auto cands = synthetic_candidates(s, rng, 40);
-  for (const auto mode : {GreedyMode::kPerType, GreedyMode::kGlobal,
-                          GreedyMode::kLazyGlobal}) {
+  for (const auto mode : {GreedyMode::kPerType, GreedyMode::kLazyGlobal}) {
     const auto result = select_strategies(s, cands, mode);
     for (std::size_t i : result.selected) {
       EXPECT_EQ(cands[i].strategy.type, 0u);
@@ -194,8 +187,8 @@ TEST(Greedy, LazyMatchesGlobalOnNearTies) {
   // tests/corpus/fuzz-greedy-seed6414217550488616208.hipo): gains differing
   // by less than the old 1e-15 near-tie band made the eager scan keep the
   // earlier candidate while the lazy heap picked the strictly larger gain.
-  // All variants now rank by exact comparison — strictly larger gain wins,
-  // exact ties go to the lower index — so the outputs are bit-identical.
+  // The heap ranks by exact comparison — strictly larger gain wins, exact
+  // ties go to the lower index — as a full rescan argmax does.
   auto cfg = test::simple_config();
   cfg.charger_counts = {1};
   cfg.devices = {test::device_at(10, 10)};
@@ -210,16 +203,16 @@ TEST(Greedy, LazyMatchesGlobalOnNearTies) {
   // One ulp more power: the gain difference (~3e-17 after the p_th
   // normalization) is far below the old 1e-15 band but strictly positive.
   cands[1].powers = {std::nextafter(p, 1.0)};
-  const auto global = select_strategies(s, cands, GreedyMode::kGlobal);
-  const auto lazy = select_strategies(s, cands, GreedyMode::kLazyGlobal);
-  ASSERT_EQ(global.selected, lazy.selected);
-  EXPECT_EQ(global.selected, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(global.approx_utility, lazy.approx_utility);
-  EXPECT_EQ(global.exact_utility, lazy.exact_utility);
+  const ChargingObjective f(s, cands);
+  for (const auto mode : {GreedyMode::kPerType, GreedyMode::kLazyGlobal}) {
+    const auto result = select_strategies(s, cands, mode);
+    EXPECT_EQ(result.selected, (std::vector<std::size_t>{1}));
+    EXPECT_EQ(result.approx_utility, ChargingObjective::State(f).gain(1));
+  }
 }
 
 TEST(Greedy, LazyMatchesGlobalOnExactTies) {
-  // Bit-identical candidates: exact tie, both variants must take index 0.
+  // Bit-identical candidates: exact tie, both modes must take index 0.
   auto cfg = test::simple_config();
   cfg.charger_counts = {1};
   cfg.devices = {test::device_at(10, 10)};
@@ -230,10 +223,10 @@ TEST(Greedy, LazyMatchesGlobalOnExactTies) {
     c.covered = {0};
     c.powers = {0.01};
   }
-  const auto global = select_strategies(s, cands, GreedyMode::kGlobal);
-  const auto lazy = select_strategies(s, cands, GreedyMode::kLazyGlobal);
-  ASSERT_EQ(global.selected, lazy.selected);
-  EXPECT_EQ(global.selected, (std::vector<std::size_t>{0}));
+  for (const auto mode : {GreedyMode::kPerType, GreedyMode::kLazyGlobal}) {
+    EXPECT_EQ(select_strategies(s, cands, mode).selected,
+              (std::vector<std::size_t>{0}));
+  }
 }
 
 // --- Literal reference greedy ---------------------------------------------
@@ -241,7 +234,7 @@ TEST(Greedy, LazyMatchesGlobalOnExactTies) {
 // reference_select is the greedy of Section 4.3 written out with nothing
 // but the candidate structs: every marginal gain is recomputed from
 // Candidate::covered/powers on every scan (no gain cache, no CSR, no
-// eligibility lane), and each round is a full-rescan eager argmax. Its row
+// heap), and each round is a full-rescan eager argmax. Its row
 // gain uses the canonical four-lane fold ((l0+l1)+(l2+l3)) + sequential
 // tail and the same per-element expressions as the library, so the
 // library's selection must match it bit for bit. This file is compiled
@@ -286,8 +279,8 @@ double reference_gain(const model::Scenario& s, const pdcs::Candidate& c,
   return sum / weight_total;
 }
 
-/// kPerType: fill each type's budget in type order. kGlobal: pick the best
-/// candidate of any type with budget left. Either way the argmax takes the
+/// kPerType: fill each type's budget in type order. kLazyGlobal: pick the
+/// best candidate of any type with budget left. Either way the argmax takes the
 /// strictly largest gain above kMinGain, lowest index on exact ties.
 GreedyResult reference_select(const model::Scenario& s,
                               const std::vector<pdcs::Candidate>& cands,
@@ -368,7 +361,7 @@ void expect_gains_match_reference(const model::Scenario& s,
 }
 
 /// select_strategies in every mode, kind and thread count must equal the
-/// reference bit for bit; lazy is checked against the global reference.
+/// reference bit for bit.
 void expect_matches_reference(const model::Scenario& s,
                               const std::vector<pdcs::Candidate>& cands,
                               const std::string& label) {
@@ -376,15 +369,16 @@ void expect_matches_reference(const model::Scenario& s,
        {ObjectiveKind::kUtility, ObjectiveKind::kLogUtility}) {
     const auto per_type =
         reference_select(s, cands, GreedyMode::kPerType, kind);
-    const auto global = reference_select(s, cands, GreedyMode::kGlobal, kind);
+    const auto global =
+        reference_select(s, cands, GreedyMode::kLazyGlobal, kind);
     expect_gains_match_reference(
         s, cands, kind, global,
         label + " gains, kind " + std::to_string(static_cast<int>(kind)));
     for (const std::size_t workers : {0u, 1u, 4u}) {
       std::unique_ptr<parallel::ThreadPool> pool;
       if (workers > 0) pool = std::make_unique<parallel::ThreadPool>(workers);
-      for (const auto mode : {GreedyMode::kPerType, GreedyMode::kGlobal,
-                              GreedyMode::kLazyGlobal}) {
+      for (const auto mode :
+           {GreedyMode::kPerType, GreedyMode::kLazyGlobal}) {
         const GreedyResult& want =
             mode == GreedyMode::kPerType ? per_type : global;
         const auto got = select_strategies(s, cands, mode, kind, pool.get());
@@ -421,12 +415,12 @@ TEST(LiteralReference, MatchesOnPaperCity) {
   expect_matches_reference(s, extraction.candidates, "paper city");
 }
 
-// A pool several argmax chunks wide, so the pooled runs really split each
-// round into kArgmaxGrain chunks and fold them across workers.
+// A pool of 2,560 rows, so the pooled runs really spread the initial gains
+// the heaps are seeded with across workers.
 TEST(LiteralReference, MatchesAcrossArgmaxChunks) {
   const auto s = test::small_paper_scenario(21, 2, 4);
   hipo::Rng rng(12);
-  const auto cands = synthetic_candidates(s, rng, 5 * kArgmaxGrain / 2);
+  const auto cands = synthetic_candidates(s, rng, 2560);
   expect_matches_reference(s, cands, "chunked");
 }
 

@@ -49,8 +49,8 @@ TEST(Tracker, AddAndSaturate) {
   t.add(2);
   t.add(3);
   EXPECT_FALSE(t.can_add(4));
-  EXPECT_TRUE(t.saturated());
   EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.size(), m.rank());  // saturated: nothing more can be added
 }
 
 TEST(Tracker, AddBeyondCapacityThrows) {

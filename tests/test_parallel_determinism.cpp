@@ -66,7 +66,7 @@ TEST(ParallelDeterminism, EveryGreedyModeThreadCountInvariant) {
   const auto scenario = test::small_paper_scenario(5, 2, 2);
   const auto extraction = pdcs::extract_all(scenario);
 
-  for (const auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
+  for (const auto mode : {opt::GreedyMode::kPerType,
                           opt::GreedyMode::kLazyGlobal}) {
     const auto reference =
         opt::select_strategies(scenario, extraction.candidates, mode);

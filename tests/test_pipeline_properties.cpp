@@ -66,7 +66,7 @@ TEST_P(EndToEndHalfApprox, GreedyWithinHalfOfCandidateOptimum) {
     extraction.candidates.resize(22);
   }
   const double opt_value = exhaustive_optimum(s, extraction.candidates);
-  for (auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
+  for (auto mode : {opt::GreedyMode::kPerType,
                     opt::GreedyMode::kLazyGlobal}) {
     const auto greedy =
         opt::select_strategies(s, extraction.candidates, mode);
@@ -150,7 +150,7 @@ TEST(PipelineMonotonicity, UtilityGrowsWithBudgetAcrossScales) {
 TEST(PipelineLocalSearch, ComposesWithAllModes) {
   const auto s = test::small_paper_scenario(801, 1, 1);
   const auto extraction = pdcs::extract_all(s);
-  for (auto mode : {opt::GreedyMode::kPerType, opt::GreedyMode::kGlobal,
+  for (auto mode : {opt::GreedyMode::kPerType,
                     opt::GreedyMode::kLazyGlobal}) {
     const auto start = opt::select_strategies(s, extraction.candidates, mode);
     const auto improved =

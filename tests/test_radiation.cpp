@@ -131,7 +131,7 @@ TEST_F(SafeSelectTest, UnlimitedThresholdMatchesPlainGreedy) {
   const auto safe = select_radiation_safe(*scenario_, extraction_.candidates,
                                           model_, 1e12);
   const auto plain = opt::select_strategies(
-      *scenario_, extraction_.candidates, opt::GreedyMode::kGlobal);
+      *scenario_, extraction_.candidates, opt::GreedyMode::kLazyGlobal);
   EXPECT_NEAR(safe.approx_utility, plain.approx_utility, 1e-9);
 }
 

@@ -24,6 +24,7 @@
 #include "src/obs/trace.hpp"
 #include "src/opt/delta.hpp"
 #include "src/parallel/thread_pool.hpp"
+#include "src/pdcs/extract.hpp"
 #include "src/serve/cache.hpp"
 #include "src/serve/hash.hpp"
 #include "src/serve/server.hpp"
@@ -280,6 +281,37 @@ TEST_F(ServiceTest, SolveColdThenWarmMatchesCoreSolveByteForByte) {
   by_key.set("key", *cold.find("key"));
   const serve::Json keyed = call_ok(by_key.dump());
   EXPECT_EQ(keyed.find("placement_text")->as_string(), reference);
+}
+
+TEST_F(ServiceTest, KeySolveHonorsEveryGreedyModeName) {
+  // The scenario as the service reads it back from the wire text, so the
+  // direct reference runs on the very same inputs.
+  const model::Scenario scenario =
+      model::read_scenario(scenario_text(test::small_paper_scenario(3)));
+  serve::Json req = serve::Json::object();
+  req.set("type", serve::Json::string("solve"));
+  req.set("scenario", serve::Json::string(scenario_text(scenario)));
+  const std::string key = call_ok(req.dump()).find("key")->as_string();
+
+  const auto key_solve = [&](const char* greedy) {
+    serve::Json by_key = serve::Json::object();
+    by_key.set("type", serve::Json::string("solve"));
+    by_key.set("key", serve::Json::string(key));
+    by_key.set("greedy", serve::Json::string(greedy));
+    const serve::Json resp = call_ok(by_key.dump());
+    EXPECT_EQ(resp.find("cache")->as_string(), "hit") << greedy;
+    return resp.find("placement_text")->as_string();
+  };
+  const auto extraction = pdcs::extract_all(scenario);
+  EXPECT_EQ(key_solve("per-type"),
+            placement_bytes(opt::select_strategies(scenario,
+                                                   extraction.candidates,
+                                                   opt::GreedyMode::kPerType)
+                                .placement));
+  EXPECT_EQ(key_solve("global"), key_solve("lazy"));
+  // A city where the two orders disagree, so the mode really reaches the
+  // warm greedy.
+  EXPECT_NE(key_solve("per-type"), key_solve("lazy"));
 }
 
 TEST_F(ServiceTest, DeltaMatchesDirectDeltaSolverAndRekeys) {

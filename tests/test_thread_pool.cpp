@@ -4,8 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -129,67 +127,6 @@ TEST(ParallelFor, NestedCallRethrowsWithoutHanging) {
   ASSERT_EQ(outer.wait_for(std::chrono::seconds(60)),
             std::future_status::ready);
   EXPECT_THROW(outer.get(), std::runtime_error);
-}
-
-TEST(ParallelReduce, SumMatchesSequential) {
-  ThreadPool pool(4);
-  const std::size_t n = 10000;
-  const auto map = [](std::size_t begin, std::size_t end) {
-    std::uint64_t s = 0;
-    for (std::size_t i = begin; i < end; ++i) s += i;
-    return s;
-  };
-  const auto combine = [](std::uint64_t a, std::uint64_t b) { return a + b; };
-  const auto total =
-      pool.parallel_reduce(n, std::uint64_t{0}, map, combine, 128);
-  EXPECT_EQ(total, std::uint64_t{n} * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, BitIdenticalAcrossWorkerCounts) {
-  // Floating-point chunk sums folded in chunk order: the value must not
-  // depend on how many workers computed the chunks — or on whether a pool
-  // was used at all (chunked_reduce with a null pool).
-  const std::size_t n = 4321;
-  const auto map = [](std::size_t begin, std::size_t end) {
-    double s = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      s += 1.0 / (1.0 + static_cast<double>(i));
-    }
-    return s;
-  };
-  const auto combine = [](double a, double b) { return a + b; };
-  const double reference =
-      chunked_reduce(nullptr, n, 0.0, map, combine, 64);
-  for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(workers);
-    const double value = chunked_reduce(&pool, n, 0.0, map, combine, 64);
-    EXPECT_EQ(value, reference) << "workers=" << workers;
-  }
-}
-
-TEST(ParallelReduce, RethrowsMapException) {
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_reduce(
-          1000, 0,
-          [](std::size_t begin, std::size_t) -> int {
-            if (begin >= 512) throw std::logic_error("chunk");
-            return 1;
-          },
-          [](int a, int b) { return a + b; }, 64),
-      std::logic_error);
-  // The pool must still be usable afterwards (no leaked queue state).
-  std::atomic<int> counter{0};
-  pool.parallel_for(50, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const int value = pool.parallel_reduce(
-      0, 7, [](std::size_t, std::size_t) { return 100; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(value, 7);
 }
 
 TEST(ThreadPool, DestructorDrainsCleanly) {

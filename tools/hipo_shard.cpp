@@ -14,7 +14,7 @@
 //                                    greedy, --verify)
 //              [--mem-ceiling-mb N] (per-shard ceiling on retained-row
 //                                    bytes; over it the run fails; 0 = off)
-//              [--greedy lazy|global|per-type]
+//              [--greedy lazy|global|per-type]  (global = lazy)
 //              [--verify]           (also run single-process extract_all +
 //                                    greedy and require the pool and
 //                                    placement to be bit-identical)

@@ -5,9 +5,9 @@
 //   hipo_solve --scenario field.hipo [--out placement.hipo] [--svg out.svg]
 //              [--algorithm hipo|gppdcs|gpad|gpar|rpad|rpar]
 //              [--grid square|triangle] [--local-search] [--seed N]
-//              [--greedy lazy|global|per-type]  (selection mode: lazy is
-//                                      the default; global is its eager
-//                                      reference, same placement; per-type
+//              [--greedy lazy|global|per-type]  (selection order: lazy is
+//                                      the default matroid greedy; global
+//                                      is another name for it; per-type
 //                                      is Algorithm 3's literal order)
 //              [--threads N]          (0 = hardware concurrency, the default;
 //                                      output is identical for any N)
