@@ -7,24 +7,7 @@
 
 namespace hipo::geom {
 
-double norm_angle(double a) {
-  // fmod is exact and returns `a` itself when |a| < 2π, so skipping the
-  // call there changes no bits. The difference of two normalized angles —
-  // every angle_distance of the point-case sweep — always takes this path.
-  if (!(std::abs(a) < kTwoPi)) a = std::fmod(a, kTwoPi);
-  if (a < 0.0) a += kTwoPi;
-  // fmod can return exactly 2π after the correction when a was a tiny
-  // negative number; fold it back.
-  if (a >= kTwoPi) a = 0.0;
-  return a;
-}
-
 double ccw_delta(double from, double to) { return norm_angle(to - from); }
-
-double angle_distance(double a, double b) {
-  const double d = norm_angle(a - b);
-  return std::min(d, kTwoPi - d);
-}
 
 AngleInterval::AngleInterval(double start_, double width_)
     : start(norm_angle(start_)), width(width_) {

@@ -6,6 +6,8 @@
 //     interval endpoints of "orientation ranges that keep device o covered".
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <numbers>
 #include <vector>
 
@@ -21,14 +23,28 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 /// norm_angle/ccw_delta (a few ulp), far below any geometric feature.
 inline constexpr double kAngleEps = 1e-12;
 
-/// Normalize to [0, 2π).
-double norm_angle(double a);
+/// Normalize to [0, 2π). Defined inline, like angle_distance: the
+/// point-case sweep calls both tens of millions of times per extraction.
+inline double norm_angle(double a) {
+  // fmod is exact and returns `a` itself when |a| < 2π, so skipping the
+  // call there changes no bits. The difference of two normalized angles —
+  // every angle_distance of the point-case sweep — always takes this path.
+  if (!(std::abs(a) < kTwoPi)) a = std::fmod(a, kTwoPi);
+  if (a < 0.0) a += kTwoPi;
+  // fmod can return exactly 2π after the correction when a was a tiny
+  // negative number; fold it back.
+  if (a >= kTwoPi) a = 0.0;
+  return a;
+}
 
 /// Counter-clockwise distance from `from` to `to`, in [0, 2π).
 double ccw_delta(double from, double to);
 
 /// Smallest absolute angular difference, in [0, π].
-double angle_distance(double a, double b);
+inline double angle_distance(double a, double b) {
+  const double d = norm_angle(a - b);
+  return std::min(d, kTwoPi - d);
+}
 
 /// A counter-clockwise interval on the circle: all angles reachable from
 /// `start` by rotating CCW at most `width`. `width` in [0, 2π]; width == 2π

@@ -75,6 +75,15 @@ Scenario::Scenario(Config config)
   for (const auto& d : devices_) points.push_back(d.pos);
   device_index_ = spatial::GridIndex(region_, std::move(points));
 
+  facings_.reserve(devices_.size());
+  for (const auto& d : devices_) {
+    facings_.push_back(geom::facing_vector(d.orientation));
+  }
+  receiving_cones_.reserve(device_types_.size());
+  for (const auto& dt : device_types_) {
+    receiving_cones_.emplace_back(dt.angle / 2.0);
+  }
+
   ladders_.reserve(pair_params_.size());
   for (std::size_t q = 0; q < charger_types_.size(); ++q) {
     const auto& ct = charger_types_[q];
@@ -107,16 +116,6 @@ std::size_t Scenario::num_chargers() const {
   return total;
 }
 
-const ChargerType& Scenario::charger_type(std::size_t q) const {
-  HIPO_ASSERT(q < charger_types_.size());
-  return charger_types_[q];
-}
-
-const DeviceType& Scenario::device_type(std::size_t t) const {
-  HIPO_ASSERT(t < device_types_.size());
-  return device_types_[t];
-}
-
 const PairParams& Scenario::pair_params(std::size_t q, std::size_t t) const {
   HIPO_ASSERT(q < charger_types_.size() && t < device_types_.size());
   return pair_params_[q * device_types_.size() + t];
@@ -125,21 +124,6 @@ const PairParams& Scenario::pair_params(std::size_t q, std::size_t t) const {
 int Scenario::charger_count(std::size_t q) const {
   HIPO_ASSERT(q < charger_counts_.size());
   return charger_counts_[q];
-}
-
-const Device& Scenario::device(std::size_t j) const {
-  HIPO_ASSERT(j < devices_.size());
-  return devices_[j];
-}
-
-const RingLadder& Scenario::ladder(std::size_t q, std::size_t t) const {
-  HIPO_ASSERT(q < charger_types_.size() && t < device_types_.size());
-  return ladders_[q * device_types_.size() + t];
-}
-
-const RingLadder& Scenario::ladder_for_device(std::size_t q,
-                                              std::size_t j) const {
-  return ladder(q, device(j).type);
 }
 
 SectorRing Scenario::charging_area(const Strategy& s) const {

@@ -12,12 +12,14 @@
 #include <span>
 #include <vector>
 
+#include "src/geometry/gates.hpp"
 #include "src/geometry/polygon.hpp"
 #include "src/geometry/sector_ring.hpp"
 #include "src/model/piecewise.hpp"
 #include "src/model/types.hpp"
 #include "src/spatial/grid_index.hpp"
 #include "src/spatial/segment_index.hpp"
+#include "src/util/error.hpp"
 
 namespace hipo::model {
 
@@ -52,12 +54,23 @@ class Scenario {
   /// Total number of chargers to deploy (N_s = Σ N^q_s).
   std::size_t num_chargers() const;
 
-  const ChargerType& charger_type(std::size_t q) const;
-  const DeviceType& device_type(std::size_t t) const;
+  // The type and device accessors are defined inline: extraction calls
+  // them tens of millions of times.
+  const ChargerType& charger_type(std::size_t q) const {
+    HIPO_ASSERT(q < charger_types_.size());
+    return charger_types_[q];
+  }
+  const DeviceType& device_type(std::size_t t) const {
+    HIPO_ASSERT(t < device_types_.size());
+    return device_types_[t];
+  }
   const PairParams& pair_params(std::size_t q, std::size_t t) const;
   int charger_count(std::size_t q) const;
   const std::vector<int>& charger_counts() const { return charger_counts_; }
-  const Device& device(std::size_t j) const;
+  const Device& device(std::size_t j) const {
+    HIPO_ASSERT(j < devices_.size());
+    return devices_[j];
+  }
   const std::vector<Device>& devices() const { return devices_; }
   const std::vector<geom::Polygon>& obstacles() const {
     return obstacle_index_.polygons();
@@ -75,9 +88,30 @@ class Scenario {
   double eps1() const { return eps1_; }
 
   /// Lemma 4.1 ladder for (charger type q, device type t).
-  const RingLadder& ladder(std::size_t q, std::size_t t) const;
+  const RingLadder& ladder(std::size_t q, std::size_t t) const {
+    HIPO_ASSERT(q < charger_types_.size() && t < device_types_.size());
+    return ladders_[q * device_types_.size() + t];
+  }
   /// Ladder for charger type q against device j's type.
-  const RingLadder& ladder_for_device(std::size_t q, std::size_t j) const;
+  const RingLadder& ladder_for_device(std::size_t q, std::size_t j) const {
+    return ladder(q, device(j).type);
+  }
+
+  /// Device j's facing unit vector (cos φ_o, sin φ_o), computed once here
+  /// for the point case's receiving-sector gate (geom::facing_vector: NaN
+  /// components past geom::kFacingMaxAngle, so that device always takes the
+  /// exact test).
+  geom::Vec2 facing(std::size_t j) const {
+    HIPO_ASSERT(j < facings_.size());
+    return facings_[j];
+  }
+  /// Device type t's receiving-sector gate: the reject and accept cone
+  /// cosines around α_o/2 (geom::ConeGate). Unused for a full-circle type,
+  /// which has no sector test.
+  const geom::ConeGate& receiving_cone(std::size_t t) const {
+    HIPO_ASSERT(t < receiving_cones_.size());
+    return receiving_cones_[t];
+  }
 
   /// Largest d_max across charger types (neighbor-set radius bound).
   double max_charge_range() const { return max_range_; }
@@ -189,6 +223,8 @@ class Scenario {
   spatial::GridIndex device_index_;
   double eps1_;
   std::vector<RingLadder> ladders_;  // [q * num_device_types + t]
+  std::vector<geom::Vec2> facings_;  // [j], see facing()
+  std::vector<geom::ConeGate> receiving_cones_;  // [t]
   double max_range_ = 0.0;
 };
 

@@ -6,6 +6,7 @@
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/circle.hpp"
+#include "src/geometry/gates.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/pdcs/point_case.hpp"
 #include "src/util/error.hpp"
@@ -41,16 +42,29 @@ class PositionSink {
     a_ = anchor_a;
     b_ = anchor_b;
     reach_ = range + geom::kCoverEps;
+    reach_gate_ = geom::reach_gate(reach_);
     out_ = &out;
     seen_.clear();
   }
 
   void add(Vec2 p) {
-    if (geom::distance(p, a_) > reach_ || geom::distance(p, b_) > reach_)
-      return;
+    // The reach test by squared distance; only a position in the gate's
+    // band pays the exact hypot test.
+    const geom::Gate ga = reach_gate_(geom::distance2(p, a_));
+    if (ga == geom::Gate::kFail) return;
+    const geom::Gate gb = reach_gate_(geom::distance2(p, b_));
+    if (gb == geom::Gate::kFail) return;
+    if (ga == geom::Gate::kExact || gb == geom::Gate::kExact) {
+      ++exact_band_;
+      if (geom::distance(p, a_) > reach_ || geom::distance(p, b_) > reach_)
+        return;
+    }
     if (!scenario_->position_feasible(p)) return;
     if (seen_.insert(quantize(p), true)) out_->push_back(p);
   }
+
+  /// Positions add() has sent to the exact reach test since construction.
+  std::size_t exact_band() const { return exact_band_; }
 
   void add_all(const std::vector<Vec2>& ps) {
     for (Vec2 p : ps) add(p);
@@ -77,6 +91,8 @@ class PositionSink {
   Vec2 a_;
   Vec2 b_;
   double reach_ = 0.0;
+  geom::RingGate reach_gate_ = geom::reach_gate(0.0);
+  std::size_t exact_band_ = 0;
   std::vector<Vec2>* out_ = nullptr;
   util::FlatMap<std::uint64_t, bool, KeyHash> seen_;
 };
@@ -317,8 +333,17 @@ void append_singleton_positions(const model::Scenario& scenario,
   }
 }
 
+/// A device near the task's anchor, with its position beside its index so
+/// the per-position pool scan reads one contiguous array.
+struct NearDevice {
+  Vec2 pos;
+  std::size_t index;
+};
+
 /// Everything an extraction task reuses between its positions.
 struct TaskScratch {
+  std::vector<std::size_t> nearby;
+  std::vector<NearDevice> near;
   std::vector<std::size_t> neighbors;
   std::vector<std::size_t> pool;
   std::vector<Vec2> positions;
@@ -327,6 +352,18 @@ struct TaskScratch {
   RowArena rows;
   DominanceFilter filter;
 };
+
+/// The devices whose squared distance from `center` is at most r², in
+/// `near`'s (ascending index) order: GridIndex::query_radius's own test,
+/// so over a superset of its result this gives its result.
+void within(std::span<const NearDevice> near, Vec2 center, double radius,
+            std::vector<std::size_t>& out) {
+  out.clear();
+  const double r2 = radius * radius;
+  for (const NearDevice& n : near) {
+    if (geom::distance2(n.pos, center) <= r2) out.push_back(n.index);
+  }
+}
 
 }  // namespace
 
@@ -360,11 +397,22 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
   const Vec2 oi = scenario.device(i).pos;
   std::size_t num_positions = 0;
   std::size_t num_rows = 0;
+  std::size_t num_pool = 0;
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
     const auto& ct = scenario.charger_type(q);
+    const double reach = ct.d_max + geom::kCoverEps;
+    // One grid query per (task, type). Every position lies within reach of
+    // o_i (the sink keeps no other) and its pool within reach of the
+    // position, so the devices within 2·reach of o_i, plus a relative slack
+    // over the rounding of both tests, hold every pool and the neighbor set.
+    devices.query_radius(oi, 2.0 * reach * (1.0 + 1e-9), s.nearby);
+    s.near.clear();
+    for (std::size_t j : s.nearby) {
+      s.near.push_back({scenario.device(j).pos, j});
+    }
     // Neighbor set O^k_i: devices within 2·d^k_max (Algorithm 4 step 1).
-    devices.query_radius(oi, 2.0 * ct.d_max, s.neighbors);
+    within(s.near, oi, 2.0 * ct.d_max, s.neighbors);
 
     s.positions.clear();
     if (opt.use_singleton) {
@@ -380,8 +428,9 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
     s.rows.clear();
     for (Vec2 p : s.positions) {
       // Pool: devices within charging range of the position (exact pool for
-      // the rotational sweep; sorted by GridIndex contract).
-      devices.query_radius(p, ct.d_max + geom::kCoverEps, s.pool);
+      // the rotational sweep, ascending).
+      within(s.near, p, reach, s.pool);
+      num_pool += s.pool.size();
       s.sweep.gather(scenario, q, p, s.pool);
       s.sweep.sweep(s.rows);
     }
@@ -398,8 +447,12 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
   if (obs::metrics_enabled()) [[unlikely]] {
     static obs::Counter& positions = obs::counter("extract.positions");
     static obs::Counter& rows = obs::counter("extract.point_case_rows");
+    static obs::Counter& pool = obs::counter("extract.pool_devices");
+    static obs::Counter& band = obs::counter("extract.exact_band");
     positions.bump(num_positions);
     rows.bump(num_rows);
+    pool.bump(num_pool);
+    band.bump(s.sweep.exact_band() + s.gen.sink.exact_band());
   }
   return out;
 }

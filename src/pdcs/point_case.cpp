@@ -6,15 +6,38 @@
 #include <numeric>
 
 #include "src/geometry/angles.hpp"
+#include "src/geometry/gates.hpp"
 #include "src/util/error.hpp"
 
 namespace hipo::pdcs {
 
 using geom::Vec2;
 
+namespace {
+
+/// Eq. (1)'s range and receiving-sector conditions in their exact form (as
+/// Scenario::coverage_geometry states them), for a device at offset `so`
+/// and distance d = |so| from the charger. The fast gates defer to it
+/// inside their bands.
+bool exact_gates(const model::ChargerType& ct, double recv_angle,
+                 double orientation, Vec2 so, double d) {
+  if (d < ct.d_min - geom::kCoverEps || d > ct.d_max + geom::kCoverEps)
+    return false;
+  if (d <= geom::kEps) return false;
+  if (recv_angle < geom::kTwoPi) {
+    const double ang_eps = geom::kCoverEps / std::max(d, 1e-12);
+    const double chg_angle = geom::angle_distance((-so).angle(), orientation);
+    if (chg_angle > recv_angle / 2.0 + ang_eps) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::size_t PointSweep::gather(const model::Scenario& scenario, std::size_t q,
                                Vec2 pos, std::span<const std::size_t> pool) {
   const auto& ct = scenario.charger_type(q);
+  const geom::RingGate range = geom::range_gate(ct.d_min, ct.d_max);
   q_ = q;
   alpha_ = ct.angle;
   pos_ = pos;
@@ -22,18 +45,25 @@ std::size_t PointSweep::gather(const model::Scenario& scenario, std::size_t q,
   for (std::size_t j : pool) {
     const auto& dev = scenario.device(j);
     const Vec2 so = dev.pos - pos;
-    const double d = so.norm();
-    if (d < ct.d_min - geom::kCoverEps || d > ct.d_max + geom::kCoverEps)
-      continue;
-    if (d <= geom::kEps) continue;
-    const double ang_eps = geom::kCoverEps / std::max(d, 1e-12);
+    const double d2 = so.norm2();
+    // Range and receiving sector by squared distance and a dot product;
+    // only a device in a gate's band pays the exact hypot/atan2 test.
+    geom::Gate gate = range(d2);
+    if (gate == geom::Gate::kFail) continue;
     const double recv_angle = scenario.device_type(dev.type).angle;
     if (recv_angle < geom::kTwoPi) {
-      const double chg_angle =
-          geom::angle_distance((-so).angle(), dev.orientation);
-      if (chg_angle > recv_angle / 2.0 + ang_eps) continue;
+      const geom::Gate cone =
+          scenario.receiving_cone(dev.type)(-so, d2, scenario.facing(j));
+      if (cone == geom::Gate::kFail) continue;
+      if (cone == geom::Gate::kExact) gate = cone;
+    }
+    const double d = so.norm();
+    if (gate == geom::Gate::kExact) {
+      ++exact_band_;
+      if (!exact_gates(ct, recv_angle, dev.orientation, so, d)) continue;
     }
     if (!scenario.line_of_sight(pos, dev.pos)) continue;
+    const double ang_eps = geom::kCoverEps / std::max(d, 1e-12);
     // The bearing feeds only the charger-sector test, which a full-circle
     // charger skips.
     const double bearing = alpha_ < geom::kTwoPi ? so.angle() : 0.0;

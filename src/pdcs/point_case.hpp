@@ -34,10 +34,16 @@ class PointSweep {
   /// The devices of `pool` a type-q charger at `pos` could cover under SOME
   /// orientation: all Eq. (1) conditions except the charger's own
   /// sector-angle condition. Returns how many; device(k) lists them in pool
-  /// order.
+  /// order. The range and receiving-sector conditions are decided by
+  /// squared distance and by a dot product against the Scenario's facing
+  /// data (geom::range_gate, Scenario::receiving_cone); a device inside a
+  /// gate's band takes the exact hypot/atan2 test, so every decision is
+  /// the exact one.
   std::size_t gather(const model::Scenario& scenario, std::size_t q,
                      geom::Vec2 pos, std::span<const std::size_t> pool);
   std::size_t device(std::size_t k) const { return coverable_[k].device; }
+  /// Devices gather() has sent to the exact test since construction.
+  std::size_t exact_band() const { return exact_band_; }
 
   /// The last gather's maximal covered sets, appended to `out` as one row
   /// each in filter_dominated's survivor order, with their approximated
@@ -63,6 +69,7 @@ class PointSweep {
 
   std::size_t q_ = 0;
   double alpha_ = 0.0;
+  std::size_t exact_band_ = 0;
   geom::Vec2 pos_;
   std::vector<Coverable> coverable_;
   std::vector<double> orientations_;

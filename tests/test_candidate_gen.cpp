@@ -10,6 +10,7 @@
 #include <span>
 
 #include "src/geometry/angles.hpp"
+#include "src/geometry/circle.hpp"
 #include "src/pdcs/extract.hpp"
 #include "src/pdcs/point_case.hpp"
 #include "src/util/rng.hpp"
@@ -511,6 +512,98 @@ TEST(ReferenceOracle, PointCaseAtRandomPositions) {
     expect_byte_equal(extract_point_case(s, q, pos, all),
                       reference_point_case(s, q, pos, all));
   }
+}
+
+/// Point case at each position against the reference, over every device;
+/// returns how many gate decisions took the exact band.
+std::size_t expect_point_cases_match(const model::Scenario& s,
+                                     const std::vector<Vec2>& positions) {
+  std::vector<std::size_t> all(s.num_devices());
+  for (std::size_t j = 0; j < all.size(); ++j) all[j] = j;
+  PointSweep sweep;
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    for (std::size_t q = 0; q < s.num_charger_types(); ++q) {
+      SCOPED_TRACE("position " + std::to_string(k) + " type " +
+                   std::to_string(q));
+      expect_byte_equal(extract_point_case(s, q, positions[k], all),
+                        reference_point_case(s, q, positions[k], all));
+      sweep.gather(s, q, positions[k], all);
+    }
+  }
+  return sweep.exact_band();
+}
+
+TEST(ReferenceOracle, ChargersOnReceivingSectorEdges) {
+  // Chargers a few ulp either side of a device's receiving-sector edge
+  // φ ± α_o/2, and of the edge plus Eq. (1)'s slack kCoverEps/d, at
+  // distances either side of the cone gate's near cut-off (d_min = 0 on
+  // the second charger type). Sector half-angles include one within the
+  // gate's band of π, and one device faces past the facing-vector bound.
+  auto cfg = test::simple_config();
+  cfg.charger_types = {{geom::kPi / 2.0, 1.0, 5.0},
+                       {geom::kPi / 3.0, 0.0, 4.0}};
+  cfg.device_types = {{geom::kPi / 3.0}, {geom::kTwoPi - 1e-6}, {1.0}};
+  cfg.pair_params = {{100.0, 40.0}, {90.0, 35.0}, {80.0, 30.0},
+                     {70.0, 25.0}, {60.0, 20.0}, {50.0, 15.0}};
+  cfg.charger_counts = {1, 1};
+  cfg.devices = {test::device_at(6, 6, 0.3, 0),
+                 test::device_at(14, 6, 2.0, 1),
+                 test::device_at(10, 14, 4.5, 2),
+                 test::device_at(7, 12, 1e7, 0)};
+  const model::Scenario s(std::move(cfg));
+  std::vector<Vec2> positions;
+  for (std::size_t j = 0; j < s.num_devices(); ++j) {
+    const auto& dev = s.device(j);
+    const double half = s.device_type(dev.type).angle / 2.0;
+    for (const double d : {0.05, 0.19, 0.2, 0.21, 1.0, 3.0, 3.99}) {
+      for (const double edge : {half, half + geom::kCoverEps / d}) {
+        for (int k = -3; k <= 3; ++k) {
+          for (const double sign : {1.0, -1.0}) {
+            const double a = dev.orientation + sign * test::ulps(edge, k);
+            const Vec2 p = dev.pos + geom::unit_vector(a) * d;
+            if (s.position_feasible(p)) positions.push_back(p);
+          }
+        }
+      }
+    }
+  }
+  ASSERT_GT(positions.size(), 500u);
+  EXPECT_GT(expect_point_cases_match(s, positions), 0u);
+}
+
+TEST(ReferenceOracle, ChargersOnTheRangeRingsOfBothAnchors) {
+  // Chargers where a d_min or d_max ring of one anchor crosses one of the
+  // other anchor's, each coordinate nudged by a few ulp, then the whole
+  // extraction (whose ring × ring positions sit on these rings too).
+  auto cfg = test::simple_config();
+  cfg.device_types = {{geom::kPi / 2.0}, {geom::kTwoPi}};
+  cfg.pair_params = {{100.0, 40.0}, {90.0, 35.0}};
+  cfg.devices = {test::device_at(8, 9, 0.0, 1),
+                 test::device_at(12, 10, 3.0, 0),
+                 test::device_at(10, 13, -1.5, 1),
+                 test::device_at(9.5, 5.5)};
+  const model::Scenario s(std::move(cfg));
+  const auto& ct = s.charger_type(0);
+  std::vector<Vec2> positions;
+  for (std::size_t a = 0; a < s.num_devices(); ++a) {
+    for (std::size_t b = a + 1; b < s.num_devices(); ++b) {
+      for (const double ra : {ct.d_min, ct.d_max}) {
+        for (const double rb : {ct.d_min, ct.d_max}) {
+          for (const Vec2 x : geom::circle_circle_intersections(
+                   {s.device(a).pos, ra}, {s.device(b).pos, rb})) {
+            for (int kx = -2; kx <= 2; ++kx) {
+              for (int ky = -2; ky <= 2; ++ky) {
+                positions.push_back({test::ulps(x.x, kx), test::ulps(x.y, ky)});
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_GT(positions.size(), 100u);
+  EXPECT_GT(expect_point_cases_match(s, positions), 0u);
+  EXPECT_GT(expect_tasks_match(s), 0u);
 }
 
 bool covers_pair(const std::vector<Candidate>& pool) {

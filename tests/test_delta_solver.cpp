@@ -5,6 +5,7 @@
 // op validation semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -431,6 +432,53 @@ TEST(DeltaSolver, MoveFlipsTheVerdictOfAnUnaffectedTasksRow) {
     }
     EXPECT_GE(flipped, 1u) << c.label;
   }
+}
+
+TEST(DeltaSolver, OldRowsTouchADeviceNoNewRowCovers) {
+  // The old-row half of the touched-device rule. In a 1.6 m strip, device
+  // 1's singleton rays at 2π/3 and 4π/3 leave the region at once, so all of
+  // its own rows sit on its east ray; a wall 0.3 m east of it then hides it
+  // from every position of every affected task. Device 0 sits 9.9 m west,
+  // more than task_reach from the wall, and its rows keep covering device
+  // 1. They were dominated by device 1's own nearer rows, which the wall
+  // removes, so one of them now survives. Only device 1's old rows cover
+  // it, so only they can put task 0's rows in the dirty set.
+  auto cfg = test::simple_config();  // d_max = 5 → task_reach ≈ 10
+  cfg.pair_params = {{100.0, 1.0}};   // rings whose power falls with d
+  cfg.region.hi = {40.0, 1.6};
+  cfg.devices = {test::device_at(5.0, 0.8), test::device_at(14.9, 0.8)};
+  const std::vector<geom::Vec2> wall = {
+      {15.2, -0.1}, {15.4, -0.1}, {15.4, 1.7}, {15.2, 1.7}};
+  const model::Scenario scenario{model::Scenario::Config(cfg)};
+  ASSERT_GT(15.2 - 5.0, pdcs::task_reach(scenario));
+
+  opt::DeltaSolver delta{model::Scenario::Config(cfg)};
+  const auto [rows, was] = cold_task_verdicts(cfg, 0);
+  const auto stats = apply_checked(delta, add_obstacle_op(wall), "wall");
+  EXPECT_EQ(stats.tasks_regenerated, 1u);
+  expect_matches_cold(delta, "wall");
+
+  // Before, device 1's own rows covered it; after, no row of its task does.
+  const auto covers_1 = [](const std::vector<pdcs::Candidate>& task) {
+    return std::any_of(task.begin(), task.end(), [](const auto& c) {
+      return std::find(c.covered.begin(), c.covered.end(), 1u) !=
+             c.covered.end();
+    });
+  };
+  EXPECT_TRUE(covers_1(cold_task_verdicts(cfg, 1).first));
+  EXPECT_FALSE(covers_1(cold_task_verdicts(delta.config(), 1).first));
+  // Task 0 is unchanged, and a row of it covering device 1 turns survivor.
+  const auto [rows_after, now] = cold_task_verdicts(delta.config(), 0);
+  ASSERT_EQ(rows_after.size(), rows.size());
+  std::size_t flipped = 0;
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    EXPECT_EQ(matrix_has_row(delta.matrix(), rows[e]), now[e]) << e;
+    if (was[e] == now[e]) continue;
+    ++flipped;
+    EXPECT_TRUE(now[e]) << e;
+    EXPECT_EQ(rows[e].covered, std::vector<std::size_t>{1}) << e;
+  }
+  EXPECT_GE(flipped, 1u);
 }
 
 TEST(DeltaSolver, LocalMoveRefiltersAFractionOfTheTable) {

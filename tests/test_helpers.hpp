@@ -2,6 +2,10 @@
 // known geometry, plus random-scenario helpers.
 #pragma once
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+
 #include "src/model/scenario.hpp"
 #include "src/model/scenario_gen.hpp"
 #include "src/util/rng.hpp"
@@ -45,6 +49,14 @@ inline model::Scenario blocked_scenario() {
   cfg.devices = {device_at(10, 10)};
   cfg.obstacles = {geom::make_rect({11.0, 9.5}, {12.0, 10.5})};
   return model::Scenario(std::move(cfg));
+}
+
+/// `x` moved by `k` ulp (toward +∞ for k > 0).
+inline double ulps(double x, int k) {
+  const double to = k > 0 ? std::numeric_limits<double>::infinity()
+                          : -std::numeric_limits<double>::infinity();
+  for (int i = 0; i < std::abs(k); ++i) x = std::nextafter(x, to);
+  return x;
 }
 
 /// Small random paper-style scenario (fast to solve in tests).
