@@ -50,6 +50,9 @@ Scenario::Scenario(Config config)
     }
     HIPO_REQUIRE(h.is_simple(), "obstacle polygon must be simple");
   }
+  obstacle_index_ =
+      spatial::SegmentIndex(region_, std::move(config.obstacles));
+  has_obstacles_ = obstacle_index_.num_polygons() != 0;
   for (const auto& d : devices_) {
     HIPO_REQUIRE(d.type < device_types_.size(), "device type out of range");
     HIPO_REQUIRE(std::isfinite(d.pos.x) && std::isfinite(d.pos.y) &&
@@ -61,14 +64,13 @@ Scenario::Scenario(Config config)
                  "device weight must be positive and finite");
     HIPO_REQUIRE(region_.contains(d.pos, geom::kEps),
                  "device outside the region");
-    for (const auto& h : config.obstacles) {
-      HIPO_REQUIRE(!h.contains_interior(d.pos),
+    // Only an obstacle whose bbox holds the device can hold it; the index
+    // lists those (and a few more, within its margin).
+    for (std::size_t pi : obstacle_index_.polygons_in_box({d.pos, d.pos})) {
+      HIPO_REQUIRE(!obstacle_index_.polygons()[pi].contains_interior(d.pos),
                    "device placed inside an obstacle");
     }
   }
-  obstacle_index_ =
-      spatial::SegmentIndex(region_, std::move(config.obstacles));
-  has_obstacles_ = obstacle_index_.num_polygons() != 0;
 
   std::vector<Vec2> points;
   points.reserve(devices_.size());

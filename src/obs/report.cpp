@@ -78,15 +78,17 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
        << "% (" << seg_eo << "/" << seg_q << ")\n";
   }
 
-  // The extraction candidate funnel: candidate positions → per-position
-  // maximal sets (point-case rows) → per-task survivors → global survivors,
-  // with the pool devices the point case gathered and how many of their
-  // gate decisions took the exact path.
-  std::uint64_t positions = 0, rows = 0, raw = 0, kept = 0, pool = 0,
-                band = 0;
+  // The extraction candidate funnel: candidate positions → covered sets
+  // the point-case sweep emitted (point-case rows) → the distinct ones the
+  // task arenas stored → per-task survivors → global survivors, with the
+  // pool devices the point case gathered and how many of their gate
+  // decisions took the exact path.
+  std::uint64_t positions = 0, rows = 0, distinct = 0, raw = 0, kept = 0,
+                pool = 0, band = 0;
   for (const auto& c : snapshot.counters) {
     if (c.name == "extract.positions") positions = c.value;
     if (c.name == "extract.point_case_rows") rows = c.value;
+    if (c.name == "extract.distinct_rows") distinct = c.value;
     if (c.name == "extract.candidates_raw") raw = c.value;
     if (c.name == "extract.candidates_kept") kept = c.value;
     if (c.name == "extract.pool_devices") pool = c.value;
@@ -94,7 +96,8 @@ void print_report(const MetricsSnapshot& snapshot, std::ostream& os) {
   }
   if (positions > 0) {
     os << "extract funnel: " << positions << " positions -> " << rows
-       << " point-case rows -> " << raw << " task survivors -> " << kept
+       << " point-case rows -> " << distinct << " distinct rows -> " << raw
+       << " task survivors -> " << kept
        << " kept (" << pool << " pool devices, " << band
        << " exact-band decisions)\n";
   }

@@ -14,21 +14,51 @@ void RowArena::clear() {
   offsets_.assign(1, 0);
   covered_.clear();
   powers_.clear();
+  stored_.clear();
 }
 
 void RowArena::begin_row(const model::Strategy& s) {
-  // Sites compare by exact bits, so a row never changes its position's sign
-  // of zero by sharing a site.
+  HIPO_ASSERT(covered_.size() == offsets_.back());
+  pending_ = s;
+  hash_ = 0;
+}
+
+bool RowArena::end_row() {
+  const std::size_t begin = offsets_.back();
+  const std::size_t len = covered_.size() - begin;
+  const auto drop = [&] {
+    covered_.resize(begin);
+    powers_.resize(begin);
+    return false;
+  };
+  if (len == 0) return drop();
+  // Powers compare by exact bits, as the hash reads them.
   const auto same_bits = [](double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
   };
+  if (const std::uint32_t* twin = stored_.find(hash_)) {
+    const RowView t = view(*twin);
+    const auto ids = std::span<const std::size_t>(covered_).subspan(begin);
+    const auto powers = std::span<const double>(powers_).subspan(begin);
+    if (std::equal(ids.begin(), ids.end(), t.covered.begin(), t.covered.end()) &&
+        std::equal(powers.begin(), powers.end(), t.powers.begin(),
+                   t.powers.end(), same_bits)) {
+      return drop();
+    }
+  } else {
+    stored_.insert(hash_, static_cast<std::uint32_t>(rows_.size()));
+  }
+  // Sites compare by exact bits too, so a row never changes its position's
+  // sign of zero by sharing a site.
+  const model::Strategy& s = pending_;
   if (sites_.empty() || sites_.back().type != s.type ||
       !same_bits(sites_.back().pos.x, s.pos.x) ||
       !same_bits(sites_.back().pos.y, s.pos.y)) {
     sites_.push_back({s.pos, s.type});
   }
   rows_.push_back({s.orientation, static_cast<std::uint32_t>(sites_.size() - 1)});
-  offsets_.push_back(offsets_.back());
+  offsets_.push_back(static_cast<std::uint32_t>(covered_.size()));
+  return true;
 }
 
 RowView RowArena::view(std::size_t r) const {

@@ -15,11 +15,13 @@
 // is one filter for both.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "src/model/types.hpp"
+#include "src/util/flat_hash.hpp"
 
 namespace hipo::pdcs {
 
@@ -67,18 +69,30 @@ class RowSource {
 /// shared arrays, delimited by offsets, and rows at one site (position and
 /// charger type) share it. Appending allocates nothing once the arrays have
 /// grown; clear() keeps their capacity.
+///
+/// The arena stores each distinct row once: end_row() drops a row whose
+/// ascending device ids and power bit patterns equal an earlier stored
+/// row's (a hash of both finds the candidate twin; a hash hit with
+/// different content keeps the row). A DominanceFilter over the arena
+/// would never keep such a repeat (ALGORITHMS.md, Task pass), so its
+/// survivors are the same with or without them.
 class RowArena {
  public:
   std::size_t size() const { return rows_.size(); }
   void clear();
 
-  /// Appends a row: begin_row, then push() its devices in order.
+  /// Appends a row: begin_row, push() its devices in ascending order, then
+  /// end_row().
   void begin_row(const model::Strategy& s);
   void push(std::size_t device, double power) {
     covered_.push_back(device);
     powers_.push_back(power);
-    ++offsets_.back();
+    hash_ = (hash_ ^ device) * kHashMul;
+    hash_ = (hash_ ^ std::bit_cast<std::uint64_t>(power)) * kHashMul;
   }
+  /// Stores the row begun last unless it is empty or repeats a stored row.
+  /// Returns true iff it stored the row.
+  bool end_row();
 
   RowView view(std::size_t r) const;
   Candidate materialize(std::size_t r) const;
@@ -92,12 +106,20 @@ class RowArena {
     double orientation;
     std::uint32_t site;
   };
+  static constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ULL;
+
   std::vector<Site> sites_;
   std::vector<Row> rows_;
-  /// Row r spans [offsets_[r], offsets_[r + 1]) of covered_ / powers_.
+  /// Row r spans [offsets_[r], offsets_[r + 1]) of covered_ / powers_; the
+  /// row being built spans [offsets_.back(), covered_.size()).
   std::vector<std::uint32_t> offsets_{0};
   std::vector<std::size_t> covered_;
   std::vector<double> powers_;
+  /// The row being built: its strategy and the running hash of its content.
+  model::Strategy pending_;
+  std::uint64_t hash_ = 0;
+  /// Content hash → the first stored row with that hash.
+  util::FlatMap<std::uint64_t, std::uint32_t, util::IdentityHash> stored_;
 };
 
 /// True iff `a` is dominated by (or equivalent to and ranked after) `b`:

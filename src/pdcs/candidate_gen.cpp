@@ -83,9 +83,6 @@ class PositionSink {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(qx)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(qy));
   }
-  struct KeyHash {
-    std::uint64_t operator()(std::uint64_t key) const { return key; }
-  };
 
   const model::Scenario* scenario_ = nullptr;
   Vec2 a_;
@@ -94,7 +91,7 @@ class PositionSink {
   geom::RingGate reach_gate_ = geom::reach_gate(0.0);
   std::size_t exact_band_ = 0;
   std::vector<Vec2>* out_ = nullptr;
-  util::FlatMap<std::uint64_t, bool, KeyHash> seen_;
+  util::FlatMap<std::uint64_t, bool, util::IdentityHash> seen_;
 };
 
 /// Axis-aligned box covering the disks of `range` around both anchors.
@@ -397,6 +394,7 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
   const Vec2 oi = scenario.device(i).pos;
   std::size_t num_positions = 0;
   std::size_t num_rows = 0;
+  std::size_t num_distinct = 0;
   std::size_t num_pool = 0;
 
   for (std::size_t q = 0; q < scenario.num_charger_types(); ++q) {
@@ -424,7 +422,8 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
     }
 
     // Algorithm 1 at every position (all already feasible: the sink
-    // filters), each position's maximal sets appended to the task arena.
+    // filters), each position's covered sets appended to the task arena,
+    // which stores each distinct row of the (task, type) once.
     s.rows.clear();
     for (Vec2 p : s.positions) {
       // Pool: devices within charging range of the position (exact pool for
@@ -432,12 +431,13 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
       within(s.near, p, reach, s.pool);
       num_pool += s.pool.size();
       s.sweep.gather(scenario, q, p, s.pool);
-      s.sweep.sweep(s.rows);
+      num_rows += s.sweep.sweep(s.rows);
     }
     num_positions += s.positions.size();
-    num_rows += s.rows.size();
+    num_distinct += s.rows.size();
 
-    // The per-task filter; only its survivors become Candidates.
+    // The per-task filter, the one that decides maximality (the sweep
+    // emits every covered set); only its survivors become Candidates.
     const auto row_at = [&](std::size_t r) { return s.rows.view(r); };
     for (std::size_t r : s.filter.run(RowSource(s.rows.size(), row_at),
                                       scenario.num_devices())) {
@@ -447,10 +447,12 @@ std::vector<Candidate> extract_device_task(const model::Scenario& scenario,
   if (obs::metrics_enabled()) [[unlikely]] {
     static obs::Counter& positions = obs::counter("extract.positions");
     static obs::Counter& rows = obs::counter("extract.point_case_rows");
+    static obs::Counter& distinct = obs::counter("extract.distinct_rows");
     static obs::Counter& pool = obs::counter("extract.pool_devices");
     static obs::Counter& band = obs::counter("extract.exact_band");
     positions.bump(num_positions);
     rows.bump(num_rows);
+    distinct.bump(num_distinct);
     pool.bump(num_pool);
     band.bump(s.sweep.exact_band() + s.gen.sink.exact_band());
   }

@@ -1,9 +1,7 @@
 #include "src/pdcs/point_case.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <numeric>
 
 #include "src/geometry/angles.hpp"
 #include "src/geometry/gates.hpp"
@@ -74,8 +72,7 @@ std::size_t PointSweep::gather(const model::Scenario& scenario, std::size_t q,
 }
 
 std::size_t PointSweep::sweep(RowArena& out) {
-  const std::size_t k = coverable_.size();
-  if (k == 0) return 0;
+  if (coverable_.empty()) return 0;
   const bool full = alpha_ >= geom::kTwoPi;
   const double half = alpha_ / 2.0;
 
@@ -97,74 +94,30 @@ std::size_t PointSweep::sweep(RowArena& out) {
         orientations_.end());
   }
 
-  // One covered set per orientation. A device is covered iff it passes the
-  // sweep's own boundary-inclusive test on θ (the device "about to fall
-  // out" still counts, matching Algorithm 1) and Eq. (1)'s charger-sector
-  // test on the raw bearing — the only orientation-dependent gate of
-  // Scenario::approx_power; range, receiving sector and line of sight were
-  // settled by gather().
-  const std::size_t words = (k + 63) / 64;
-  masks_.clear();
-  rows_.clear();
+  // One covered set per orientation, appended in orientation order. A
+  // device is covered iff it passes the sweep's own boundary-inclusive test
+  // on θ (the device "about to fall out" still counts, matching Algorithm
+  // 1) and Eq. (1)'s charger-sector test on the raw bearing — the only
+  // orientation-dependent gate of Scenario::approx_power; range, receiving
+  // sector and line of sight were settled by gather(). Sets that are not
+  // maximal at this position are left to the caller's DominanceFilter
+  // (ALGORITHMS.md, Task pass), and the arena drops repeats.
+  std::size_t emitted = 0;
   for (double phi : orientations_) {
-    const std::size_t offset = masks_.size();
-    masks_.resize(offset + words, 0);
-    Row row{phi, 0.0, 0, static_cast<std::uint32_t>(offset)};
-    for (std::size_t i = 0; i < k; ++i) {
-      const Coverable& c = coverable_[i];
+    out.begin_row(model::Strategy{pos_, phi, q_});
+    bool any = false;
+    for (const Coverable& c : coverable_) {
       if (!full && (geom::angle_distance(c.theta, phi) > half + 1e-9 ||
                     geom::angle_distance(c.bearing, phi) > half + c.ang_eps))
         continue;
       if (!(c.power > 0.0)) continue;
-      masks_[offset + i / 64] |= std::uint64_t{1} << (i % 64);
-      ++row.size;
-      row.total_power += c.power;
+      out.push(c.device, c.power);
+      any = true;
     }
-    if (row.size == 0) {
-      masks_.resize(offset);
-      continue;
-    }
-    rows_.push_back(row);
+    out.end_row();
+    if (any) ++emitted;
   }
-
-  // The per-position dominance filter. Every row here gives each device the
-  // same power, so ε-dominance is plain set inclusion: keep the distinct
-  // maximal sets, ranked as filter_dominated ranks rows (size descending,
-  // total power descending, emit order ascending).
-  order_.resize(rows_.size());
-  std::iota(order_.begin(), order_.end(), std::uint32_t{0});
-  std::sort(order_.begin(), order_.end(), [&](std::uint32_t x, std::uint32_t y) {
-    if (rows_[x].size != rows_[y].size) return rows_[x].size > rows_[y].size;
-    if (rows_[x].total_power != rows_[y].total_power)
-      return rows_[x].total_power > rows_[y].total_power;
-    return x < y;
-  });
-  kept_.clear();
-  for (std::uint32_t r : order_) {
-    const std::uint64_t* mask = masks_.data() + rows_[r].mask;
-    const bool dominated =
-        std::any_of(kept_.begin(), kept_.end(), [&](std::uint32_t s) {
-          const std::uint64_t* other = masks_.data() + rows_[s].mask;
-          for (std::size_t w = 0; w < words; ++w) {
-            if (mask[w] & ~other[w]) return false;
-          }
-          return true;
-        });
-    if (!dominated) kept_.push_back(r);
-  }
-
-  for (std::uint32_t r : kept_) {
-    out.begin_row(model::Strategy{pos_, rows_[r].orientation, q_});
-    const std::uint64_t* mask = masks_.data() + rows_[r].mask;
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
-        const Coverable& c =
-            coverable_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-        out.push(c.device, c.power);
-      }
-    }
-  }
-  return kept_.size();
+  return emitted;
 }
 
 std::vector<std::size_t> orientable_covers(const model::Scenario& scenario,
@@ -185,12 +138,20 @@ std::vector<Candidate> extract_point_case(const model::Scenario& scenario,
                                           model::LosCache* /*ignored*/) {
   std::vector<Candidate> out;
   if (!scenario.position_feasible(pos)) return out;
-  PointSweep sweep;
-  RowArena rows;
+  // Per-thread buffers: callers run this once per position, and a fresh
+  // filter and arena per call cost more than the sweep.
+  thread_local PointSweep sweep;
+  thread_local RowArena rows;
+  thread_local DominanceFilter filter;
+  rows.clear();
   sweep.gather(scenario, charger_type, pos, pool);
   sweep.sweep(rows);
-  out.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+  // The sweep emits every orientation's covered set; the filter keeps the
+  // maximal ones (all rows here give a device the same power, so dominance
+  // is set inclusion), in its admission order.
+  const auto row_at = [&](std::size_t r) { return rows.view(r); };
+  for (std::size_t r : filter.run(RowSource(rows.size(), row_at),
+                                  scenario.num_devices())) {
     out.push_back(rows.materialize(r));
   }
   return out;

@@ -8,7 +8,7 @@
 // so sweeping interval ends extracts all PDCSs at p.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -27,8 +27,11 @@ namespace hipo::pdcs {
 /// orientation and computes everything about them that does not depend on
 /// the orientation (distance, bearing, ring power) once; sweep() then turns
 /// the charger through the candidate orientations with angle tests only,
-/// and keeps the position's maximal covered sets. Once the buffers have
-/// grown, neither call allocates. Not thread-safe; keep one per thread.
+/// and appends every orientation's covered set. It does not filter them:
+/// the caller's DominanceFilter over the arena removes the sets that are
+/// not maximal at their position (ALGORITHMS.md, Task pass), and the arena
+/// itself drops repeats. Once the buffers have grown, neither call
+/// allocates. Not thread-safe; keep one per thread.
 class PointSweep {
  public:
   /// The devices of `pool` a type-q charger at `pos` could cover under SOME
@@ -45,9 +48,10 @@ class PointSweep {
   /// Devices gather() has sent to the exact test since construction.
   std::size_t exact_band() const { return exact_band_; }
 
-  /// The last gather's maximal covered sets, appended to `out` as one row
-  /// each in filter_dominated's survivor order, with their approximated
-  /// powers. Returns the number of rows appended.
+  /// The last gather's covered sets, one per candidate orientation with a
+  /// nonempty set, appended to `out` in ascending orientation order with
+  /// their approximated powers (the arena keeps only the first of equal
+  /// rows). Returns the number of sets emitted, repeats included.
   std::size_t sweep(RowArena& out);
 
  private:
@@ -59,13 +63,6 @@ class PointSweep {
     double ang_eps;  // kCoverEps / d: the sector test's distance slack
     double power;    // ring power at d
   };
-  /// One orientation's covered set, as a bitmask over coverable_.
-  struct Row {
-    double orientation;
-    double total_power;
-    std::uint32_t size;
-    std::uint32_t mask;  // offset into masks_
-  };
 
   std::size_t q_ = 0;
   double alpha_ = 0.0;
@@ -73,10 +70,6 @@ class PointSweep {
   geom::Vec2 pos_;
   std::vector<Coverable> coverable_;
   std::vector<double> orientations_;
-  std::vector<std::uint64_t> masks_;
-  std::vector<Row> rows_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> kept_;
 };
 
 /// Devices a type-q charger at `pos` could cover under SOME orientation
@@ -87,13 +80,17 @@ std::vector<std::size_t> orientable_covers(const model::Scenario& scenario,
                                            std::span<const std::size_t> pool);
 
 /// Algorithm 1 at position `pos`: one candidate per maximal covered set,
-/// restricted to the device pool (pass all device indices for the exact
-/// algorithm; Algorithm 4 passes a neighbor set). Candidates carry the
-/// approximated (ring) powers. Dominated candidates at this point are
-/// already filtered. Returns an empty vector if nothing is coverable or
-/// `pos` is not a feasible charger position. The trailing LosCache* is
-/// ignored; it stays only so the frozen end-to-end benchmark (perfbench/)
-/// still compiles, and goes in the next benchmark change.
+/// restricted to the device pool (ascending device indices; pass all of
+/// them for the exact algorithm, Algorithm 4 passes a neighbor set).
+/// Candidates carry the approximated (ring) powers. Unlike
+/// PointSweep::sweep, the result is filtered: a DominanceFilter over the
+/// position's rows keeps each maximal set once, in its admission order
+/// (more devices first, then more total power, then lower orientation).
+/// Its sweep, arena and filter buffers are kept per thread between calls.
+/// Returns an empty vector if nothing is coverable or `pos` is not a
+/// feasible charger position. The trailing LosCache* is ignored; it stays
+/// only so the frozen end-to-end benchmark (perfbench/) still compiles, and
+/// goes in the next benchmark change.
 std::vector<Candidate> extract_point_case(const model::Scenario& scenario,
                                           std::size_t charger_type,
                                           geom::Vec2 pos,

@@ -15,6 +15,13 @@
 
 namespace hipo::util {
 
+/// The Hash for u64 keys that are already packed bit patterns or hashes
+/// (PositionSink's coordinates, RowArena's content hashes): the map mixes
+/// them itself.
+struct IdentityHash {
+  std::uint64_t operator()(std::uint64_t key) const { return key; }
+};
+
 template <typename Key, typename Value, typename Hash>
 class FlatMap {
  public:

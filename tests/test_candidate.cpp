@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "src/util/rng.hpp"
@@ -218,6 +219,93 @@ TEST(FilterDominated, SparseUniverseMatchesReference) {
     EXPECT_EQ(fast[i].powers, reference[i].powers) << "survivor " << i;
   }
 }
+
+/// Appends one row to `arena`; returns end_row()'s verdict.
+bool add_row(RowArena& arena, double orientation,
+             const std::vector<std::size_t>& covered,
+             const std::vector<double>& powers) {
+  arena.begin_row(model::Strategy{{1.0, 2.0}, orientation, 0});
+  for (std::size_t k = 0; k < covered.size(); ++k) {
+    arena.push(covered[k], powers[k]);
+  }
+  return arena.end_row();
+}
+
+TEST(RowArena, DropsAnIdenticalRepeatAndKeepsNearTwins) {
+  RowArena arena;
+  EXPECT_TRUE(add_row(arena, 0.1, {1, 4}, {0.25, 0.5}));
+  // Same ids and power bits at another orientation: a repeat.
+  EXPECT_FALSE(add_row(arena, 0.2, {1, 4}, {0.25, 0.5}));
+  // Same ids, one power one ulp higher: kept.
+  EXPECT_TRUE(add_row(arena, 0.3, {1, 4}, {0.25, std::nextafter(0.5, 1.0)}));
+  // Same powers, other ids: kept.
+  EXPECT_TRUE(add_row(arena, 0.4, {1, 5}, {0.25, 0.5}));
+  EXPECT_TRUE(add_row(arena, 0.5, {0, 4}, {0.25, 0.5}));
+  // A repeat of a later row, and an empty row: dropped.
+  EXPECT_FALSE(add_row(arena, 0.6, {1, 5}, {0.25, 0.5}));
+  EXPECT_FALSE(add_row(arena, 0.7, {}, {}));
+  ASSERT_EQ(arena.size(), 4u);
+
+  const Candidate first = arena.materialize(0);
+  EXPECT_EQ(first.strategy.orientation, 0.1);
+  EXPECT_EQ(first.strategy.pos, (geom::Vec2{1.0, 2.0}));
+  EXPECT_EQ(first.covered, (std::vector<std::size_t>{1, 4}));
+  EXPECT_EQ(first.powers, (std::vector<double>{0.25, 0.5}));
+  const Candidate twin = arena.materialize(1);
+  EXPECT_EQ(twin.strategy.orientation, 0.3);
+  EXPECT_EQ(twin.covered, first.covered);
+  EXPECT_EQ(twin.powers[1], std::nextafter(0.5, 1.0));
+  EXPECT_EQ(arena.materialize(2).covered, (std::vector<std::size_t>{1, 5}));
+  EXPECT_EQ(arena.materialize(3).covered, (std::vector<std::size_t>{0, 4}));
+
+  // clear() forgets the stored rows.
+  arena.clear();
+  EXPECT_TRUE(add_row(arena, 0.2, {1, 4}, {0.25, 0.5}));
+  EXPECT_EQ(arena.size(), 1u);
+}
+
+class ArenaFilterTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ArenaFilterTest, DroppingRepeatsLeavesTheFilterSurvivorsAlone) {
+  // Random rows with many exact repeats: the filter over the arena (which
+  // stores each distinct row once) returns the same rows, strategy
+  // included, in the same order as the filter over every row.
+  hipo::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  const std::size_t num_devices = 3 + rng.below(8);
+  std::vector<Candidate> all;
+  RowArena arena;
+  const int n = 1 + static_cast<int>(rng.below(120));
+  for (int i = 0; i < n; ++i) {
+    Candidate c;
+    if (!all.empty() && rng.uniform() < 0.4) {
+      c = all[rng.below(all.size())];
+    } else {
+      for (std::size_t j = 0; j < num_devices; ++j) {
+        if (rng.uniform() < 0.4) {
+          c.covered.push_back(j);
+          c.powers.push_back(0.1 * static_cast<double>(1 + rng.below(3)));
+        }
+      }
+    }
+    c.strategy = model::Strategy{{1.0, 2.0}, static_cast<double>(i), 0};
+    add_row(arena, c.strategy.orientation, c.covered, c.powers);
+    all.push_back(std::move(c));
+  }
+  const auto expected = filter_dominated(all, num_devices);
+  DominanceFilter filter;
+  const auto at = [&](std::size_t r) { return arena.view(r); };
+  const auto kept = filter.run(RowSource(arena.size(), at), num_devices);
+  ASSERT_EQ(kept.size(), expected.size());
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    const Candidate got = arena.materialize(kept[k]);
+    EXPECT_EQ(got.strategy.orientation, expected[k].strategy.orientation)
+        << "survivor " << k;
+    EXPECT_EQ(got.covered, expected[k].covered) << "survivor " << k;
+    EXPECT_EQ(got.powers, expected[k].powers) << "survivor " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, ArenaFilterTest, ::testing::Range(0, 20));
 
 // Property behind the delta layer's partial re-filter: a row is only ever
 // dominated by a row covering a superset of its devices, so its verdict is

@@ -14,10 +14,6 @@
 namespace hipo::util {
 namespace {
 
-struct IdentityHash {
-  std::uint64_t operator()(std::uint64_t key) const { return key; }
-};
-
 using BitMap = FlatMap<std::uint64_t, bool, IdentityHash>;
 
 TEST(FlatMap, VerdictsSurviveTableGrowth) {

@@ -97,6 +97,37 @@ TEST(PointCase, ToyRotationalSweep) {
   for (bool b : seen) EXPECT_TRUE(b);
 }
 
+TEST(PointCase, SweepEmitsEveryCoveredSetAndExtractKeepsTheMaximal) {
+  // Charger angle π/2 at the origin, devices at bearings 0°, 60° and 180°:
+  // the candidate orientations 45°, 105° and 225° cover {0, 1}, {1} and
+  // {2}. The sweep emits all three in orientation order; the public point
+  // case keeps the two maximal sets, larger first.
+  auto cfg = test::simple_config();
+  cfg.region.lo = {-10, -10};
+  cfg.region.hi = {10, 10};
+  cfg.devices = {test::device_at(3, 0),
+                 test::device_at(3 * std::cos(kPi / 3), 3 * std::sin(kPi / 3)),
+                 test::device_at(-3, 0)};
+  const model::Scenario s(std::move(cfg));
+  const auto pool = all_devices(s);
+  PointSweep sweep;
+  ASSERT_EQ(sweep.gather(s, 0, {0.0, 0.0}, pool), 3u);
+  RowArena rows;
+  EXPECT_EQ(sweep.sweep(rows), 3u);
+  ASSERT_EQ(rows.size(), 3u);
+  using Ids = std::vector<std::size_t>;
+  EXPECT_EQ(rows.materialize(0).covered, (Ids{0, 1}));
+  EXPECT_EQ(rows.materialize(1).covered, (Ids{1}));
+  EXPECT_EQ(rows.materialize(2).covered, (Ids{2}));
+  EXPECT_LT(rows.materialize(0).strategy.orientation,
+            rows.materialize(1).strategy.orientation);
+
+  const auto cands = extract_point_case(s, 0, {0.0, 0.0}, pool);
+  ASSERT_EQ(cands.size(), 2u);
+  EXPECT_EQ(cands[0].covered, (Ids{0, 1}));
+  EXPECT_EQ(cands[1].covered, (Ids{2}));
+}
+
 TEST(PointCase, FullCircleChargerSingleOrientation) {
   auto cfg = test::simple_config();
   cfg.charger_types[0].angle = kTwoPi;

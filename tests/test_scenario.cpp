@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/geometry/angles.hpp"
@@ -41,6 +42,54 @@ TEST(ScenarioConfig, RejectsDeviceInsideObstacle) {
   cfg.obstacles = {geom::make_rect({9, 9}, {11, 11})};
   cfg.devices = {test::device_at(10, 10)};
   EXPECT_THROW(Scenario(std::move(cfg)), hipo::ConfigError);
+}
+
+TEST(ScenarioConfig, RejectsDeviceInsideTheLastOfManyObstacles) {
+  // 19 × 19 small squares, one per unit cell, so the obstacle index spans
+  // many cells; the device sits in the last square built.
+  auto cfg = test::simple_config();
+  for (int y = 0; y < 19; ++y) {
+    for (int x = 0; x < 19; ++x) {
+      cfg.obstacles.push_back(
+          geom::make_rect({x + 0.6, y + 0.6}, {x + 1.4, y + 1.4}));
+    }
+  }
+  const Vec2 last = cfg.obstacles.back().bbox().lo;
+  auto accepted = cfg;
+  // Between squares: outside every obstacle, inside none's interior.
+  accepted.devices = {test::device_at(10.5, 10.5), test::device_at(0.2, 0.2)};
+  EXPECT_NO_THROW(Scenario{std::move(accepted)});
+  cfg.devices = {test::device_at(10.5, 10.5),
+                 test::device_at(last.x + 0.3, last.y + 0.3)};
+  try {
+    Scenario s(std::move(cfg));
+    ADD_FAILURE() << "a device inside the last obstacle was accepted";
+  } catch (const hipo::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("device placed inside an obstacle"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioConfig, AcceptsDevicesOnObstacleEdgesAndInConcaveNotches) {
+  // Only the open interior rejects: a device on an edge or a vertex, or in
+  // the notch of a U-shaped obstacle (inside its bbox, outside the
+  // polygon), is valid.
+  auto cfg = test::simple_config();
+  cfg.obstacles = {
+      geom::make_rect({2, 2}, {4, 4}),
+      geom::Polygon({{8, 8}, {14, 8}, {14, 14}, {12, 14}, {12, 10}, {10, 10},
+                     {10, 14}, {8, 14}})};
+  cfg.devices = {test::device_at(2, 3),   test::device_at(4, 4),
+                 test::device_at(3, 2),   test::device_at(11, 12),
+                 test::device_at(11, 10), test::device_at(12, 13)};
+  const Scenario s(std::move(cfg));
+  EXPECT_EQ(s.num_devices(), 6u);
+
+  auto inside = test::simple_config();
+  inside.obstacles = s.to_config().obstacles;
+  inside.devices = {test::device_at(9, 9)};  // a leg of the U
+  EXPECT_THROW(Scenario(std::move(inside)), hipo::ConfigError);
 }
 
 TEST(ScenarioConfig, RejectsDeviceOutsideRegion) {
